@@ -198,6 +198,10 @@ def run(config):
     ).validate()
 
     t0 = time.perf_counter()
+    # read the ground truth before any output is written: a truth file may
+    # sit where an output goes
+    gt_files = config.get("gt") or []
+    truths = [parse_seg(Path(p).read_bytes()) for p in gt_files]
     mesh = load_mesh_file(mesh_path)
     features = feature_field(mesh, params.k, ring=config.get("ring", "n2"))
     result = segment(mesh, features.values, params)
@@ -208,11 +212,10 @@ def run(config):
     export_colored_mesh(mesh, result.labels, ply_path)
 
     rand_index = None
-    if config.get("gt"):
-        truths = [parse_seg(Path(p).read_bytes()) for p in config["gt"]]
+    if truths:
         mean, scores = mean_dissimilarity(result.labels, truths)
         rand_index = {"mean": mean, "scores": scores,
-                      "files": [str(p) for p in config["gt"]]}
+                      "files": [str(p) for p in gt_files]}
 
     report = {
         "params": {
@@ -245,8 +248,8 @@ def run(config):
         "rand_index": rand_index,
         "outputs": {"seg": str(seg_path), "ply": str(ply_path)},
     }
-    if config.get("gt"):
-        report["params"]["gt"] = [str(p) for p in config["gt"]]
+    if gt_files:
+        report["params"]["gt"] = [str(p) for p in gt_files]
     report_path = out_dir / f"{stem}_report.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")
     report["outputs"]["report"] = str(report_path)

@@ -17,8 +17,6 @@ from scipy.sparse.csgraph import connected_components
 from .errors import DimensionError, FeatureError, NumericError
 from .mesh import smoothed_normal, smoothed_normals
 
-_DENSE_LIMIT = 3000
-
 
 def normal_distance(mesh, tau_i, tau_j, ring="n2"):
     """Squared distance between the (smoothed) unit normals of two
@@ -114,7 +112,9 @@ def feature_field(mesh, n_segments, ring="n2"):
     kernel directions of a disconnected mesh (piecewise constant per
     component) are kept first, followed by eigenvectors of increasing
     positive eigenvalue, with a deterministic sign (first entry of
-    magnitude above tolerance is positive).
+    magnitude above tolerance is positive).  The eigenpairs come from a
+    shift-invert ARPACK solve at every size; a dense ``eigh`` serves only
+    a request that covers the whole spectrum, where ARPACK cannot run.
     """
     if n_segments < 2:
         raise FeatureError(f"need at least 2 segments, got {n_segments}")
@@ -138,8 +138,9 @@ def feature_field(mesh, n_segments, ring="n2"):
     if vecs_needed > 0:
         # the indicator span contributes one (uninformative) kernel vector
         # per component on top of the channels we still need
-        k_solve = min(T - 1, vecs_needed + n_comp + 2)
-        if T <= _DENSE_LIMIT:
+        k_solve = vecs_needed + n_comp + 2
+        if k_solve >= T:
+            # ARPACK needs k < T; the request covers the whole spectrum
             w, V = np.linalg.eigh(L.toarray())
         else:
             sigma = -1e-6 * max(max_diag, 1.0)

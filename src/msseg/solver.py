@@ -30,8 +30,6 @@ from .errors import InitializationError, NumericError, ParameterError
 
 MODES = ("pcms", "psms", "gpsms")
 
-_DIRECT_LIMIT = 50_000  # faces; above this the SPD solves fall back to CG
-
 
 @dataclass
 class SolverParams:
@@ -117,33 +115,23 @@ class SegmentationResult:
 
 
 class _SPDSolve:
-    """Direct or CG solve for an SPD sparse system with residual check."""
+    """Direct solve of an SPD sparse system, with a residual check.
+
+    Direct only: one SuperLU factorization in symmetric mode (minimum
+    degree ordering on the pattern of ``A' + A``, diagonal pivots) serves
+    every later solve, at every size.
+    """
 
     def __init__(self, matrix, rtol=1e-8):
         self.matrix = matrix.tocsc()
         self.rtol = rtol
-        if matrix.shape[0] <= _DIRECT_LIMIT:
-            self._lu = spla.splu(self.matrix)
-            self._precond = None
-        else:
-            self._lu = None
-            d = self.matrix.diagonal()
-            self._precond = sp.diags(1.0 / d)
+        self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0,
+                             options={"SymmetricMode": True})
 
     def __call__(self, rhs):
         rhs = np.atleast_2d(rhs.T).T
-        if self._lu is not None:
-            x = self._lu.solve(rhs)
-        else:
-            x = np.empty_like(rhs)
-            for j in range(rhs.shape[1]):
-                xj, info = spla.cg(
-                    self.matrix, rhs[:, j], rtol=1e-12, atol=0.0,
-                    maxiter=10 * self.matrix.shape[0], M=self._precond,
-                )
-                if info != 0:
-                    raise NumericError(f"CG did not converge (info={info})")
-                x[:, j] = xj
+        x = self._lu.solve(rhs)
         res = np.linalg.norm(self.matrix @ x - rhs)
         if res > self.rtol * (1.0 + np.linalg.norm(rhs)):
             raise NumericError(
@@ -152,12 +140,44 @@ class _SPDSolve:
         return x
 
 
-class Systems:
-    """Prefactorized per-channel SPD systems for the three smooth updates.
+def _system_matrices(mesh, u=None, v=None, b=None):
+    """The u, v and b coefficient matrices of :class:`Systems`, in CSC form.
 
-    All three coefficient matrices are constant along a run, so each is
-    factorized once.  The systems are the weighted-inner-product normal
-    equations written in plain coordinates:
+    ``u=(r_p, r_z)``, ``v=(r_q, r_p)`` and ``b=(beta, eta + alpha)`` are
+    the coefficients of each system.  A system given ``None`` is skipped
+    and returned as ``None``, and so is ``v`` on a mesh without interior
+    edges.
+    """
+    ops = operators(mesh)
+    W = sp.diags(ops.areas)
+    Winv = sp.diags(1.0 / ops.areas)
+    D = sp.diags(ops.lengths)
+    S = None if u is None and b is None else ops.grad.T @ D @ ops.grad
+    Au = Av = Ab = None
+    if u is not None:
+        r_p, r_z = u
+        Au = (r_p * S + r_z * W).tocsc()
+    interior = np.nonzero(~mesh.boundary_edge)[0]
+    if v is not None and interior.size:
+        r_q, r_p = v
+        DG = (D @ ops.grad).tocsr()[interior]
+        Dint = sp.diags(ops.lengths[interior])
+        Av = (r_q * (DG @ Winv @ DG.T) + r_p * Dint).tocsc()
+    if b is not None:
+        beta, shift = b
+        Ab = (beta * (S @ Winv @ S) + shift * W).tocsc()
+    return Au, Av, Ab
+
+
+class Systems:
+    """Prefactorized per-channel SPD systems for the smooth updates.
+
+    All coefficient matrices are constant along a run, so each is
+    factorized once, direct only (see :class:`_SPDSolve`), and only the
+    systems the mode solves with are built: ``v`` for gpsms without
+    ``freeze_v``, ``b`` for psms and gpsms; the others are ``None``.  The
+    systems are the weighted-inner-product normal equations written in
+    plain coordinates (matrices from ``_system_matrices``):
 
     * ``u``:  (r_p * S + r_z * W) u = W * rhs   with ``S = G' D G``,
     * ``v``:  interior-edge block of (r_q * DG W^-1 (DG)' + r_p * D) v = D * rhs,
@@ -167,33 +187,21 @@ class Systems:
     """
 
     def __init__(self, mesh, params, alpha, beta):
-        ops = operators(mesh)
-        T, E = mesh.n_faces, mesh.n_edges
-        W = sp.diags(ops.areas)
-        D = sp.diags(ops.lengths)
-        G = ops.grad
-        S = (G.T @ D @ G).tocsc()
+        use_vq, use_b = _mode_flags(params)
         self.mesh = mesh
         self.params = params
         self.alpha = alpha
         self.beta = beta
-        self._W = ops.areas
-        self._D = ops.lengths
-
-        self.u_solve = _SPDSolve(params.r_p * S + params.r_z * W)
-
         self.interior = np.nonzero(~mesh.boundary_edge)[0]
-        DG = (D @ G).tocsr()[self.interior]
-        Winv = sp.diags(1.0 / ops.areas)
-        Dint = sp.diags(ops.lengths[self.interior])
-        Av = params.r_q * (DG @ Winv @ DG.T) + params.r_p * Dint
-        self.v_solve = _SPDSolve(Av.tocsc()) if self.interior.size else None
-
-        if params.mode in ("psms", "gpsms"):
-            Ab = beta * (S @ Winv @ S) + (params.eta + alpha) * W
-            self.b_solve = _SPDSolve(Ab.tocsc())
-        else:
-            self.b_solve = None
+        matrices = _system_matrices(
+            mesh,
+            u=(params.r_p, params.r_z),
+            v=(params.r_q, params.r_p) if use_vq else None,
+            b=(beta, params.eta + alpha) if use_b else None,
+        )
+        self.u_solve, self.v_solve, self.b_solve = (
+            None if A is None else _SPDSolve(A) for A in matrices
+        )
 
 
 # -- closed-form pieces ------------------------------------------------------
@@ -290,10 +298,7 @@ def solve_u(mesh, z, lam_z, p, v, lam_p, r_p, r_z, systems=None):
     if systems is not None:
         solver = systems.u_solve
     else:
-        W = sp.diags(ops.areas)
-        D = sp.diags(ops.lengths)
-        S = ops.grad.T @ D @ ops.grad
-        solver = _SPDSolve((r_p * S + r_z * W).tocsc())
+        solver = _SPDSolve(_system_matrices(mesh, u=(r_p, r_z))[0])
     edge_term = lam_p + r_p * (p + v)
     rhs = ops.areas[:, None] * (r_z * z + lam_z) \
         + ops.incidence.T @ (ops.lengths[:, None] * edge_term)
@@ -323,11 +328,7 @@ def solve_v(mesh, u, p, lam_p, q, lam_q, r_p, r_q, systems=None):
     if systems is not None:
         solver = systems.v_solve
     else:
-        D = sp.diags(ops.lengths)
-        DG = (D @ ops.grad).tocsr()[interior]
-        Winv = sp.diags(1.0 / ops.areas)
-        Dint = sp.diags(ops.lengths[interior])
-        solver = _SPDSolve((r_q * (DG @ Winv @ DG.T) + r_p * Dint).tocsc())
+        solver = _SPDSolve(_system_matrices(mesh, v=(r_q, r_p))[1])
     v[interior] = solver(rhs)
     return v
 
@@ -342,11 +343,8 @@ def solve_b(mesh, f, z, mu, alpha, beta, eta, systems=None):
     if systems is not None:
         solver = systems.b_solve
     else:
-        W = sp.diags(ops.areas)
-        D = sp.diags(ops.lengths)
-        S = ops.grad.T @ D @ ops.grad
-        Winv = sp.diags(1.0 / ops.areas)
-        solver = _SPDSolve((beta * (S @ Winv @ S) + (eta + alpha) * W).tocsc())
+        solver = _SPDSolve(
+            _system_matrices(mesh, b=(beta, eta + alpha))[2])
     return solver(rhs)
 
 
@@ -384,8 +382,6 @@ def init_labels(f, areas, k, seed):
                 centers[c] = (weights[m, None] * f[m]).sum(axis=0) / wsum
             if not ok:
                 break
-        else:
-            pass
         if assign is None:
             continue
         counts = np.bincount(assign, minlength=k)

@@ -92,6 +92,20 @@ def path_strip():
     return TriMesh(verts, faces)
 
 
+def triangle_strip(n_faces):
+    """``n_faces`` equilateral triangles in a row with unit edges.
+
+    Generalizes :func:`path_strip`: the face adjacency graph is a path
+    with unit Laplacian couplings, whose eigenvalues are
+    ``2 - 2 cos(pi j / n_faces)``, all simple.
+    """
+    s = np.sqrt(3) / 2
+    verts = [(i / 2, s * (i % 2), 0.0) for i in range(n_faces + 2)]
+    faces = [(j, j + 2, j + 1) if j % 2 == 0 else (j, j + 1, j + 2)
+             for j in range(n_faces)]
+    return TriMesh(verts, faces)
+
+
 def two_components():
     """Two separated two-face patches (disconnected face graph)."""
     verts = [(0, 0, 0), (0, 1, 0), (-1, 0, 0), (1, 0, 0)]

@@ -108,3 +108,19 @@ def one_admm_sweep(mesh, f, st, alpha, beta,
     lam_z = lam_z + r_z * (z - u)
     return {"u": u, "z": z, "b": b, "v": v, "p": p, "q": q,
             "lam_p": lam_p, "lam_q": lam_q, "lam_z": lam_z, "mu": mu}
+
+
+def dense_spectral_channels(laplacian, areas, n_channels):
+    """Smallest nonzero eigenpairs of a connected mesh's face Laplacian
+    by dense ``np.linalg.eigh`` of the full matrix.
+
+    Skips the constant kernel vector and returns ``n_channels``
+    eigenvalues plus their eigenvectors scaled to unit area-weighted
+    variance (sign left as eigh returns it).
+    """
+    w, V = np.linalg.eigh(laplacian.toarray())
+    w, V = w[1:n_channels + 1], V[:, 1:n_channels + 1]
+    A = np.asarray(areas, dtype=float)
+    mean = A @ V / A.sum()
+    var = A @ (V - mean) ** 2 / A.sum()
+    return w, V / np.sqrt(var)

@@ -14,7 +14,7 @@ from msseg.cli import (
     resolve_config,
 )
 from msseg.errors import ParameterError
-from msseg.evaluation import parse_seg
+from msseg.evaluation import parse_seg, rand_index_dissimilarity
 from msseg.mesh import load_off
 
 from _meshes import (
@@ -170,6 +170,24 @@ def test_replay_from_report_reproduces_run(dumbbell_setup):
     assert main(["--config", str(report_path), "--out", str(out2)]) == 0
     assert (out / "dumbbell.seg").read_bytes() \
         == (out2 / "dumbbell.seg").read_bytes()
+
+
+def test_ground_truth_at_output_path_is_read_before_overwrite(dumbbell_setup):
+    base, mesh_path, _ = dumbbell_setup
+    out = base / "gt_in_out"
+    out.mkdir()
+    mesh = load_off(mesh_path.read_text())
+    # a truth unlike any two-sphere split: the score must be far from 0
+    truth = np.arange(mesh.n_faces) % 2
+    gt_path = out / "dumbbell.seg"
+    gt_path.write_text("\n".join(str(int(x)) for x in truth) + "\n")
+    assert main(["--mesh", str(mesh_path), "--k", "2",
+                 "--gt", str(gt_path), "--out", str(out)]) == 0
+    report = json.loads((out / "dumbbell_report.json").read_text())
+    labels = parse_seg(gt_path.read_bytes())  # now the written output
+    expected = rand_index_dissimilarity(labels, truth)
+    assert report["rand_index"]["mean"] == pytest.approx(expected)
+    assert report["rand_index"]["mean"] > 10.0
 
 
 def test_k1_rejected_with_error_record(dumbbell_setup, capsys):

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from msseg import features
 from msseg.errors import DimensionError, FeatureError
 from msseg.features import (
     build_laplacian,
@@ -21,8 +22,10 @@ from _meshes import (
     path_strip,
     random_closed,
     square_axis_pair,
+    triangle_strip,
     two_components,
 )
+from _reference import dense_spectral_channels
 
 
 # -- normal distance ----------------------------------------------------------
@@ -183,6 +186,56 @@ def test_face_reorder_invariance_up_to_sign():
     other = feature_field(permuted, 2).values[:, 0]
     aligned = other if np.dot(other, base[perm]) >= 0 else -other
     assert np.allclose(aligned, base[perm], atol=1e-10)
+
+
+# -- eigensolver paths: shift-invert ARPACK, dense eigh only when k >= T ------
+
+
+def _record_arpack_calls(monkeypatch):
+    calls = []
+    eigsh = features.spla.eigsh
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(features.spla, "eigsh", recording)
+    return calls
+
+
+def _assert_matches_dense_oracle(mesh, field):
+    n = field.values.shape[1]
+    w, V = dense_spectral_channels(build_laplacian(mesh), mesh.face_areas, n)
+    assert np.abs(field.eigenvalues - w).max() <= 1e-10
+    signs = np.sign(np.sum(V * field.values, axis=0))
+    assert np.abs(V * signs - field.values).max() <= 1e-8
+
+
+def test_arpack_matches_dense_eigh_on_small_mesh(monkeypatch):
+    # a small mesh (690 faces) takes the ARPACK path too
+    calls = _record_arpack_calls(monkeypatch)
+    mesh = random_closed(800, seed=3)
+    assert mesh.n_faces <= 3000
+    field = feature_field(mesh, 4)
+    assert len(calls) == 1
+    _assert_matches_dense_oracle(mesh, field)
+
+
+@pytest.mark.parametrize("n_faces, n_segments, arpack", [
+    (4, 2, False),   # the smallest connected request: k = 4 >= T
+    (5, 2, True),    # k = 4 < T
+    (10, 7, True),   # k = T - 1
+    (10, 8, False),  # k = T
+])
+def test_both_sides_of_the_arpack_condition_agree(
+        monkeypatch, n_faces, n_segments, arpack):
+    calls = _record_arpack_calls(monkeypatch)
+    mesh = triangle_strip(n_faces)
+    field = feature_field(mesh, n_segments)
+    assert bool(calls) == arpack
+    path = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n_segments) / n_faces)
+    assert np.abs(field.eigenvalues - path).max() <= 1e-10
+    _assert_matches_dense_oracle(mesh, field)
 
 
 def test_feature_field_argument_errors():

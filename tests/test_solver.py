@@ -11,6 +11,7 @@ from msseg.mesh import load_off
 from msseg.solver import (
     SolverParams,
     SolverState,
+    Systems,
     admm_inner,
     energy,
     estimate_alpha,
@@ -577,6 +578,47 @@ def test_pcms_mode_keeps_b_zero():
     mesh, f, _ = piecewise_constant_instance()
     result = segment(mesh, f, SolverParams(k=2, mode="pcms", alpha=100.0))
     assert np.all(result.b == 0.0)
+
+
+# -- prefactorized systems -------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode, freeze_v, factored", [
+    ("pcms", False, (True, False, False)),
+    ("psms", False, (True, False, True)),
+    ("gpsms", True, (True, False, True)),
+    ("gpsms", False, (True, True, True)),
+])
+def test_systems_factor_only_what_the_mode_solves(mode, freeze_v, factored):
+    params = SolverParams(k=2, mode=mode, freeze_v=freeze_v)
+    systems = Systems(strip10(), params, alpha=2.0, beta=3.0)
+    got = (systems.u_solve, systems.v_solve, systems.b_solve)
+    assert tuple(s is not None for s in got) == factored
+
+
+def test_standalone_solves_match_prefactorized_systems():
+    mesh = random_closed(40, seed=6)
+    T, E, K = mesh.n_faces, mesh.n_edges, 2
+    rng = np.random.default_rng(21)
+    z, lam_z, q, lam_q = (rng.normal(size=(T, K)) for _ in range(4))
+    p, v, lam_p = (rng.normal(size=(E, K)) for _ in range(3))
+    f = rng.normal(size=(T, K - 1))
+    mu = rng.normal(size=(K, K - 1))
+    params = SolverParams(k=K, r_p=1.3, r_q=0.7, r_z=80.0, eta=1e-3)
+    alpha, beta = 2.0, 3.0
+
+    def solves(systems):
+        return (
+            solve_u(mesh, z, lam_z, p, v, lam_p, params.r_p, params.r_z,
+                    systems),
+            solve_v(mesh, z, p, lam_p, q, lam_q, params.r_p, params.r_q,
+                    systems),
+            solve_b(mesh, f, z, mu, alpha, beta, params.eta, systems),
+        )
+
+    prefactored = solves(Systems(mesh, params, alpha, beta))
+    for standalone, shared in zip(solves(None), prefactored):
+        assert np.array_equal(standalone, shared)
 
 
 # -- energy and KKT diagnostics ---------------------------------------------------
