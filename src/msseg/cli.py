@@ -71,11 +71,13 @@ def export_colored_mesh(mesh, labels, path):
         "property uchar blue",
         "end_header",
     ]
-    for v in mesh.vertices:
-        lines.append(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
-    for f, lab in zip(mesh.faces, labels):
-        r, g, b = label_color(int(lab))
-        lines.append(f"3 {f[0]} {f[1]} {f[2]} {r} {g} {b}")
+    lines.extend(f"{x:.9g} {y:.9g} {z:.9g}"
+                 for x, y, z in mesh.vertices.tolist())
+    uniq, inverse = np.unique(labels, return_inverse=True)
+    colors = ["{} {} {}".format(*label_color(int(lab)))
+              for lab in uniq.tolist()]
+    lines.extend(f"3 {a} {b} {c} {colors[i]}"
+                 for (a, b, c), i in zip(mesh.faces.tolist(), inverse.tolist()))
     try:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:

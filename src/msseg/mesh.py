@@ -10,6 +10,7 @@ instances are safe to share between threads.
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     DegenerateGeometryError,
@@ -60,16 +61,16 @@ class TriMesh:
             raise TopologyError("faces must be an (T, 3) array of vertex triples")
         if faces.size and (faces.min() < 0 or faces.max() >= len(vertices)):
             raise TopologyError("face vertex index out of range")
-        for t, (a, b, c) in enumerate(faces):
-            if a == b or b == c or a == c:
-                raise TopologyError(f"face {t} has repeated vertices")
+        a, b, c = faces.T
+        repeated = np.flatnonzero((a == b) | (b == c) | (a == c))
+        if repeated.size:
+            raise TopologyError(f"face {repeated[0]} has repeated vertices")
 
         self.vertices = vertices
         self.faces = faces
         self._build_incidence()
         self._build_geometry()
-        self._neigh1 = None
-        self._neigh2 = None
+        self._patterns = {}
         self._ops = None
         for arr in (self.vertices, self.faces, self.edges, self.face_edges,
                     self.face_edge_signs, self.edge_faces, self.boundary_edge,
@@ -80,47 +81,51 @@ class TriMesh:
 
     def _build_incidence(self):
         faces = self.faces
-        edge_index = {}
-        edges = []
-        face_edges = np.empty((len(faces), 3), dtype=np.int64)
-        face_signs = np.empty((len(faces), 3), dtype=np.int64)
-        edge_faces = []
-        for t, (a, b, c) in enumerate(faces):
-            for s, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-                key = (u, v) if u < v else (v, u)
-                e = edge_index.get(key)
-                if e is None:
-                    e = len(edges)
-                    edge_index[key] = e
-                    edges.append(key)
-                    edge_faces.append([])
-                if len(edge_faces[e]) >= 2:
-                    raise TopologyError(
-                        f"edge {key} is non-manifold (3 or more incident faces)"
-                    )
-                edge_faces[e].append(t)
-                face_edges[t, s] = e
-                face_signs[t, s] = 1 if (u, v) == key else -1
+        T = len(faces)
+        # the 3T face sides, face-major: (v0,v1), (v1,v2), (v2,v0)
+        tail = faces.ravel()
+        head = faces[:, [1, 2, 0]].ravel()
+        lo = np.minimum(tail, head)
+        hi = np.maximum(tail, head)
+        _, first, inverse, counts = np.unique(
+            lo * len(self.vertices) + hi, return_index=True,
+            return_inverse=True, return_counts=True)
+        # number the edges in order of first appearance among the sides
+        order = np.argsort(first)
+        first, counts = first[order], counts[order]
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(len(order))
+        side_edge = renumber[inverse]
 
-        self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        self.face_edges = face_edges
-        self.face_edge_signs = face_signs
-        ef = np.full((len(edges), 2), -1, dtype=np.int64)
-        for e, fl in enumerate(edge_faces):
-            ef[e, : len(fl)] = fl
+        # sides grouped by edge, each group in face order
+        by_edge = np.argsort(side_edge, kind="stable")
+        start = np.cumsum(counts) - counts
+        rank = np.arange(3 * T) - np.repeat(start, counts)
+        third = by_edge[rank >= 2]
+        if third.size:
+            s = third.min()
+            raise TopologyError(
+                f"edge {(int(lo[s]), int(hi[s]))} is non-manifold "
+                "(3 or more incident faces)"
+            )
+
+        self.edges = np.column_stack([lo[first], hi[first]])
+        self.face_edges = side_edge.reshape(T, 3)
+        self.face_edge_signs = np.where(tail < head, 1, -1).reshape(T, 3)
+        interior = np.flatnonzero(counts == 2)
+        first_side = by_edge[start]
+        second_side = by_edge[start[interior] + 1]
+        ef = np.full((len(counts), 2), -1, dtype=np.int64)
+        ef[:, 0] = first_side // 3
+        ef[interior, 1] = second_side // 3
         self.edge_faces = ef
         self.boundary_edge = ef[:, 1] < 0
 
         # Interior edges whose two faces carry equal signs reveal
         # inconsistent winding; report, do not repair.
-        bad = []
-        for e in np.nonzero(~self.boundary_edge)[0]:
-            f0, f1 = ef[e]
-            s0 = face_signs[f0, face_edges[f0] == e][0]
-            s1 = face_signs[f1, face_edges[f1] == e][0]
-            if s0 == s1:
-                bad.append(e)
-        if bad:
+        signs = self.face_edge_signs.ravel()
+        bad = interior[signs[first_side[interior]] == signs[second_side]]
+        if bad.size:
             warnings.warn(
                 f"{len(bad)} interior edge(s) with inconsistent face winding "
                 f"(first: edge {bad[0]})",
@@ -170,37 +175,60 @@ class TriMesh:
             raise IndexError(f"face index {tau} out of range")
         if ring == "raw":
             return np.array([tau], dtype=np.int64)
-        table = self._n1_table() if ring == "n1" else self._n2_table()
-        return table[tau]
+        pattern = self._ring_pattern(ring)
+        lo, hi = pattern.indptr[tau], pattern.indptr[tau + 1]
+        return pattern.indices[lo:hi].astype(np.int64)
 
-    def _n1_table(self):
-        if self._neigh1 is None:
-            lists = [{t} for t in range(self.n_faces)]
-            for e in np.nonzero(~self.boundary_edge)[0]:
-                f0, f1 = self.edge_faces[e]
-                lists[f0].add(f1)
-                lists[f1].add(f0)
-            self._neigh1 = [np.array(sorted(s), dtype=np.int64) for s in lists]
-        return self._neigh1
+    def _ring_pattern(self, ring):
+        """(T, T) CSR matrix of ones whose row tau holds the ``n1`` or
+        ``n2`` neighborhood of face tau in ascending column order; built
+        on first use and kept with the mesh."""
+        pattern = self._patterns.get(ring)
+        if pattern is None:
+            T = self.n_faces
+            if ring == "n1":
+                fi, fj = self.edge_faces[~self.boundary_edge].T
+                diag = np.arange(T)
+                rows = np.concatenate([fi, fj, diag])
+                cols = np.concatenate([fj, fi, diag])
+                pattern = sp.csr_matrix(
+                    (np.ones(len(rows)), (rows, cols)), shape=(T, T))
+            else:
+                # faces sharing a vertex: the pattern of F F^T, with F the
+                # face-vertex incidence
+                incidence = sp.csr_matrix(
+                    (np.ones(3 * T), self.faces.ravel(),
+                     np.arange(0, 3 * T + 1, 3)),
+                    shape=(T, self.n_vertices))
+                pattern = incidence @ incidence.T
+            pattern.sum_duplicates()
+            pattern.sort_indices()
+            pattern.data[:] = 1.0
+            self._patterns[ring] = pattern
+        return pattern
 
-    def _n2_table(self):
-        if self._neigh2 is None:
-            vert_faces = [[] for _ in range(self.n_vertices)]
-            for t, f in enumerate(self.faces):
-                for vid in f:
-                    vert_faces[vid].append(t)
-            lists = []
-            for t, f in enumerate(self.faces):
-                s = {t}
-                for vid in f:
-                    s.update(vert_faces[vid])
-                lists.append(np.array(sorted(s), dtype=np.int64))
-            self._neigh2 = lists
-        return self._neigh2
+
+def _unit_rows(avg, ring, faces):
+    """Rows of ``avg`` scaled to unit length; ``faces`` names the rows.
+
+    Each norm is one dot product per row, so a row rounds as
+    ``np.linalg.norm`` of that row alone does.
+    """
+    norm = np.sqrt((avg[:, None, :] @ avg[:, :, None])[:, 0, 0])
+    degenerate = np.flatnonzero(norm < 1e-12)
+    if degenerate.size:
+        raise DegenerateGeometryError(
+            f"averaged normal of face {faces[degenerate[0]]} (ring {ring}) "
+            "is degenerate"
+        )
+    return avg / norm[:, None]
 
 
 def smoothed_normal(mesh, tau, ring="n2"):
     """Area-weighted average normal over a face neighborhood, unit length.
+
+    Equal bit for bit to row ``tau`` of :func:`smoothed_normals`: both sum
+    the neighbors in ascending face order.
 
     Raises
     ------
@@ -209,20 +237,23 @@ def smoothed_normal(mesh, tau, ring="n2"):
     """
     nb = mesh.neighborhood(tau, ring)
     avg = (mesh.face_areas[nb, None] * mesh.face_normals[nb]).sum(axis=0)
-    norm = np.linalg.norm(avg)
-    if norm < 1e-12:
-        raise DegenerateGeometryError(
-            f"averaged normal of face {tau} (ring {ring}) is degenerate"
-        )
-    return avg / norm
+    return _unit_rows(avg[None], ring, [tau])[0]
 
 
 def smoothed_normals(mesh, ring="n2"):
-    """Smoothed unit normals for every face, one row per face."""
-    out = np.empty_like(mesh.face_normals)
-    for tau in range(mesh.n_faces):
-        out[tau] = smoothed_normal(mesh, tau, ring)
-    return out
+    """Smoothed unit normals for every face, one row per face.
+
+    Raises
+    ------
+    DegenerateGeometryError
+        Naming the first face whose averaged vector has norm below 1e-12.
+    """
+    if ring not in RINGS:
+        raise ValueError(f"ring must be one of {RINGS}, got {ring!r}")
+    weighted = mesh.face_areas[:, None] * mesh.face_normals
+    if ring != "raw":
+        weighted = mesh._ring_pattern(ring) @ weighted
+    return _unit_rows(weighted, ring, np.arange(mesh.n_faces))
 
 
 # -- file formats ----------------------------------------------------------

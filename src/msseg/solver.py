@@ -212,8 +212,15 @@ def s_field(f, b, mu):
     f = np.atleast_2d(np.asarray(f, dtype=float).T).T
     b = np.atleast_2d(np.asarray(b, dtype=float).T).T
     mu = np.atleast_2d(np.asarray(mu, dtype=float).T).T
-    resid = f[:, None, :] - b[:, None, :] - mu[None, :, :]
-    return np.sum(resid ** 2, axis=2)
+    g = f - b
+    # one class at a time: no (T, K, n) temporary, and the same roundings
+    # as subtracting f - b - mu_k in one broadcast
+    out = np.empty((g.shape[0], mu.shape[0]))
+    for k in range(mu.shape[0]):
+        d = g - mu[k]
+        d *= d
+        out[:, k] = d.sum(axis=1)
+    return out
 
 
 def project_simplex(rows):

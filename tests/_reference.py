@@ -1,8 +1,8 @@
 """Independent straight-line reference implementations used as oracles.
 
 Everything here is built directly from the mesh incidence arrays with
-dense numpy linear algebra, deliberately sharing no code with the
-package's operators or solver.
+dense numpy linear algebra or plain per-face loops, deliberately sharing
+no code with the package's mesh construction, operators or solver.
 """
 
 import numpy as np
@@ -124,3 +124,104 @@ def dense_spectral_channels(laplacian, areas, n_channels):
     mean = A @ V / A.sum()
     var = A @ (V - mean) ** 2 / A.sum()
     return w, V / np.sqrt(var)
+
+
+# -- mesh construction by per-face loops ------------------------------------
+
+
+def incidence_loops(faces):
+    """Edges, face edges, signs and edge faces by a dict over face sides.
+
+    Edges are numbered in order of first appearance (face-major, sides
+    (v0,v1), (v1,v2), (v2,v0)).  Raises ``TopologyError`` at the first side
+    that gives an edge a third face, and returns the interior edges whose
+    two faces traverse them in the same direction (inconsistent winding).
+    """
+    from msseg.errors import TopologyError
+
+    faces = np.asarray(faces, dtype=np.int64)
+    edge_index = {}
+    edges = []
+    edge_faces = []
+    face_edges = np.empty((len(faces), 3), dtype=np.int64)
+    face_signs = np.empty((len(faces), 3), dtype=np.int64)
+    for t, (a, b, c) in enumerate(faces.tolist()):
+        for s, (u, v) in enumerate(((a, b), (b, c), (c, a))):
+            key = (u, v) if u < v else (v, u)
+            e = edge_index.setdefault(key, len(edges))
+            if e == len(edges):
+                edges.append(key)
+                edge_faces.append([])
+            if len(edge_faces[e]) >= 2:
+                raise TopologyError(
+                    f"edge {key} is non-manifold (3 or more incident faces)"
+                )
+            edge_faces[e].append(t)
+            face_edges[t, s] = e
+            face_signs[t, s] = 1 if (u, v) == key else -1
+    ef = np.full((len(edges), 2), -1, dtype=np.int64)
+    for e, fl in enumerate(edge_faces):
+        ef[e, : len(fl)] = fl
+    bad = []
+    for e, (f0, f1) in enumerate(ef.tolist()):
+        if f1 >= 0 and (face_signs[f0, face_edges[f0] == e][0]
+                        == face_signs[f1, face_edges[f1] == e][0]):
+            bad.append(e)
+    return {"edges": np.array(edges, dtype=np.int64).reshape(-1, 2),
+            "face_edges": face_edges, "face_edge_signs": face_signs,
+            "edge_faces": ef, "bad_winding": bad}
+
+
+def neighbor_lists(mesh, ring):
+    """Per-face sorted ``n1`` (edge-adjacent) or ``n2`` (vertex-adjacent)
+    neighborhoods, the face itself included, built from Python sets."""
+    lists = [{t} for t in range(mesh.n_faces)]
+    if ring == "n1":
+        for f0, f1 in mesh.edge_faces.tolist():
+            if f1 >= 0:
+                lists[f0].add(f1)
+                lists[f1].add(f0)
+    else:
+        vert_faces = [[] for _ in range(mesh.n_vertices)]
+        for t, f in enumerate(mesh.faces.tolist()):
+            for vid in f:
+                vert_faces[vid].append(t)
+        for t, f in enumerate(mesh.faces.tolist()):
+            for vid in f:
+                lists[t].update(vert_faces[vid])
+    return [np.array(sorted(s), dtype=np.int64) for s in lists]
+
+
+def smoothed_normals_loop(mesh, ring):
+    """Area-weighted neighborhood normals, one face at a time."""
+    out = np.empty((mesh.n_faces, 3))
+    tables = neighbor_lists(mesh, ring)
+    for tau, nb in enumerate(tables):
+        avg = (mesh.face_areas[nb, None] * mesh.face_normals[nb]).sum(axis=0)
+        out[tau] = avg / np.linalg.norm(avg)
+    return out
+
+
+def colored_ply_loop(mesh, labels, label_color):
+    """ASCII PLY text with one flat color per face, a color call and a
+    formatted row per face."""
+    lines = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {mesh.n_vertices}",
+        "property float x",
+        "property float y",
+        "property float z",
+        f"element face {mesh.n_faces}",
+        "property list uchar int vertex_indices",
+        "property uchar red",
+        "property uchar green",
+        "property uchar blue",
+        "end_header",
+    ]
+    for v in mesh.vertices:
+        lines.append(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
+    for f, lab in zip(mesh.faces, np.asarray(labels)):
+        r, g, b = label_color(int(lab))
+        lines.append(f"3 {f[0]} {f[1]} {f[2]} {r} {g} {b}")
+    return "\n".join(lines) + "\n"

@@ -1,10 +1,15 @@
 """CLI runner: config resolution, artifacts, replay and error paths."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msseg
 from msseg.cli import (
     build_parser,
     export_colored_mesh,
@@ -23,6 +28,7 @@ from _meshes import (
     dumbbell_ground_truth,
     write_off,
 )
+from _reference import colored_ply_loop
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +81,29 @@ def test_export_distinct_colors_per_label(tmp_path):
         if line.startswith("3 ")
     }
     assert len(colors) == 3
+
+
+def test_export_matches_per_face_loop_beyond_palette(tmp_path):
+    # 25 labels: the last six take the golden-ratio hue branch
+    mesh = dumbbell(n_sphere=6, n_around=8)
+    labels = np.random.default_rng(3).integers(0, 25, size=mesh.n_faces)
+    assert labels.max() >= 19
+    path = tmp_path / "m.ply"
+    export_colored_mesh(mesh, labels, path)
+    assert path.read_text() == colored_ply_loop(mesh, labels, label_color)
+
+
+def test_cli_import_loads_no_unused_scipy_subpackages():
+    # every module the entry point imports costs start-up time per run
+    unused = ("scipy.optimize", "scipy.spatial", "scipy.stats",
+              "scipy.interpolate", "scipy.ndimage")
+    code = ("import sys, msseg.cli; "
+            f"print([m for m in {unused!r} if m in sys.modules])")
+    src = str(Path(msseg.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 # -- config handling --------------------------------------------------------------

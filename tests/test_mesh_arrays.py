@@ -1,0 +1,128 @@
+"""Array-built incidence, neighborhoods and smoothed normals against the
+per-face loop oracles in ``_reference``, and the exact errors and warnings
+of mesh construction."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from msseg.errors import DegenerateGeometryError, TopologyError
+from msseg.mesh import TriMesh, smoothed_normal, smoothed_normals
+
+from _meshes import equilateral, flat_patch, random_closed
+from _reference import incidence_loops, neighbor_lists, smoothed_normals_loop
+
+INCIDENCE = ("edges", "face_edges", "face_edge_signs", "edge_faces")
+
+
+def _oracle_meshes():
+    meshes = [random_closed(60, seed=s) for s in range(5)]
+    meshes += [flat_patch(5), equilateral()]
+    meshes.append(TriMesh(np.eye(3), np.empty((0, 3), dtype=np.int64)))
+    return meshes
+
+
+@pytest.mark.parametrize("mesh", _oracle_meshes(),
+                         ids=[f"closed{s}" for s in range(5)]
+                         + ["flat_patch", "one_face", "no_faces"])
+def test_construction_matches_loop_oracle(mesh):
+    ref = incidence_loops(mesh.faces)
+    for name in INCIDENCE:
+        got = getattr(mesh, name)
+        assert got.dtype == ref[name].dtype
+        assert got.shape == ref[name].shape
+        assert np.array_equal(got, ref[name]), name
+    assert np.array_equal(mesh.boundary_edge, ref["edge_faces"][:, 1] < 0)
+    for ring in ("n1", "n2"):
+        for tau, want in enumerate(neighbor_lists(mesh, ring)):
+            got = mesh.neighborhood(tau, ring)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        assert np.array_equal(smoothed_normals(mesh, ring),
+                              smoothed_normals_loop(mesh, ring))
+
+
+def test_single_batch_and_loop_normals_agree_bitwise_on_1k_faces():
+    mesh = random_closed(2000, seed=9)
+    assert mesh.n_faces >= 1000
+    for ring in ("raw", "n1", "n2"):
+        batch = smoothed_normals(mesh, ring)
+        single = np.array([smoothed_normal(mesh, t, ring)
+                           for t in range(mesh.n_faces)])
+        assert np.array_equal(single, batch), ring
+        if ring != "raw":
+            assert np.array_equal(batch, smoothed_normals_loop(mesh, ring))
+
+
+def test_smoothed_normals_names_first_degenerate_face():
+    # a flat patch plus, apart from it, two coincident triangles with
+    # opposite winding whose n1 average cancels
+    patch = flat_patch(2)
+    base = patch.n_vertices
+    verts = np.vstack([patch.vertices, [(5, 0, 0), (6, 0, 0), (5, 1, 0)]])
+    faces = np.vstack([patch.faces, [(base, base + 1, base + 2),
+                                     (base + 1, base, base + 2)]])
+    mesh = TriMesh(verts, faces)
+    first = patch.n_faces
+    with pytest.raises(DegenerateGeometryError,
+                       match=f"face {first} \\(ring n1\\)"):
+        smoothed_normals(mesh, "n1")
+    with pytest.raises(DegenerateGeometryError,
+                       match=f"face {first + 1} \\(ring n1\\)"):
+        smoothed_normal(mesh, first + 1, "n1")
+    assert np.allclose(smoothed_normal(mesh, 0, "n1"), [0, 0, 1])
+
+
+def test_smoothed_normals_rejects_unknown_ring():
+    with pytest.raises(ValueError):
+        smoothed_normals(equilateral(), "n3")
+
+
+# -- errors and warnings name the same edge or face as the loop -------------
+
+
+def test_non_manifold_error_names_edge_where_loop_fails():
+    # edge (0, 1) is numbered first, but edge (1, 2) is the first to gain
+    # a third face in face order
+    faces = [(0, 1, 2), (0, 1, 3), (1, 2, 4), (1, 2, 5), (0, 1, 6)]
+    verts = np.random.default_rng(0).normal(size=(7, 3))
+    message = "edge (1, 2) is non-manifold (3 or more incident faces)"
+    with pytest.raises(TopologyError) as oracle:
+        incidence_loops(faces)
+    assert str(oracle.value) == message
+    with pytest.raises(TopologyError) as got:
+        TriMesh(verts, faces)
+    assert str(got.value) == message
+
+
+def test_repeated_vertex_error_names_first_bad_face():
+    verts = np.random.default_rng(0).normal(size=(4, 3))
+    faces = [(0, 1, 2), (1, 3, 1), (2, 2, 0), (0, 0, 0)]
+    with pytest.raises(TopologyError) as got:
+        TriMesh(verts, faces)
+    assert str(got.value) == "face 1 has repeated vertices"
+
+
+def test_winding_warning_count_and_first_edge():
+    base = random_closed(40, seed=4)
+    faces = np.array(base.faces)
+    flipped = [3, 11, 30]
+    faces[flipped] = faces[flipped][:, [0, 2, 1]]
+    bad = incidence_loops(faces)["bad_winding"]
+    assert len(bad) == 9  # three isolated faces, three edges each
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        TriMesh(base.vertices, faces)
+    messages = [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)]
+    assert messages == [
+        f"{len(bad)} interior edge(s) with inconsistent face winding "
+        f"(first: edge {bad[0]})"
+    ]
+
+
+def test_consistent_mesh_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        random_closed(40, seed=4)

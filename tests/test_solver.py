@@ -170,6 +170,18 @@ def test_s_field_values():
     assert np.allclose(s_field(f, b, mu), [[0.0, 1.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("T,K,n", [(500, 9, 8), (300, 2, 1), (50, 3, 5)])
+def test_s_field_bitwise_equal_to_broadcast_form(T, K, n):
+    rng = np.random.default_rng(T + K + n)
+    f = rng.normal(size=(T, n)) * 10.0
+    b = rng.normal(size=(T, n))
+    mu = rng.normal(size=(K, n)) * 3.0
+    broadcast = ((f[:, None, :] - b[:, None, :] - mu[None]) ** 2).sum(axis=2)
+    assert np.array_equal(s_field(f, b, mu), broadcast)
+    if n == 1:
+        assert np.array_equal(s_field(f[:, 0], b[:, 0], mu[:, 0]), broadcast)
+
+
 def test_update_z_fixed_point():
     u = np.array([[0.3, 0.7], [1.0, 0.0]])
     z = update_z(u, np.zeros_like(u), np.zeros_like(u), 1.0, 100.0)
