@@ -20,6 +20,7 @@ import colorsys
 import json
 import sys
 import time
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,8 @@ import numpy as np
 from .errors import MeshSegError, ParameterError
 from .evaluation import mean_dissimilarity, parse_seg
 from .features import feature_field
-from .mesh import load_mesh_file
-from .solver import SolverParams, segment
+from .mesh import RINGS, load_mesh_file
+from .solver import MODES, SolverParams, segment
 
 # 19 visually distinct base colors; further labels step the hue by the
 # golden ratio conjugate.
@@ -84,12 +85,42 @@ def export_colored_mesh(mesh, labels, path):
         raise MeshSegError(f"cannot write {path}: {exc}") from exc
 
 
-_CONFIG_KEYS = {
-    "mesh": str, "mode": str, "k": int, "alpha": str, "beta_ratio": float,
-    "alpha0": float, "eta": float, "r_p": float, "r_q": float, "r_z": float,
-    "inner_iters": int, "tol": float, "max_outer": int, "seed": int,
-    "ring": str, "out": str,
+_LIBRARY_ONLY = ("fallback_alpha", "freeze_v")
+# the only config keys and flags not spelled like their field or key
+_KEYS = {"outer_tol": "tol"}
+_FLAGS = {"r_p": "--rp", "r_q": "--rq", "r_z": "--rz"}
+_CHOICES = {"mode": MODES, "ring": RINGS}
+
+# config key -> (SolverParams field, default, type, help): the one schema of
+# the flags, the config file and the report's params block.  The run
+# settings come first; ``gt``, a list of paths, is handled on its own.
+_SCHEMA = {
+    "mesh": (None, MISSING, str, "input mesh (.off or .obj)"),
+    "ring": (None, "n2", str, None),
+    "out": (None, ".", str, "output directory (default: .)"),
+} | {
+    _KEYS.get(f.name, f.name):
+        (f.name, f.default, f.type, f.metadata.get("help"))
+    for f in fields(SolverParams) if f.name not in _LIBRARY_ONLY
 }
+
+
+def _cast(key, val):
+    """The one conversion of a flag, config-file or report value."""
+    kind = _SCHEMA[key][2]
+    try:
+        if kind == float | None:  # None or 'auto': estimated by the solver
+            return None if val is None or str(val).lower() == "auto" \
+                else float(val)
+        if kind is int and isinstance(val, float) and not val.is_integer():
+            raise ValueError
+        val = kind(val)
+    except (TypeError, ValueError):
+        raise ParameterError(f"bad value {val!r} for {key}") from None
+    if key in _CHOICES and val not in _CHOICES[key]:
+        raise ParameterError(
+            f"{key} must be one of {_CHOICES[key]}, got {val!r}")
+    return val
 
 
 def read_config(path):
@@ -97,10 +128,15 @@ def read_config(path):
     previously written JSON report."""
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        raw = doc.get("params", doc)
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise ParameterError(f"{path}: {exc}") from None
+        config = doc.get("params", doc)
+        if not isinstance(config, dict):
+            raise ParameterError(f"{path}: params is not an object")
     else:
-        raw = {}
+        config = {}
         for n, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -108,15 +144,15 @@ def read_config(path):
             if "=" not in line:
                 raise ParameterError(f"{path}:{n}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
-            raw[key] = val
-    config = {}
-    for key, val in raw.items():
-        if key in ("gt", "gts"):
-            config["gt"] = list(val) if isinstance(val, list) else val.split(",")
-            continue
-        if key not in _CONFIG_KEYS:
-            raise ParameterError(f"unknown config key {key!r}")
-        config[key] = val
+            config[key] = val
+    unknown = config.keys() - _SCHEMA.keys() - {"gt"}
+    if unknown:
+        raise ParameterError(f"unknown config key {min(unknown)!r}")
+    gt = config.get("gt", [])
+    if isinstance(gt, str):
+        config["gt"] = gt.split(",")
+    elif not isinstance(gt, list):
+        raise ParameterError(f"gt must be a list of paths, got {gt!r}")
     return config
 
 
@@ -124,88 +160,62 @@ def build_parser():
     ap = argparse.ArgumentParser(
         prog="msseg",
         description="Piecewise-smooth Mumford-Shah mesh segmentation",
+        argument_default=argparse.SUPPRESS,  # only given flags override
     )
     ap.add_argument("--config", help="key=value file or a prior run report")
-    ap.add_argument("--mesh", help="input mesh (.off or .obj)")
-    ap.add_argument("--mode", choices=["pcms", "psms", "gpsms"])
-    ap.add_argument("--k", type=int, help="number of segments")
-    ap.add_argument("--alpha", help="data weight, or 'auto'")
-    ap.add_argument("--beta-ratio", dest="beta_ratio", type=float)
-    ap.add_argument("--alpha0", type=float)
-    ap.add_argument("--eta", type=float)
-    ap.add_argument("--rp", dest="r_p", type=float)
-    ap.add_argument("--rq", dest="r_q", type=float)
-    ap.add_argument("--rz", dest="r_z", type=float)
-    ap.add_argument("--inner-iters", dest="inner_iters", type=int)
-    ap.add_argument("--tol", type=float)
-    ap.add_argument("--max-outer", dest="max_outer", type=int)
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--ring", choices=["raw", "n1", "n2"])
+    for key, (_, _, _, help_text) in _SCHEMA.items():
+        flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+        ap.add_argument(flag, dest=key, choices=_CHOICES.get(key),
+                        type=lambda val, key=key: _cast(key, val),
+                        help=help_text)
     ap.add_argument("--gt", action="append",
                     help="ground-truth .seg file (repeatable)")
-    ap.add_argument("--out", help="output directory (default: .)")
     return ap
 
 
-_DEFAULTS = {
-    "mode": "gpsms", "alpha": "auto", "beta_ratio": 1.0, "alpha0": 2.0,
-    "eta": 1e-5, "r_p": 1.0, "r_q": 1.0, "r_z": 100.0, "inner_iters": 5,
-    "tol": 1e-5, "max_outer": 100, "seed": 0, "ring": "n2", "out": ".",
-}
+def _complete(config):
+    """Cast every value and fill in the defaults; mesh and k have none."""
+    done = {}
+    for key, (_, default, _, _) in _SCHEMA.items():
+        if key in config:
+            done[key] = _cast(key, config[key])
+        elif default is MISSING:
+            raise ParameterError(f"no {key} given")
+        else:
+            done[key] = default
+    if config.get("gt"):
+        done["gt"] = [str(p) for p in config["gt"]]
+    return done
+
+
+def _solver_params(config):
+    return SolverParams(**{name: config[key]
+                           for key, (name, *_) in _SCHEMA.items() if name})
 
 
 def resolve_config(args):
     """defaults < config file < command line."""
-    config = dict(_DEFAULTS)
-    if args.config:
-        config.update(read_config(args.config))
-    for key in list(_CONFIG_KEYS) + ["gt"]:
-        val = getattr(args, key, None)
-        if val is not None:
-            config[key] = val
-    if "mesh" not in config:
-        raise ParameterError("no input mesh given (--mesh)")
-    if "k" not in config:
-        raise ParameterError("no segment count given (--k)")
-    # normalize types (config files carry strings)
-    for key, cast in _CONFIG_KEYS.items():
-        if key in config and key != "alpha":
-            config[key] = cast(config[key])
-    return config
+    given = dict(vars(args))
+    path = given.pop("config", None)
+    return _complete({**(read_config(path) if path else {}), **given})
 
 
 def run(config):
-    """Execute one segmentation run; returns the report dict."""
-    mesh_path = Path(config["mesh"])
-    out_dir = Path(config.get("out", "."))
+    """Execute one segmentation run; returns the report dict.  Keys
+    missing from ``config`` take their defaults."""
+    config = _complete(config)
+    params = _solver_params(config).validate()
+    mesh_path, out_dir = Path(config["mesh"]), Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = mesh_path.stem
-
-    alpha = config.get("alpha", "auto")
-    alpha = None if str(alpha).lower() == "auto" else float(alpha)
-    params = SolverParams(
-        k=int(config["k"]),
-        mode=config.get("mode", "gpsms"),
-        alpha=alpha,
-        beta_ratio=float(config.get("beta_ratio", 1.0)),
-        alpha0=float(config.get("alpha0", 2.0)),
-        eta=float(config.get("eta", 1e-5)),
-        r_p=float(config.get("r_p", 1.0)),
-        r_q=float(config.get("r_q", 1.0)),
-        r_z=float(config.get("r_z", 100.0)),
-        inner_iters=int(config.get("inner_iters", 5)),
-        outer_tol=float(config.get("tol", 1e-5)),
-        max_outer=int(config.get("max_outer", 100)),
-        seed=int(config.get("seed", 0)),
-    ).validate()
 
     t0 = time.perf_counter()
     # read the ground truth before any output is written: a truth file may
     # sit where an output goes
-    gt_files = config.get("gt") or []
+    gt_files = config.get("gt", [])
     truths = [parse_seg(Path(p).read_bytes()) for p in gt_files]
     mesh = load_mesh_file(mesh_path)
-    features = feature_field(mesh, params.k, ring=config.get("ring", "n2"))
+    features = feature_field(mesh, params.k, ring=config["ring"])
     result = segment(mesh, features.values, params)
 
     seg_path = out_dir / f"{stem}.seg"
@@ -216,28 +226,12 @@ def run(config):
     rand_index = None
     if truths:
         mean, scores = mean_dissimilarity(result.labels, truths)
-        rand_index = {"mean": mean, "scores": scores,
-                      "files": [str(p) for p in gt_files]}
+        rand_index = {"mean": mean, "scores": scores, "files": gt_files}
 
     report = {
-        "params": {
-            "mesh": str(mesh_path),
-            "mode": params.mode,
-            "k": params.k,
-            "alpha": result.alpha,  # resolved value; replays reuse it
-            "beta_ratio": params.beta_ratio,
-            "alpha0": params.alpha0,
-            "eta": params.eta,
-            "r_p": params.r_p,
-            "r_q": params.r_q,
-            "r_z": params.r_z,
-            "inner_iters": params.inner_iters,
-            "tol": params.outer_tol,
-            "max_outer": params.max_outer,
-            "seed": params.seed,
-            "ring": config.get("ring", "n2"),
-            "out": str(out_dir),
-        },
+        # the resolved alpha, so that a replay reuses it
+        "params": {**config, "mesh": str(mesh_path), "out": str(out_dir),
+                   "alpha": result.alpha},
         "n_faces": mesh.n_faces,
         "n_edges": mesh.n_edges,
         "converged": result.converged,
@@ -250,8 +244,6 @@ def run(config):
         "rand_index": rand_index,
         "outputs": {"seg": str(seg_path), "ply": str(ply_path)},
     }
-    if gt_files:
-        report["params"]["gt"] = [str(p) for p in gt_files]
     report_path = out_dir / f"{stem}_report.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")
     report["outputs"]["report"] = str(report_path)
@@ -259,9 +251,8 @@ def run(config):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        config = resolve_config(args)
+        config = resolve_config(build_parser().parse_args(argv))
         report = run(config)
     except MeshSegError as exc:
         print(f"error\t{type(exc).__name__}\t{exc}", file=sys.stderr)

@@ -39,9 +39,10 @@ class SolverParams:
     initialization; ``beta`` is always specified as a ratio of alpha.
     """
 
-    k: int
+    k: int = field(metadata={"help": "number of segments"})
     mode: str = "gpsms"
-    alpha: float | None = None
+    alpha: float | None = field(default=None,
+                                metadata={"help": "data weight, or 'auto'"})
     beta_ratio: float = 1.0
     alpha0: float = 2.0
     eta: float = 1e-5
@@ -60,12 +61,13 @@ class SolverParams:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.k < 2:
             raise ParameterError(f"need k >= 2 segments, got {self.k}")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ParameterError("alpha must be positive")
+        # written so that NaN fails too
+        if self.alpha is not None and not 0 < self.alpha < np.inf:
+            raise ParameterError("alpha must be positive and finite")
         for name in ("beta_ratio", "alpha0", "eta", "r_p", "r_q", "r_z",
                      "outer_tol", "fallback_alpha"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ParameterError(f"{name} must be positive and finite")
         if self.inner_iters < 1:
             raise ParameterError("inner_iters must be at least 1")
         if self.max_outer < 1:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,16 +12,19 @@ import pytest
 
 import msseg
 from msseg.cli import (
+    _solver_params,
     build_parser,
     export_colored_mesh,
     label_color,
     main,
     read_config,
     resolve_config,
+    run,
 )
 from msseg.errors import ParameterError
 from msseg.evaluation import parse_seg, rand_index_dissimilarity
 from msseg.mesh import load_off
+from msseg.solver import SolverParams
 
 from _meshes import (
     RIGHT_TRIANGLE_OFF,
@@ -109,6 +113,19 @@ def test_cli_import_loads_no_unused_scipy_subpackages():
 # -- config handling --------------------------------------------------------------
 
 
+def test_parser_flags_and_choices():
+    # the flags derived from SolverParams are the flags msseg always had
+    actions = {a.option_strings[0]: a for a in build_parser()._actions}
+    assert set(actions) == {
+        "-h", "--config", "--mesh", "--mode", "--k", "--alpha",
+        "--beta-ratio", "--alpha0", "--eta", "--rp", "--rq", "--rz",
+        "--inner-iters", "--tol", "--max-outer", "--seed", "--ring", "--gt",
+        "--out",
+    }
+    assert list(actions["--mode"].choices) == ["pcms", "psms", "gpsms"]
+    assert list(actions["--ring"].choices) == ["raw", "n1", "n2"]
+
+
 def test_read_config_key_value_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nmesh = m.off\nk = 3\nalpha = 2.5\ngt = a.seg,b.seg\n")
@@ -149,6 +166,78 @@ def test_resolve_config_requires_mesh_and_k():
         resolve_config(build_parser().parse_args([]))
     with pytest.raises(ParameterError, match="k"):
         resolve_config(build_parser().parse_args(["--mesh", "m.off"]))
+
+
+@pytest.mark.parametrize("text", [
+    '{"params": {"k": 3,', '{"params": 3}', '{"k": 3, "gt": 5}',
+])
+def test_read_config_rejects_malformed_json(tmp_path, text):
+    cfg = tmp_path / "report.json"
+    cfg.write_text(text)
+    with pytest.raises(ParameterError):
+        read_config(cfg)
+
+
+# a report's params block exactly as the release before the derived schema
+# wrote it: config key ``tol`` for ``outer_tol``, a resolved numeric alpha
+OLD_REPORT = """{
+  "params": {
+    "mesh": "models/m.off",
+    "mode": "psms",
+    "k": 3,
+    "alpha": 12.5,
+    "beta_ratio": 0.5,
+    "alpha0": 3.0,
+    "eta": 2e-05,
+    "r_p": 2.0,
+    "r_q": 3.0,
+    "r_z": 50.0,
+    "inner_iters": 4,
+    "tol": 1e-06,
+    "max_outer": 20,
+    "seed": 7,
+    "ring": "n1",
+    "out": "results",
+    "gt": [
+      "gt/m_a.seg",
+      "gt/m_b.seg"
+    ]
+  },
+  "n_faces": 3200,
+  "n_edges": 4800,
+  "converged": true
+}
+"""
+
+
+def test_old_report_still_replays(tmp_path):
+    path = tmp_path / "m_report.json"
+    path.write_text(OLD_REPORT)
+    config = resolve_config(build_parser().parse_args(["--config", str(path)]))
+    assert _solver_params(config) == SolverParams(
+        k=3, mode="psms", alpha=12.5, beta_ratio=0.5, alpha0=3.0, eta=2e-5,
+        r_p=2.0, r_q=3.0, r_z=50.0, inner_iters=4, outer_tol=1e-6,
+        max_outer=20, seed=7,
+    )
+    assert config["mesh"] == "models/m.off"
+    assert config["ring"] == "n1"
+    assert config["out"] == "results"
+    assert config["gt"] == ["gt/m_a.seg", "gt/m_b.seg"]
+
+
+def test_alpha_auto_flag_overrides_a_reported_alpha(tmp_path):
+    path = tmp_path / "m_report.json"
+    path.write_text(OLD_REPORT)
+    args = build_parser().parse_args(["--config", str(path), "--alpha", "auto"])
+    assert _solver_params(resolve_config(args)).alpha is None
+
+
+def test_defaults_are_solver_params_defaults():
+    config = resolve_config(
+        build_parser().parse_args(["--mesh", "m.off", "--k", "3"]))
+    assert _solver_params(config) == SolverParams(k=3)
+    assert config["ring"] == "n2"
+    assert config["out"] == "."
 
 
 # -- full runs --------------------------------------------------------------------
@@ -235,3 +324,76 @@ def test_missing_mesh_file_error(tmp_path, capsys):
     assert code == 1
     line = capsys.readouterr().err.strip()
     assert line.startswith("error\t")
+
+
+@pytest.mark.parametrize("fmt, bad, flags", [
+    ("cfg", {"ring": "n3"}, []),
+    ("cfg", {"k": "abc"}, []),
+    ("cfg", {"seed": "1.5"}, []),
+    ("cfg", {"alpha": "abc"}, []),
+    ("cfg", {}, ["--alpha", "abc"]),
+    ("cfg", {}, ["--k", "abc"]),
+    ("json", {"k": 2.5}, []),
+    ("cfg", {}, ["--alpha0", "nan"]),
+    ("cfg", {"r_z": "inf"}, []),
+], ids=["cfg-ring-n3", "cfg-k-abc", "cfg-seed-1.5", "cfg-alpha-abc",
+        "flag-alpha-abc", "flag-k-abc", "json-k-2.5", "flag-alpha0-nan",
+        "cfg-rz-inf"])
+def test_bad_value_is_one_parameter_error_line(dumbbell_setup, tmp_path,
+                                               capsys, fmt, bad, flags):
+    _, mesh_path, _ = dumbbell_setup
+    config = {"mesh": str(mesh_path), "k": 2, **bad}
+    cfg = tmp_path / f"run.{fmt}"
+    if fmt == "json":
+        cfg.write_text(json.dumps({"params": config}))
+    else:
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out", str(out), *flags])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error\tParameterError\t")
+    assert not out.exists()  # rejected before any output is written
+
+
+def test_schema_round_trip_through_report(dumbbell_setup):
+    base, mesh_path, _ = dumbbell_setup
+    params = SolverParams(
+        k=3, mode="psms", alpha=3.5, beta_ratio=0.5, alpha0=3.0, eta=2e-5,
+        r_p=2.0, r_q=3.0, r_z=50.0, inner_iters=2, outer_tol=1e-4,
+        max_outer=2, seed=7,
+    )
+    library_only = ("fallback_alpha", "freeze_v")
+    for f in fields(SolverParams):
+        if f.name not in library_only:
+            assert getattr(params, f.name) != f.default, f.name
+    out = base / "round_trip"
+    assert main([
+        "--mesh", str(mesh_path), "--k", "3", "--mode", "psms",
+        "--alpha", "3.5", "--beta-ratio", "0.5", "--alpha0", "3",
+        "--eta", "2e-5", "--rp", "2", "--rq", "3", "--rz", "50",
+        "--inner-iters", "2", "--tol", "1e-4", "--max-outer", "2",
+        "--seed", "7", "--ring", "n1", "--out", str(out),
+    ]) == 0
+    args = build_parser().parse_args(
+        ["--config", str(out / "dumbbell_report.json")])
+    config = resolve_config(args)
+    assert _solver_params(config) == params
+    assert config["ring"] == "n1"
+    assert config["out"] == str(out)
+
+
+def test_run_fills_in_defaults_for_a_partial_config(dumbbell_setup):
+    # the keys a library caller such as the benchmark passes
+    base, mesh_path, _ = dumbbell_setup
+    out = base / "partial"
+    run({"mesh": str(mesh_path), "k": 2, "out": str(out)})
+    written = json.loads((out / "dumbbell_report.json").read_text())["params"]
+    assert isinstance(written.pop("alpha"), float)
+    assert written == {
+        "mesh": str(mesh_path), "mode": "gpsms", "k": 2, "beta_ratio": 1.0,
+        "alpha0": 2.0, "eta": 1e-05, "r_p": 1.0, "r_q": 1.0, "r_z": 100.0,
+        "inner_iters": 5, "tol": 1e-05, "max_outer": 100, "seed": 0,
+        "ring": "n2", "out": str(out),
+    }
