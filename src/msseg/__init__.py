@@ -6,7 +6,7 @@ _EXPORTS = {
     "TriMesh": "mesh",
     "load_mesh": "mesh",
     "load_mesh_file": "mesh",
-    "smoothed_normal": "mesh",
+    "smoothed_normals": "mesh",
     "gradient": "calculus",
     "divergence": "calculus",
     "inner_U": "calculus",

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import MeshSegError, ParameterError
 from .evaluation import mean_dissimilarity, parse_seg
 from .features import feature_field
-from .mesh import RINGS, load_mesh_file
+from .mesh import DEFAULT_RING, RINGS, load_mesh_file
 from .solver import MODES, SolverParams, segment
 
 # 19 visually distinct base colors; further labels step the hue by the
@@ -96,7 +96,7 @@ _CHOICES = {"mode": MODES, "ring": RINGS}
 # settings come first; ``gt``, a list of paths, is handled on its own.
 _SCHEMA = {
     "mesh": (None, MISSING, str, "input mesh (.off or .obj)"),
-    "ring": (None, "n2", str, None),
+    "ring": (None, DEFAULT_RING, str, None),
     "out": (None, ".", str, "output directory (default: .)"),
 } | {
     _KEYS.get(f.name, f.name):

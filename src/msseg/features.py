@@ -14,22 +14,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DimensionError, FeatureError, NumericError
-from .mesh import smoothed_normal, smoothed_normals
+from .errors import FeatureError, NumericError
+from .mesh import DEFAULT_RING, smoothed_normals
 
 
-def normal_distance(mesh, tau_i, tau_j, ring="n2"):
-    """Squared distance between the (smoothed) unit normals of two
-    edge-adjacent faces; lies in [0, 4]."""
-    shared = set(mesh.face_edges[tau_i]) & set(mesh.face_edges[tau_j])
-    if tau_i == tau_j or not shared:
-        raise DimensionError(f"faces {tau_i} and {tau_j} do not share an edge")
-    ni = smoothed_normal(mesh, tau_i, ring)
-    nj = smoothed_normal(mesh, tau_j, ring)
-    return float(np.sum((ni - nj) ** 2))
-
-
-def build_laplacian(mesh, ring="n2"):
+def build_laplacian(mesh, ring=DEFAULT_RING):
     """Assemble the symmetric PSD face Laplacian with zero row sums.
 
     Off-diagonals are ``-w_ij`` for edge-adjacent face pairs.  On a
@@ -105,7 +94,7 @@ def _indicator_bases(laplacian, n_faces):
     return indicators, contrasts
 
 
-def feature_field(mesh, n_segments, ring="n2"):
+def feature_field(mesh, n_segments, ring=DEFAULT_RING):
     """Low-spectrum feature signal: ``n_segments - 1`` channels.
 
     The uninformative global-constant direction is skipped.  Remaining

@@ -19,6 +19,7 @@ from .errors import (
 )
 
 RINGS = ("raw", "n1", "n2")
+DEFAULT_RING = "n2"
 
 
 class TriMesh:
@@ -57,6 +58,10 @@ class TriMesh:
         faces = np.asarray(faces, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise TopologyError("vertices must be an (V, 3) array")
+        nonfinite = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if nonfinite.size:
+            raise DegenerateGeometryError(
+                f"vertex {nonfinite[0]} has a non-finite coordinate")
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise TopologyError("faces must be an (T, 3) array of vertex triples")
         if faces.size and (faces.min() < 0 or faces.max() >= len(vertices)):
@@ -162,8 +167,10 @@ class TriMesh:
 
     # -- neighborhoods -----------------------------------------------------
 
-    def neighborhood(self, tau, ring):
-        """Face indices of the chosen neighborhood of face ``tau``.
+    def neighborhoods(self, ring):
+        """(T, T) CSR matrix of ones whose row tau holds the neighborhood of
+        face tau in ascending column order; built on first use and kept
+        with the mesh.
 
         ``"raw"`` is just ``{tau}``, ``"n1"`` adds the edge-adjacent faces
         and ``"n2"`` the vertex-adjacent ones.  The face itself is always
@@ -171,22 +178,12 @@ class TriMesh:
         """
         if ring not in RINGS:
             raise ValueError(f"ring must be one of {RINGS}, got {ring!r}")
-        if not 0 <= tau < self.n_faces:
-            raise IndexError(f"face index {tau} out of range")
-        if ring == "raw":
-            return np.array([tau], dtype=np.int64)
-        pattern = self._ring_pattern(ring)
-        lo, hi = pattern.indptr[tau], pattern.indptr[tau + 1]
-        return pattern.indices[lo:hi].astype(np.int64)
-
-    def _ring_pattern(self, ring):
-        """(T, T) CSR matrix of ones whose row tau holds the ``n1`` or
-        ``n2`` neighborhood of face tau in ascending column order; built
-        on first use and kept with the mesh."""
         pattern = self._patterns.get(ring)
         if pattern is None:
             T = self.n_faces
-            if ring == "n1":
+            if ring == "raw":
+                pattern = sp.identity(T, format="csr")
+            elif ring == "n1":
                 fi, fj = self.edge_faces[~self.boundary_edge].T
                 diag = np.arange(T)
                 rows = np.concatenate([fi, fj, diag])
@@ -204,56 +201,33 @@ class TriMesh:
             pattern.sum_duplicates()
             pattern.sort_indices()
             pattern.data[:] = 1.0
+            for arr in (pattern.data, pattern.indices, pattern.indptr):
+                arr.setflags(write=False)
             self._patterns[ring] = pattern
         return pattern
 
 
-def _unit_rows(avg, ring, faces):
-    """Rows of ``avg`` scaled to unit length; ``faces`` names the rows.
-
-    Each norm is one dot product per row, so a row rounds as
-    ``np.linalg.norm`` of that row alone does.
-    """
-    norm = np.sqrt((avg[:, None, :] @ avg[:, :, None])[:, 0, 0])
-    degenerate = np.flatnonzero(norm < 1e-12)
-    if degenerate.size:
-        raise DegenerateGeometryError(
-            f"averaged normal of face {faces[degenerate[0]]} (ring {ring}) "
-            "is degenerate"
-        )
-    return avg / norm[:, None]
-
-
-def smoothed_normal(mesh, tau, ring="n2"):
-    """Area-weighted average normal over a face neighborhood, unit length.
-
-    Equal bit for bit to row ``tau`` of :func:`smoothed_normals`: both sum
-    the neighbors in ascending face order.
-
-    Raises
-    ------
-    DegenerateGeometryError
-        If the averaged vector has norm below 1e-12.
-    """
-    nb = mesh.neighborhood(tau, ring)
-    avg = (mesh.face_areas[nb, None] * mesh.face_normals[nb]).sum(axis=0)
-    return _unit_rows(avg[None], ring, [tau])[0]
-
-
-def smoothed_normals(mesh, ring="n2"):
-    """Smoothed unit normals for every face, one row per face.
+def smoothed_normals(mesh, ring=DEFAULT_RING):
+    """Area-weighted average normal over each face's neighborhood (see
+    :meth:`TriMesh.neighborhoods`), unit length, one row per face.
 
     Raises
     ------
     DegenerateGeometryError
         Naming the first face whose averaged vector has norm below 1e-12.
     """
-    if ring not in RINGS:
-        raise ValueError(f"ring must be one of {RINGS}, got {ring!r}")
     weighted = mesh.face_areas[:, None] * mesh.face_normals
-    if ring != "raw":
-        weighted = mesh._ring_pattern(ring) @ weighted
-    return _unit_rows(weighted, ring, np.arange(mesh.n_faces))
+    avg = mesh.neighborhoods(ring) @ weighted
+    # one dot product per row, so a row rounds as ``np.linalg.norm`` of
+    # that row alone does
+    norm = np.sqrt((avg[:, None, :] @ avg[:, :, None])[:, 0, 0])
+    degenerate = np.flatnonzero(norm < 1e-12)
+    if degenerate.size:
+        raise DegenerateGeometryError(
+            f"averaged normal of face {degenerate[0]} (ring {ring}) "
+            "is degenerate"
+        )
+    return avg / norm[:, None]
 
 
 # -- file formats ----------------------------------------------------------

@@ -72,6 +72,8 @@ class SolverParams:
             raise ParameterError("inner_iters must be at least 1")
         if self.max_outer < 1:
             raise ParameterError("max_outer must be at least 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         return self
 
 
@@ -116,6 +118,9 @@ class SegmentationResult:
 # -- linear systems ----------------------------------------------------------
 
 
+_SOLVE_RTOL = 1e-8  # residual bound of every direct solve, relative to 1 + |rhs|
+
+
 class _SPDSolve:
     """Direct solve of an SPD sparse system, with a residual check.
 
@@ -124,9 +129,8 @@ class _SPDSolve:
     every later solve, at every size.
     """
 
-    def __init__(self, matrix, rtol=1e-8):
+    def __init__(self, matrix):
         self.matrix = matrix.tocsc()
-        self.rtol = rtol
         self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
                              diag_pivot_thresh=0.0,
                              options={"SymmetricMode": True})
@@ -135,7 +139,7 @@ class _SPDSolve:
         rhs = np.atleast_2d(rhs.T).T
         x = self._lu.solve(rhs)
         res = np.linalg.norm(self.matrix @ x - rhs)
-        if res > self.rtol * (1.0 + np.linalg.norm(rhs)):
+        if res > _SOLVE_RTOL * (1.0 + np.linalg.norm(rhs)):
             raise NumericError(
                 f"linear solve residual {res:.3e} above tolerance"
             )
@@ -190,10 +194,6 @@ class Systems:
 
     def __init__(self, mesh, params, alpha, beta):
         use_vq, use_b = _mode_flags(params)
-        self.mesh = mesh
-        self.params = params
-        self.alpha = alpha
-        self.beta = beta
         self.interior = np.nonzero(~mesh.boundary_edge)[0]
         matrices = _system_matrices(
             mesh,
@@ -454,10 +454,13 @@ def admm_inner(mesh, f, state, params, alpha, beta, systems=None):
 
     Sweep order: z, u, v, b, p, q, multipliers.  TV modes keep ``v``,
     ``q`` and their multiplier at zero; the piecewise-constant mode also
-    freezes ``b``.
+    freezes ``b``.  Without ``systems``, one :class:`Systems` is built
+    here and serves every sweep.
     """
     use_vq, use_b = _mode_flags(params)
     r_p, r_q, r_z = params.r_p, params.r_q, params.r_z
+    if systems is None:
+        systems = Systems(mesh, params, alpha, beta)
     for _ in range(params.inner_iters):
         s = s_field(f, state.b, state.mu)
         state.z = update_z(state.u, state.lam_z, s, alpha, r_z)

@@ -336,9 +336,11 @@ def test_missing_mesh_file_error(tmp_path, capsys):
     ("json", {"k": 2.5}, []),
     ("cfg", {}, ["--alpha0", "nan"]),
     ("cfg", {"r_z": "inf"}, []),
+    ("cfg", {"seed": "-1"}, []),
+    ("cfg", {}, ["--seed", "-1"]),
 ], ids=["cfg-ring-n3", "cfg-k-abc", "cfg-seed-1.5", "cfg-alpha-abc",
         "flag-alpha-abc", "flag-k-abc", "json-k-2.5", "flag-alpha0-nan",
-        "cfg-rz-inf"])
+        "cfg-rz-inf", "cfg-seed-neg", "flag-seed-neg"])
 def test_bad_value_is_one_parameter_error_line(dumbbell_setup, tmp_path,
                                                capsys, fmt, bad, flags):
     _, mesh_path, _ = dumbbell_setup

@@ -6,19 +6,16 @@ import numpy as np
 import pytest
 
 from msseg import features
-from msseg.errors import DimensionError, FeatureError
+from msseg.errors import FeatureError
 from msseg.features import (
     build_laplacian,
     dump_features,
     feature_field,
-    normal_distance,
 )
-from msseg.mesh import TriMesh
+from msseg.mesh import TriMesh, smoothed_normals
 
 from _meshes import (
     equilateral,
-    flat_patch,
-    folded_pair,
     path_strip,
     random_closed,
     square_axis_pair,
@@ -28,42 +25,55 @@ from _meshes import (
 from _reference import dense_spectral_channels
 
 
-# -- normal distance ----------------------------------------------------------
+# -- normal distance, read off the Laplacian weights --------------------------
+
+
+def _known_distance_mesh():
+    """A coplanar pair (faces 0, 1), a right-angle fold (faces 1, 2) and,
+    apart from them, two coincident triangles with opposite winding
+    (faces 3, 4, sharing all three edges): raw normal distances 0, 2 and
+    4, so ``dbar`` over the five interior edges is 14 / 5."""
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0.5, 1),
+             (5, 0, 0), (6, 0, 0), (5, 1, 0)]
+    faces = [(0, 1, 2), (2, 1, 3), (3, 1, 4), (5, 6, 7), (6, 5, 7)]
+    return TriMesh(verts, faces)
+
+
+def _laplacian_distance_check(i, j, d):
+    # w_ij = l_ij exp(-d / dbar), with l_ij the summed length of the edges
+    # faces i and j share
+    mesh = _known_distance_mesh()
+    L = build_laplacian(mesh, "raw")
+    shared = np.intersect1d(mesh.face_edges[i], mesh.face_edges[j])
+    length = mesh.edge_lengths[shared].sum()
+    assert -L[i, j] == pytest.approx(length * np.exp(-d / 2.8), rel=1e-12)
+    assert L[i, j] == L[j, i]
 
 
 def test_normal_distance_coplanar_is_zero():
-    mesh = square_axis_pair()
-    assert normal_distance(mesh, 0, 1, "raw") == pytest.approx(0.0, abs=1e-14)
+    _laplacian_distance_check(0, 1, 0.0)
 
 
 def test_normal_distance_right_angle_raw():
-    mesh = folded_pair()
-    assert normal_distance(mesh, 0, 1, "raw") == pytest.approx(2.0, abs=1e-12)
+    _laplacian_distance_check(1, 2, 2.0)
 
 
 def test_normal_distance_antipodal_is_four():
-    # two coincident triangles with opposite winding: antipodal normals
-    mesh = TriMesh(
-        [(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2), (1, 0, 2)]
-    )
-    assert normal_distance(mesh, 0, 1, "raw") == pytest.approx(4.0, abs=1e-12)
+    _laplacian_distance_check(3, 4, 4.0)
 
 
 def test_normal_distance_range():
     mesh = random_closed(40, seed=2)
-    interior = np.nonzero(~mesh.boundary_edge)[0]
-    for e in interior[:20]:
-        f0, f1 = mesh.edge_faces[e]
-        d = normal_distance(mesh, f0, f1, "n2")
-        assert 0.0 <= d <= 4.0
-
-
-def test_normal_distance_requires_shared_edge():
-    mesh = flat_patch(3)
-    with pytest.raises(DimensionError):
-        normal_distance(mesh, 0, mesh.n_faces - 1, "raw")
-    with pytest.raises(DimensionError):
-        normal_distance(mesh, 0, 0, "raw")
+    normals = smoothed_normals(mesh, "n2")
+    fi, fj = mesh.edge_faces[~mesh.boundary_edge].T
+    d = np.array([np.sum((normals[a] - normals[b]) ** 2)
+                  for a, b in zip(fi, fj)])
+    assert ((0.0 <= d) & (d <= 4.0)).all()
+    lengths = mesh.edge_lengths[~mesh.boundary_edge]
+    L = build_laplacian(mesh, "n2")
+    off = -np.asarray(L[fi, fj]).ravel()
+    assert np.allclose(off, lengths * np.exp(-d / d.mean()),
+                       rtol=1e-12, atol=0)
 
 
 # -- laplacian ---------------------------------------------------------------

@@ -16,7 +16,6 @@ from msseg.mesh import (
     load_mesh_file,
     load_obj,
     load_off,
-    smoothed_normal,
     smoothed_normals,
 )
 
@@ -24,7 +23,6 @@ from _meshes import (
     RIGHT_TRIANGLE_OFF,
     SQUARE_DIAGONAL_OFF,
     TETRA_OFF,
-    diagonal_pair,
     equilateral,
     flat_patch,
     folded_pair,
@@ -109,6 +107,20 @@ def test_off_non_triangle_face_rejected():
 def test_zero_area_face_names_face():
     text = "OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n"
     with pytest.raises(DegenerateGeometryError, match="face 0"):
+        load_off(text)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_vertex_names_vertex(bad):
+    verts = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["1", "1", "0"]]
+    verts[1][2] = verts[3][0] = bad
+    with pytest.raises(DegenerateGeometryError,
+                       match="vertex 1 has a non-finite coordinate"):
+        TriMesh(np.array(verts, dtype=float), [(0, 1, 2), (1, 3, 2)])
+    text = "OFF\n4 2 0\n" + "".join(" ".join(v) + "\n" for v in verts) \
+        + "3 0 1 2\n3 1 3 2\n"
+    with pytest.raises(DegenerateGeometryError,
+                       match="vertex 1 has a non-finite coordinate"):
         load_off(text)
 
 
@@ -231,26 +243,22 @@ def test_closed_mesh_signed_edge_vectors_cancel():
 def test_neighborhood_symmetry():
     mesh = random_closed(30, seed=7)
     for ring in ("n1", "n2"):
-        tables = [mesh.neighborhood(t, ring) for t in range(mesh.n_faces)]
-        for i in range(mesh.n_faces):
-            for j in tables[i]:
-                assert i in tables[j]
+        pattern = mesh.neighborhoods(ring)
+        assert (pattern != pattern.T).nnz == 0
+        assert (pattern.diagonal() == 1).all()
 
 
 def test_neighborhood_raw_and_errors():
     mesh = load_off(TETRA_OFF)
-    assert np.array_equal(mesh.neighborhood(2, "raw"), [2])
+    assert np.array_equal(mesh.neighborhoods("raw").toarray(), np.eye(4))
     with pytest.raises(ValueError):
-        mesh.neighborhood(0, "n3")
-    with pytest.raises(IndexError):
-        mesh.neighborhood(99, "n1")
+        mesh.neighborhoods("n3")
 
 
 def test_n1_is_edge_adjacent_faces():
     mesh = load_off(TETRA_OFF)
     # every tetra face touches the other three along edges
-    for t in range(4):
-        assert np.array_equal(mesh.neighborhood(t, "n1"), [0, 1, 2, 3])
+    assert np.array_equal(mesh.neighborhoods("n1").toarray(), np.ones((4, 4)))
 
 
 def test_arrays_are_immutable():
@@ -259,6 +267,8 @@ def test_arrays_are_immutable():
         mesh.vertices[0, 0] = 9.0
     with pytest.raises(ValueError):
         mesh.face_areas[0] = 9.0
+    with pytest.raises(ValueError):
+        mesh.neighborhoods("n1").data[0] = 9.0
 
 
 # -- smoothed normals --------------------------------------------------------
@@ -267,17 +277,14 @@ def test_arrays_are_immutable():
 def test_flat_patch_normal_is_plane_normal():
     mesh = flat_patch(3)
     for ring in ("raw", "n1", "n2"):
-        for tau in (0, 5, mesh.n_faces - 1):
-            n = smoothed_normal(mesh, tau, ring)
-            assert np.allclose(n, [0, 0, 1], atol=1e-12)
+        n = smoothed_normals(mesh, ring)
+        assert np.allclose(n, [0, 0, 1], atol=1e-12)
 
 
 def test_single_triangle_normal_is_its_own():
     mesh = equilateral()
     for ring in ("raw", "n1", "n2"):
-        assert np.allclose(
-            smoothed_normal(mesh, 0, ring), mesh.face_normals[0]
-        )
+        assert np.allclose(smoothed_normals(mesh, ring), mesh.face_normals)
 
 
 def test_folded_pair_n1_normal_is_bisector():
@@ -286,15 +293,7 @@ def test_folded_pair_n1_normal_is_bisector():
     assert np.isclose(np.dot(n0, n1), 0.0, atol=1e-12)  # 90 degree fold
     expected = (mesh.face_areas[0] * n0 + mesh.face_areas[1] * n1)
     expected /= np.linalg.norm(expected)
-    for tau in (0, 1):
-        assert np.allclose(smoothed_normal(mesh, tau, "n1"), expected)
-
-
-def test_smoothed_normals_batch_matches_single():
-    mesh = diagonal_pair()
-    batch = smoothed_normals(mesh, "n2")
-    for tau in range(mesh.n_faces):
-        assert np.array_equal(batch[tau], smoothed_normal(mesh, tau, "n2"))
+    assert np.allclose(smoothed_normals(mesh, "n1"), [expected, expected])
 
 
 def test_degenerate_average_normal_raises():
@@ -302,8 +301,8 @@ def test_degenerate_average_normal_raises():
     verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     faces = [(0, 1, 2), (1, 0, 2)]
     mesh = TriMesh(verts, faces)
-    with pytest.raises(DegenerateGeometryError):
-        smoothed_normal(mesh, 0, "n1")
+    with pytest.raises(DegenerateGeometryError, match="face 0"):
+        smoothed_normals(mesh, "n1")
 
 
 def test_write_off_round_trip(tmp_path):

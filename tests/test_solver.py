@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from msseg import solver
 from msseg.calculus import divergence, gradient, inner_U, tv_energy
 from msseg.errors import InitializationError, ParameterError
 from msseg.mesh import load_off
@@ -606,6 +607,24 @@ def test_systems_factor_only_what_the_mode_solves(mode, freeze_v, factored):
     systems = Systems(strip10(), params, alpha=2.0, beta=3.0)
     got = (systems.u_solve, systems.v_solve, systems.b_solve)
     assert tuple(s is not None for s in got) == factored
+
+
+def test_admm_inner_without_systems_factors_each_once(monkeypatch):
+    factored = []
+    spd_solve = solver._SPDSolve
+    monkeypatch.setattr(solver, "_SPDSolve",
+                        lambda A: factored.append(A) or spd_solve(A))
+    mesh = random_closed(40, seed=6)
+    params = SolverParams(k=2, mode="gpsms", inner_iters=3)
+    f = np.random.default_rng(22).normal(size=(mesh.n_faces, 1))
+    state = initial_state(mesh, f, params)
+    prefactored = state.copy()
+    admm_inner(mesh, f, state, params, alpha=2.0, beta=3.0)
+    assert len(factored) <= 3
+    admm_inner(mesh, f, prefactored, params, 2.0, 3.0,
+               Systems(mesh, params, alpha=2.0, beta=3.0))
+    for name, want in prefactored.__dict__.items():
+        assert np.array_equal(getattr(state, name), want), name
 
 
 def test_standalone_solves_match_prefactorized_systems():
