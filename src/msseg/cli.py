@@ -7,14 +7,6 @@ previously written report can be passed back via ``--config`` to replay
 a run exactly.
 """
 
-import os
-
-# honor the thread cap before any BLAS-backed import happens
-if os.environ.get("MSSEG_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["MSSEG_THREADS"])
-
 import argparse
 import colorsys
 import json

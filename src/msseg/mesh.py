@@ -271,6 +271,8 @@ def load_off(source):
         raise MeshFormatError("expected vertex/face counts", line=n)
     try:
         nv, nf = int(parts[0]), int(parts[1])
+        if nv < 0 or nf < 0:
+            raise ValueError
     except ValueError:
         raise MeshFormatError("bad counts line", line=n) from None
 

@@ -26,7 +26,8 @@ import scipy.sparse.linalg as spla
 
 from . import calculus as calc
 from .calculus import divergence, gradient, inner_U, norm_U, norm_V, operators
-from .errors import InitializationError, NumericError, ParameterError
+from .errors import (DimensionError, InitializationError, NumericError,
+                     ParameterError)
 
 MODES = ("pcms", "psms", "gpsms")
 
@@ -146,64 +147,47 @@ class _SPDSolve:
         return x
 
 
-def _system_matrices(mesh, u=None, v=None, b=None):
-    """The u, v and b coefficient matrices of :class:`Systems`, in CSC form.
-
-    ``u=(r_p, r_z)``, ``v=(r_q, r_p)`` and ``b=(beta, eta + alpha)`` are
-    the coefficients of each system.  A system given ``None`` is skipped
-    and returned as ``None``, and so is ``v`` on a mesh without interior
-    edges.
-    """
-    ops = operators(mesh)
-    W = sp.diags(ops.areas)
-    Winv = sp.diags(1.0 / ops.areas)
-    D = sp.diags(ops.lengths)
-    S = None if u is None and b is None else ops.grad.T @ D @ ops.grad
-    Au = Av = Ab = None
-    if u is not None:
-        r_p, r_z = u
-        Au = (r_p * S + r_z * W).tocsc()
-    interior = np.nonzero(~mesh.boundary_edge)[0]
-    if v is not None and interior.size:
-        r_q, r_p = v
-        DG = (D @ ops.grad).tocsr()[interior]
-        Dint = sp.diags(ops.lengths[interior])
-        Av = (r_q * (DG @ Winv @ DG.T) + r_p * Dint).tocsc()
-    if b is not None:
-        beta, shift = b
-        Ab = (beta * (S @ Winv @ S) + shift * W).tocsc()
-    return Au, Av, Ab
-
-
 class Systems:
     """Prefactorized per-channel SPD systems for the smooth updates.
 
-    All coefficient matrices are constant along a run, so each is
-    factorized once, direct only (see :class:`_SPDSolve`), and only the
-    systems the mode solves with are built: ``v`` for gpsms without
-    ``freeze_v``, ``b`` for psms and gpsms; the others are ``None``.  The
-    systems are the weighted-inner-product normal equations written in
-    plain coordinates (matrices from ``_system_matrices``):
+    The one place the u, v and b systems are assembled and factored.  All
+    coefficients are constant along a run, so each system is factorized
+    once, direct only (see :class:`_SPDSolve`), and only the systems the
+    mode solves with are built: ``v`` for gpsms without ``freeze_v`` on a
+    mesh with interior edges, ``b`` for psms and gpsms; the others are
+    ``None``.  The systems are the weighted-inner-product normal equations
+    written in plain coordinates, with ``S = G' D G``:
 
-    * ``u``:  (r_p * S + r_z * W) u = W * rhs   with ``S = G' D G``,
-    * ``v``:  interior-edge block of (r_q * DG W^-1 (DG)' + r_p * D) v = D * rhs,
-      boundary rows reduce to ``r_p * v = rhs`` since the gradient
-      annihilates them,
-    * ``b``:  (beta * S W^-1 S + (eta + alpha) * W) b = W * rhs.
+    * ``u_solve``:  (r_p * S + r_z * W) u = W * rhs,
+    * ``v_solve``:  interior-edge block of
+      (r_q * DG W^-1 (DG)' + r_p * D) v = D * rhs, boundary rows reduce to
+      ``r_p * v = rhs`` since the gradient annihilates them,
+    * ``b_solve``:  (beta * S W^-1 S + (eta + alpha) * W) b = W * rhs.
+
+    It also holds what the right-hand sides read: the coefficients ``r_p``,
+    ``r_q``, ``r_z`` and ``alpha``, and the ``interior`` edge indices.
     """
 
     def __init__(self, mesh, params, alpha, beta):
         use_vq, use_b = _mode_flags(params)
+        self.r_p, self.r_q, self.r_z = params.r_p, params.r_q, params.r_z
+        self.alpha = alpha
         self.interior = np.nonzero(~mesh.boundary_edge)[0]
-        matrices = _system_matrices(
-            mesh,
-            u=(params.r_p, params.r_z),
-            v=(params.r_q, params.r_p) if use_vq else None,
-            b=(beta, params.eta + alpha) if use_b else None,
-        )
-        self.u_solve, self.v_solve, self.b_solve = (
-            None if A is None else _SPDSolve(A) for A in matrices
-        )
+        ops = operators(mesh)
+        W = sp.diags(ops.areas)
+        Winv = sp.diags(1.0 / ops.areas)
+        D = sp.diags(ops.lengths)
+        S = ops.grad.T @ D @ ops.grad
+        self.u_solve = _SPDSolve(self.r_p * S + self.r_z * W)
+        self.v_solve = self.b_solve = None
+        if use_vq and self.interior.size:
+            DG = (D @ ops.grad).tocsr()[self.interior]
+            Dint = sp.diags(ops.lengths[self.interior])
+            self.v_solve = _SPDSolve(self.r_q * (DG @ Winv @ DG.T)
+                                     + self.r_p * Dint)
+        if use_b:
+            self.b_solve = _SPDSolve(beta * (S @ Winv @ S)
+                                     + (params.eta + alpha) * W)
 
 
 # -- closed-form pieces ------------------------------------------------------
@@ -300,21 +284,17 @@ def update_mu(mesh, u, b, f, prev_mu=None):
 # -- smooth subproblem solves ------------------------------------------------
 
 
-def solve_u(mesh, z, lam_z, p, v, lam_p, r_p, r_z, systems=None):
+def solve_u(mesh, z, lam_z, p, v, lam_p, systems):
     """Quadratic label update: (r_p S + r_z W) u = W rhs with
     rhs = r_z z + lam_z - div(lam_p + r_p (p + v))."""
     ops = operators(mesh)
-    if systems is not None:
-        solver = systems.u_solve
-    else:
-        solver = _SPDSolve(_system_matrices(mesh, u=(r_p, r_z))[0])
-    edge_term = lam_p + r_p * (p + v)
-    rhs = ops.areas[:, None] * (r_z * z + lam_z) \
+    edge_term = lam_p + systems.r_p * (p + v)
+    rhs = ops.areas[:, None] * (systems.r_z * z + lam_z) \
         + ops.incidence.T @ (ops.lengths[:, None] * edge_term)
-    return solver(rhs)
+    return systems.u_solve(rhs)
 
 
-def solve_v(mesh, u, p, lam_p, q, lam_q, r_p, r_q, systems=None):
+def solve_v(mesh, u, p, lam_p, q, lam_q, systems):
     """Quadratic update of the slope field.
 
     Interior edges solve the SPD system
@@ -323,8 +303,7 @@ def solve_v(mesh, u, p, lam_p, q, lam_q, r_p, r_q, systems=None):
     ``r_p v = -lam_p - r_p p``.
     """
     ops = operators(mesh)
-    interior = np.nonzero(~mesh.boundary_edge)[0] if systems is None \
-        else systems.interior
+    r_p, r_q, interior = systems.r_p, systems.r_q, systems.interior
     gu = gradient(mesh, u)
     v = (-lam_p - r_p * p) / r_p
     v[interior] = 0.0
@@ -334,27 +313,18 @@ def solve_v(mesh, u, p, lam_p, q, lam_q, r_p, r_q, systems=None):
     rhs_full = -gradient(mesh, lam_q + r_q * q) - lam_p + r_p * (gu - p) \
         + r_q * gradient(mesh, divergence(mesh, v))
     rhs = ops.lengths[interior, None] * rhs_full[interior]
-    if systems is not None:
-        solver = systems.v_solve
-    else:
-        solver = _SPDSolve(_system_matrices(mesh, v=(r_q, r_p))[1])
-    v[interior] = solver(rhs)
+    v[interior] = systems.v_solve(rhs)
     return v
 
 
-def solve_b(mesh, f, z, mu, alpha, beta, eta, systems=None):
+def solve_b(mesh, f, z, mu, systems):
     """Smooth-part update: (beta L'L + (eta + alpha) I) b = alpha (f - z mu)
     in the weighted inner products, with L the face Laplacian."""
     ops = operators(mesh)
     f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    rhs_field = alpha * (f - z @ np.atleast_2d(mu.T).T)
+    rhs_field = systems.alpha * (f - z @ np.atleast_2d(mu.T).T)
     rhs = ops.areas[:, None] * rhs_field
-    if systems is not None:
-        solver = systems.b_solve
-    else:
-        solver = _SPDSolve(
-            _system_matrices(mesh, b=(beta, eta + alpha))[2])
-    return solver(rhs)
+    return systems.b_solve(rhs)
 
 
 # -- initialization and alpha heuristic ---------------------------------------
@@ -455,23 +425,23 @@ def admm_inner(mesh, f, state, params, alpha, beta, systems=None):
     Sweep order: z, u, v, b, p, q, multipliers.  TV modes keep ``v``,
     ``q`` and their multiplier at zero; the piecewise-constant mode also
     freezes ``b``.  Without ``systems``, one :class:`Systems` is built
-    here and serves every sweep.
+    here from ``alpha`` and ``beta`` and serves every sweep; the sweep
+    reads its penalties and data weight from ``systems``.
     """
     use_vq, use_b = _mode_flags(params)
-    r_p, r_q, r_z = params.r_p, params.r_q, params.r_z
     if systems is None:
         systems = Systems(mesh, params, alpha, beta)
+    r_p, r_q, r_z = systems.r_p, systems.r_q, systems.r_z
     for _ in range(params.inner_iters):
         s = s_field(f, state.b, state.mu)
-        state.z = update_z(state.u, state.lam_z, s, alpha, r_z)
+        state.z = update_z(state.u, state.lam_z, s, systems.alpha, r_z)
         state.u = solve_u(mesh, state.z, state.lam_z, state.p, state.v,
-                          state.lam_p, r_p, r_z, systems)
+                          state.lam_p, systems)
         if use_vq:
             state.v = solve_v(mesh, state.u, state.p, state.lam_p,
-                              state.q, state.lam_q, r_p, r_q, systems)
+                              state.q, state.lam_q, systems)
         if use_b:
-            state.b = solve_b(mesh, f, state.z, state.mu, alpha, beta,
-                              params.eta, systems)
+            state.b = solve_b(mesh, f, state.z, state.mu, systems)
         gu = gradient(mesh, state.u)
         state.p = prox_p(gu - state.v - state.lam_p / r_p, r_p)
         if use_vq:
@@ -559,6 +529,9 @@ def segment(mesh, f, params):
             f"feature field has {f2.shape[1]} channels, expected k-1 = "
             f"{params.k - 1}"
         )
+    if f2.shape[0] != mesh.n_faces:
+        raise DimensionError(f"feature field has {f2.shape[0]} rows, mesh "
+                             f"has {mesh.n_faces} faces")
     t0 = time.perf_counter()
     state = initial_state(mesh, f2, params)
     if params.alpha is None:

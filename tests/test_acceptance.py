@@ -14,6 +14,7 @@ from msseg.mesh import load_off
 from msseg.solver import (
     SolverParams,
     SolverState,
+    Systems,
     admm_inner,
     estimate_alpha,
     project_simplex,
@@ -186,9 +187,12 @@ def test_criterion_04_subproblem_stationarity():
                 + 0.5 * eta * inner_U(mesh, bb, bb) \
                 + 0.5 * alpha * inner_U(mesh, z, s_field(f, bb, mu))
 
-        u_sol = solve_u(mesh, z, lam_z, p, v, lam_p, r_p, r_z)
-        v_sol = solve_v(mesh, u_sol, p, lam_p, q, lam_q, r_p, r_q)
-        b_sol = solve_b(mesh, f, z, mu, alpha, beta, eta)
+        systems = Systems(
+            mesh, SolverParams(k=K, r_p=r_p, r_q=r_q, r_z=r_z, eta=eta),
+            alpha, beta)
+        u_sol = solve_u(mesh, z, lam_z, p, v, lam_p, systems)
+        v_sol = solve_v(mesh, u_sol, p, lam_p, q, lam_q, systems)
+        b_sol = solve_b(mesh, f, z, mu, systems)
         for fun, x in ((obj_u, u_sol), (obj_v, v_sol), (obj_b, b_sol)):
             g = fd_gradient(fun, x)
             bound = 1e-4 * (1.0 + abs(fun(x)))

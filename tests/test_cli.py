@@ -326,6 +326,18 @@ def test_missing_mesh_file_error(tmp_path, capsys):
     assert line.startswith("error\t")
 
 
+@pytest.mark.parametrize("counts", ["-1 1 0", "3 -1 0"])
+def test_negative_off_counts_are_one_format_error_line(tmp_path, capsys,
+                                                       counts):
+    path = tmp_path / "neg.off"
+    path.write_text(RIGHT_TRIANGLE_OFF.replace("3 1 0", counts, 1))
+    out = tmp_path / "out"
+    code = main(["--mesh", str(path), "--k", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error\tMeshFormatError\tline 2: bad counts line"]
+
+
 @pytest.mark.parametrize("fmt, bad, flags", [
     ("cfg", {"ring": "n3"}, []),
     ("cfg", {"k": "abc"}, []),

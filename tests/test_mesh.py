@@ -8,6 +8,7 @@ import pytest
 from msseg.errors import (
     DegenerateGeometryError,
     MeshFormatError,
+    MeshSegError,
     TopologyError,
 )
 from msseg.mesh import (
@@ -173,6 +174,73 @@ def test_obj_quad_rejected():
     text = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"
     with pytest.raises(TopologyError):
         load_obj(text)
+
+
+# The loaders' error contract: one fault per input, each pinned to the
+# error type and the 1-based line it names (None: no line in the message).
+_TRI = "0 0 0\n1 0 0\n0 1 0\n"
+_OBJ_TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+
+@pytest.mark.parametrize("load, text, error, line", [
+    (load_off, "", MeshFormatError, None),
+    (load_off, "# only\n\n# comments\n", MeshFormatError, None),
+    (load_off, "3 1 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 1),
+    (load_off, "OFFX\n3 1 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 1),
+    (load_off, "OFF\n# no counts\n", MeshFormatError, None),
+    (load_off, "OFF\n3\n" + _TRI + "3 0 1 2\n", MeshFormatError, 2),
+    (load_off, "OFF\n3 x 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 2),
+    (load_off, "OFF\n-1 1 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 2),
+    (load_off, "OFF\n3 -1 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 2),
+    (load_off, "OFF\n3 1 0\n" + _TRI, MeshFormatError, None),
+    (load_off, "OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", MeshFormatError, 4),
+    (load_off, "OFF\n3 1 0\n0 0 0\n1 a 0\n0 1 0\n3 0 1 2\n",
+     MeshFormatError, 4),
+    (load_off, "OFF\n3 1 0\n" + _TRI + "3 0 x 2\n", MeshFormatError, 6),
+    (load_off, "OFF\n3 1 0\n" + _TRI + "3 0 1 2.0\n", MeshFormatError, 6),
+    (load_off, "OFF\n4 1 0\n" + _TRI + "1 1 0\n4 0 1 3 2\n", TopologyError, 7),
+    (load_obj, _OBJ_TRI + "f 1 x 3\n", MeshFormatError, 4),
+    (load_obj, _OBJ_TRI + "f 0 1 2\n", MeshFormatError, 4),
+    (load_obj, _OBJ_TRI + "f -1 1 2\n", MeshFormatError, 4),
+    (load_obj, _OBJ_TRI + "v 1 1 0\nf 1 2 4 3\n", TopologyError, 5),
+    (load_obj, "# none\nvn 0 0 1\n", MeshFormatError, None),
+    (load_obj, "v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n", MeshFormatError, 2),
+], ids=[
+    "off-empty", "off-comments-only", "off-no-header", "off-OFFX",
+    "off-no-counts", "off-short-counts", "off-counts-x", "off-counts-neg-v",
+    "off-counts-neg-f", "off-truncated", "off-short-vertex",
+    "off-vertex-not-a-number", "off-face-x", "off-face-float", "off-quad",
+    "obj-face-x", "obj-face-0", "obj-face-neg", "obj-quad", "obj-no-vertices",
+    "obj-short-vertex",
+])
+def test_loader_error_contract(load, text, error, line):
+    with pytest.raises(MeshSegError) as info:
+        load(text)
+    assert type(info.value) is error
+    if error is MeshFormatError:
+        assert info.value.line == line
+    if line is None:
+        assert not str(info.value).startswith("line ")
+    else:
+        assert str(info.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_off, "OFF 3 1 0\n" + _TRI + "3 0 1 2\n"),
+    (load_off, "OFF3 1 0\n" + _TRI + "3 0 1 2\n"),
+    (load_off, "OFF # h\n3 1 0 # c\n0 0 0 # v\n1 0 0\n0 1 0\n3 0 1 2 # f\n"),
+    (load_off, "OFF\n3 1 0\n0 0 0 255 0 0\n1 0 0 0 255 0\n0 1 0 0 0 255\n"
+               "3 0 1 2\n"),
+    (load_off, "OFF\n3 1 0\n" + _TRI + "3 0 1 2 10 20 30\n"),
+    (load_obj, "v 0 0 0 1\nv 1 0 0 1\nv 0 1 0 1\nf 1 2 3\n"),
+    (load_obj, _OBJ_TRI + "vt 0 0\nvn 0 0 1\nf 1/1/1 2/1/1 3/1/1\n"),
+], ids=["off-counts-on-header", "off-OFF3", "off-inline-comments",
+        "off-vertex-colours", "off-face-colours", "obj-v-with-w",
+        "obj-f-slashes"])
+def test_loader_accepted_forms(load, text):
+    mesh = load(text)
+    assert np.array_equal(mesh.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    assert np.array_equal(mesh.faces, [[0, 1, 2]])
 
 
 def test_load_mesh_format_dispatch():

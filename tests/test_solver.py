@@ -7,7 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from msseg import solver
 from msseg.calculus import divergence, gradient, inner_U, tv_energy
-from msseg.errors import InitializationError, ParameterError
+from msseg.errors import DimensionError, InitializationError, ParameterError
 from msseg.mesh import load_off
 from msseg.solver import (
     SolverParams,
@@ -316,7 +316,9 @@ def test_solve_u_no_tv_limit_is_diagonal():
     z = rng.normal(size=(5, 2))
     lam_z = rng.normal(size=(5, 2))
     zeros = np.zeros((mesh.n_edges, 2))
-    u = solve_u(mesh, z, lam_z, zeros, zeros, zeros, r_p=0.0, r_z=50.0)
+    systems = Systems(mesh, SolverParams(k=2, mode="pcms", r_p=0.0, r_z=50.0),
+                      1.0, 1.0)
+    u = solve_u(mesh, z, lam_z, zeros, zeros, zeros, systems)
     assert np.allclose(u, z + lam_z / 50.0, atol=1e-13)
 
 
@@ -330,7 +332,9 @@ def test_solve_u_two_face_closed_form():
     v = rng.normal(size=(E, K))
     lam_p = rng.normal(size=(E, K))
     r_p, r_z = 1.3, 80.0
-    got = solve_u(mesh, z, lam_z, p, v, lam_p, r_p, r_z)
+    systems = Systems(mesh, SolverParams(k=K, mode="pcms", r_p=r_p, r_z=r_z),
+                      1.0, 1.0)
+    got = solve_u(mesh, z, lam_z, p, v, lam_p, systems)
     A, l, Ginc, Gb, _ = dense_operators(mesh)
     M = r_p * Gb.T @ (l[:, None] * Gb) + r_z * np.diag(A)
     rhs = A[:, None] * (r_z * z + lam_z) \
@@ -345,8 +349,9 @@ def test_solve_v_single_triangle_diagonal_case():
     lam_p = rng.normal(size=(3, 2))
     u = rng.normal(size=(1, 2))
     r_p = 2.0
+    systems = Systems(mesh, SolverParams(k=2, r_p=r_p, r_q=1.0), 1.0, 1.0)
     v = solve_v(mesh, u, p, lam_p, np.zeros((1, 2)), np.zeros((1, 2)),
-                r_p, 1.0)
+                systems)
     assert np.allclose(v, -p - lam_p / r_p, atol=1e-13)
 
 
@@ -360,7 +365,8 @@ def test_solve_v_returns_consistent_stationary_point():
     q = divergence(mesh, v_star)
     zeros_e = np.zeros_like(v_star)
     zeros_t = np.zeros_like(q)
-    v = solve_v(mesh, u, p, zeros_e, q, zeros_t, 1.0, 1.0)
+    systems = Systems(mesh, SolverParams(k=K, r_p=1.0, r_q=1.0), 1.0, 1.0)
+    v = solve_v(mesh, u, p, zeros_e, q, zeros_t, systems)
     assert np.allclose(v, v_star, atol=1e-10)
 
 
@@ -370,7 +376,9 @@ def test_solve_b_zero_right_side():
     z[:, 0] = 1.0
     mu = np.array([[0.7], [2.0]])
     f = z @ mu  # exact piecewise fit
-    b = solve_b(mesh, f, z, mu, alpha=5.0, beta=3.0, eta=1e-5)
+    systems = Systems(mesh, SolverParams(k=2, mode="psms", eta=1e-5),
+                      alpha=5.0, beta=3.0)
+    b = solve_b(mesh, f, z, mu, systems)
     assert np.allclose(b, 0.0, atol=1e-12)
 
 
@@ -385,7 +393,9 @@ def test_solve_b_constant_right_side_closed_mesh():
     f = np.full((4, 1), c)
     alpha, eta = 2.0, 1e-5
     for beta in (1.0, 1e6 * alpha):
-        b = solve_b(mesh, f, z, mu, alpha=alpha, beta=beta, eta=eta)
+        systems = Systems(mesh, SolverParams(k=2, mode="psms", eta=eta),
+                          alpha, beta)
+        b = solve_b(mesh, f, z, mu, systems)
         assert np.allclose(b, alpha * c / (eta + alpha), atol=1e-8)
 
 
@@ -576,6 +586,14 @@ def test_segment_channel_count_mismatch():
         segment(mesh, f, SolverParams(k=3, alpha=1.0))
 
 
+@pytest.mark.parametrize("alpha", [None, 1.0])
+def test_segment_row_count_mismatch(alpha):
+    mesh, f, _ = piecewise_constant_instance()
+    T = mesh.n_faces
+    with pytest.raises(DimensionError, match=f"{T + 5} rows, mesh has {T} "):
+        segment(mesh, np.vstack([f, f[:5]]), SolverParams(k=2, alpha=alpha))
+
+
 def test_gpsms_with_frozen_v_matches_psms_bitwise_small():
     mesh, f, _ = piecewise_constant_instance()
     kw = dict(k=2, alpha=100.0, max_outer=4, outer_tol=1e-300, seed=0)
@@ -625,31 +643,6 @@ def test_admm_inner_without_systems_factors_each_once(monkeypatch):
                Systems(mesh, params, alpha=2.0, beta=3.0))
     for name, want in prefactored.__dict__.items():
         assert np.array_equal(getattr(state, name), want), name
-
-
-def test_standalone_solves_match_prefactorized_systems():
-    mesh = random_closed(40, seed=6)
-    T, E, K = mesh.n_faces, mesh.n_edges, 2
-    rng = np.random.default_rng(21)
-    z, lam_z, q, lam_q = (rng.normal(size=(T, K)) for _ in range(4))
-    p, v, lam_p = (rng.normal(size=(E, K)) for _ in range(3))
-    f = rng.normal(size=(T, K - 1))
-    mu = rng.normal(size=(K, K - 1))
-    params = SolverParams(k=K, r_p=1.3, r_q=0.7, r_z=80.0, eta=1e-3)
-    alpha, beta = 2.0, 3.0
-
-    def solves(systems):
-        return (
-            solve_u(mesh, z, lam_z, p, v, lam_p, params.r_p, params.r_z,
-                    systems),
-            solve_v(mesh, z, p, lam_p, q, lam_q, params.r_p, params.r_q,
-                    systems),
-            solve_b(mesh, f, z, mu, alpha, beta, params.eta, systems),
-        )
-
-    prefactored = solves(Systems(mesh, params, alpha, beta))
-    for standalone, shared in zip(solves(None), prefactored):
-        assert np.array_equal(standalone, shared)
 
 
 # -- energy and KKT diagnostics ---------------------------------------------------
