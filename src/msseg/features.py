@@ -192,8 +192,3 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
         values[:, j] = x
         scales[j] = s
     return FeatureField(values=values, eigenvalues=eigvals, scales=scales)
-
-
-def dump_features(field, stream):
-    """Write features as a plain text table, one row per face."""
-    np.savetxt(stream, field.values, fmt="%.17g", delimiter=",")

@@ -279,6 +279,9 @@ def load_off(source):
     body = body[1:]
     if len(body) < nv + nf:
         raise MeshFormatError(f"expected {nv} vertex and {nf} face lines")
+    if len(body) > nv + nf:
+        raise MeshFormatError("more lines than the counts declare",
+                              line=body[nv + nf][0])
     verts = np.empty((nv, 3))
     for i in range(nv):
         n, ln = body[i]

@@ -16,9 +16,10 @@ The outer loop alternates the ADMM block (label field ``u``, smooth part
 area-weighted squared change of ``u`` drops below the tolerance.
 """
 
+import numbers
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,8 +37,8 @@ MODES = ("pcms", "psms", "gpsms")
 class SolverParams:
     """Model and algorithmic parameters.
 
-    ``alpha=None`` selects the data-term weight automatically from the
-    initialization; ``beta`` is always specified as a ratio of alpha.
+    ``alpha=None`` selects the data-term weight from the initialization,
+    which :func:`segment` resolves; ``beta`` is ``beta_ratio * alpha``.
     """
 
     k: int = field(metadata={"help": "number of segments"})
@@ -57,24 +58,30 @@ class SolverParams:
     fallback_alpha: float = 1.0
     freeze_v: bool = False  # diagnostic: disable v/q updates in gpsms mode
 
+    @property
+    def beta(self):
+        return self.beta_ratio * self.alpha
+
     def validate(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.k < 2:
-            raise ParameterError(f"need k >= 2 segments, got {self.k}")
-        # written so that NaN fails too
-        if self.alpha is not None and not 0 < self.alpha < np.inf:
-            raise ParameterError("alpha must be positive and finite")
-        for name in ("beta_ratio", "alpha0", "eta", "r_p", "r_q", "r_z",
-                     "outer_tol", "fallback_alpha"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ParameterError(f"{name} must be positive and finite")
-        if self.inner_iters < 1:
-            raise ParameterError("inner_iters must be at least 1")
-        if self.max_outer < 1:
-            raise ParameterError("max_outer must be at least 1")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {self.seed}")
+        # the type before the range, so that no comparison raises TypeError
+        for name, least in (("k", 2), ("inner_iters", 1), ("max_outer", 1),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ParameterError(f"{name} must be at least {least}, got {value}")
+        weights = ("beta_ratio", "alpha0", "eta", "r_p", "r_q", "r_z",
+                   "outer_tol", "fallback_alpha")
+        for name in weights + (() if self.alpha is None else ("alpha",)):
+            value = getattr(self, name)
+            # written so that NaN fails too
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0 < value < np.inf:
+                raise ParameterError(f"{name} must be positive and finite, "
+                                     f"got {value!r}")
         return self
 
 
@@ -137,7 +144,6 @@ class _SPDSolve:
                              options={"SymmetricMode": True})
 
     def __call__(self, rhs):
-        rhs = np.atleast_2d(rhs.T).T
         x = self._lu.solve(rhs)
         res = np.linalg.norm(self.matrix @ x - rhs)
         if res > _SOLVE_RTOL * (1.0 + np.linalg.norm(rhs)):
@@ -164,40 +170,38 @@ class Systems:
       ``r_p * v = rhs`` since the gradient annihilates them,
     * ``b_solve``:  (beta * S W^-1 S + (eta + alpha) * W) b = W * rhs.
 
-    It also holds what the right-hand sides read: the coefficients ``r_p``,
-    ``r_q``, ``r_z`` and ``alpha``, and the ``interior`` edge indices.
+    ``params`` carries a resolved alpha; the right-hand sides read their
+    coefficients from it and the ``interior`` edge indices from here.
     """
 
-    def __init__(self, mesh, params, alpha, beta):
+    def __init__(self, mesh, params):
+        if params.alpha is None:
+            raise ParameterError("Systems needs a resolved alpha, got None")
         use_vq, use_b = _mode_flags(params)
-        self.r_p, self.r_q, self.r_z = params.r_p, params.r_q, params.r_z
-        self.alpha = alpha
+        self.params = params
         self.interior = np.nonzero(~mesh.boundary_edge)[0]
         ops = operators(mesh)
         W = sp.diags(ops.areas)
         Winv = sp.diags(1.0 / ops.areas)
         D = sp.diags(ops.lengths)
         S = ops.grad.T @ D @ ops.grad
-        self.u_solve = _SPDSolve(self.r_p * S + self.r_z * W)
+        self.u_solve = _SPDSolve(params.r_p * S + params.r_z * W)
         self.v_solve = self.b_solve = None
         if use_vq and self.interior.size:
             DG = (D @ ops.grad).tocsr()[self.interior]
             Dint = sp.diags(ops.lengths[self.interior])
-            self.v_solve = _SPDSolve(self.r_q * (DG @ Winv @ DG.T)
-                                     + self.r_p * Dint)
+            self.v_solve = _SPDSolve(params.r_q * (DG @ Winv @ DG.T)
+                                     + params.r_p * Dint)
         if use_b:
-            self.b_solve = _SPDSolve(beta * (S @ Winv @ S)
-                                     + (params.eta + alpha) * W)
+            self.b_solve = _SPDSolve(params.beta * (S @ Winv @ S)
+                                     + (params.eta + params.alpha) * W)
 
 
 # -- closed-form pieces ------------------------------------------------------
 
 
 def s_field(f, b, mu):
-    """Per-face, per-class squared misfit ||f - b - mu_k||^2."""
-    f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    b = np.atleast_2d(np.asarray(b, dtype=float).T).T
-    mu = np.atleast_2d(np.asarray(mu, dtype=float).T).T
+    """Per-face, per-class squared misfit ||f - b - mu_k||^2 (2-D arrays)."""
     g = f - b
     # one class at a time: no (T, K, n) temporary, and the same roundings
     # as subtracting f - b - mu_k in one broadcast
@@ -263,8 +267,6 @@ def update_z(u, lam_z, s, alpha, r_z):
 def update_mu(mesh, u, b, f, prev_mu=None):
     """Area-weighted class means of ``f - b``; empty classes keep their
     previous mean (with a warning)."""
-    f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    b = np.atleast_2d(np.asarray(b, dtype=float).T).T
     A = mesh.face_areas
     mass = (u * A[:, None]).sum(axis=0)            # (K,)
     num = (u * A[:, None]).T @ (f - b)             # (K, n)
@@ -288,8 +290,8 @@ def solve_u(mesh, z, lam_z, p, v, lam_p, systems):
     """Quadratic label update: (r_p S + r_z W) u = W rhs with
     rhs = r_z z + lam_z - div(lam_p + r_p (p + v))."""
     ops = operators(mesh)
-    edge_term = lam_p + systems.r_p * (p + v)
-    rhs = ops.areas[:, None] * (systems.r_z * z + lam_z) \
+    edge_term = lam_p + systems.params.r_p * (p + v)
+    rhs = ops.areas[:, None] * (systems.params.r_z * z + lam_z) \
         + ops.incidence.T @ (ops.lengths[:, None] * edge_term)
     return systems.u_solve(rhs)
 
@@ -303,7 +305,8 @@ def solve_v(mesh, u, p, lam_p, q, lam_q, systems):
     ``r_p v = -lam_p - r_p p``.
     """
     ops = operators(mesh)
-    r_p, r_q, interior = systems.r_p, systems.r_q, systems.interior
+    r_p, r_q = systems.params.r_p, systems.params.r_q
+    interior = systems.interior
     gu = gradient(mesh, u)
     v = (-lam_p - r_p * p) / r_p
     v[interior] = 0.0
@@ -321,8 +324,7 @@ def solve_b(mesh, f, z, mu, systems):
     """Smooth-part update: (beta L'L + (eta + alpha) I) b = alpha (f - z mu)
     in the weighted inner products, with L the face Laplacian."""
     ops = operators(mesh)
-    f = np.atleast_2d(np.asarray(f, dtype=float).T).T
-    rhs_field = systems.alpha * (f - z @ np.atleast_2d(mu.T).T)
+    rhs_field = systems.params.alpha * (f - z @ mu)
     rhs = ops.areas[:, None] * rhs_field
     return systems.b_solve(rhs)
 
@@ -336,7 +338,6 @@ def init_labels(f, areas, k, seed):
     Returns the class means and the one-hot nearest-center label field.
     Restarts (fresh RNG stream) on an empty cluster, up to 20 times.
     """
-    f = np.atleast_2d(np.asarray(f, dtype=float).T).T
     T = f.shape[0]
     if not 2 <= k <= T:
         raise InitializationError(f"need 2 <= k <= {T}, got {k}")
@@ -389,7 +390,7 @@ def _kmeans_pp(f, weights, k, rng):
     return np.array(centers, dtype=float)
 
 
-def estimate_alpha(mesh, f, u0, mu0, k, params):
+def estimate_alpha(mesh, f, u0, mu0, params):
     """Data-weight heuristic from the initialization.
 
     ``alpha = 2 K * Per(u0) / <u0, s(f, 0, mu0)>_U`` where ``Per`` is the
@@ -397,9 +398,8 @@ def estimate_alpha(mesh, f, u0, mu0, k, params):
     initial labeling (each interface shows up in two channels).  Degenerate
     numerator or denominator falls back to ``params.fallback_alpha``.
     """
-    b0 = np.zeros((u0.shape[0], np.atleast_2d(np.asarray(f).T).T.shape[1]))
-    numerator = 2.0 * k * (calc.tv_energy(mesh, u0) / 2.0)
-    denominator = inner_U(mesh, u0, s_field(f, b0, mu0))
+    numerator = 2.0 * params.k * (calc.tv_energy(mesh, u0) / 2.0)
+    denominator = inner_U(mesh, u0, s_field(f, np.zeros_like(f), mu0))
     if numerator <= 0 or denominator <= 0:
         warnings.warn(
             f"degenerate alpha estimate (num={numerator}, den={denominator}); "
@@ -419,22 +419,20 @@ def _mode_flags(params):
     return gpsms, smooth
 
 
-def admm_inner(mesh, f, state, params, alpha, beta, systems=None):
+def admm_inner(mesh, f, state, systems):
     """Run ``inner_iters`` ADMM sweeps in place and return the state.
 
     Sweep order: z, u, v, b, p, q, multipliers.  TV modes keep ``v``,
     ``q`` and their multiplier at zero; the piecewise-constant mode also
-    freezes ``b``.  Without ``systems``, one :class:`Systems` is built
-    here from ``alpha`` and ``beta`` and serves every sweep; the sweep
-    reads its penalties and data weight from ``systems``.
+    freezes ``b``.  Every coefficient, the data weight included, comes
+    from ``systems.params``, which carries a resolved alpha.
     """
+    params = systems.params
     use_vq, use_b = _mode_flags(params)
-    if systems is None:
-        systems = Systems(mesh, params, alpha, beta)
-    r_p, r_q, r_z = systems.r_p, systems.r_q, systems.r_z
+    r_p, r_q, r_z = params.r_p, params.r_q, params.r_z
     for _ in range(params.inner_iters):
         s = s_field(f, state.b, state.mu)
-        state.z = update_z(state.u, state.lam_z, s, systems.alpha, r_z)
+        state.z = update_z(state.u, state.lam_z, s, params.alpha, r_z)
         state.u = solve_u(mesh, state.z, state.lam_z, state.p, state.v,
                           state.lam_p, systems)
         if use_vq:
@@ -456,14 +454,13 @@ def admm_inner(mesh, f, state, params, alpha, beta, systems=None):
 
 def initial_state(mesh, f, params):
     """k-means initialization plus all-zero splitting variables."""
-    f2 = np.atleast_2d(np.asarray(f, dtype=float).T).T
     T, E = mesh.n_faces, mesh.n_edges
     k = params.k
-    mu0, u0 = init_labels(f2, mesh.face_areas, k, params.seed)
+    mu0, u0 = init_labels(f, mesh.face_areas, k, params.seed)
     return SolverState(
         u=u0,
         z=np.zeros((T, k)),
-        b=np.zeros((T, f2.shape[1])),
+        b=np.zeros((T, f.shape[1])),
         v=np.zeros((E, k)),
         p=np.zeros((E, k)),
         q=np.zeros((T, k)),
@@ -474,8 +471,9 @@ def initial_state(mesh, f, params):
     )
 
 
-def energy(mesh, u, v, b, mu, f, params, alpha, beta):
-    """Model energy: regularizer + smooth-part terms + data term."""
+def energy(mesh, u, v, b, mu, f, params):
+    """Model energy: regularizer + smooth-part terms + data term, with the
+    weights of ``params``, which carries a resolved alpha."""
     if params.mode == "gpsms":
         reg = calc.rtgv_value(mesh, u, v, params.alpha0)
     else:
@@ -483,18 +481,18 @@ def energy(mesh, u, v, b, mu, f, params, alpha, beta):
     lap = calc.laplace(mesh, b)
     return (
         reg
-        + 0.5 * beta * inner_U(mesh, lap, lap)
+        + 0.5 * params.beta * inner_U(mesh, lap, lap)
         + 0.5 * params.eta * inner_U(mesh, b, b)
-        + 0.5 * alpha * inner_U(mesh, u, s_field(f, b, mu))
+        + 0.5 * params.alpha * inner_U(mesh, u, s_field(f, b, mu))
     )
 
 
-def kkt_residuals(mesh, f, state, params, alpha, beta):
+def kkt_residuals(mesh, f, state, params):
     """Named KKT residual norms (primal feasibility, multiplier
-    identities and the stationarity of the smooth part and means)."""
+    identities and the stationarity of the smooth part and means), with
+    the weights of ``params``, which carries a resolved alpha."""
     u, v, b, p, q, z = state.u, state.v, state.b, state.p, state.q, state.z
     lam_p, lam_q, lam_z, mu = state.lam_p, state.lam_q, state.lam_z, state.mu
-    f2 = np.atleast_2d(np.asarray(f, dtype=float).T).T
     gu = gradient(mesh, u)
     dv = divergence(mesh, v)
     res = {
@@ -505,19 +503,20 @@ def kkt_residuals(mesh, f, state, params, alpha, beta):
         "dual_pq": norm_V(mesh, lam_p + gradient(mesh, lam_q)),
     }
     lap2 = calc.laplace(mesh, calc.laplace(mesh, b))
-    b_res = beta * lap2 + (params.eta + alpha) * b \
-        - alpha * (f2 - z @ np.atleast_2d(mu.T).T)
+    b_res = params.beta * lap2 + (params.eta + params.alpha) * b \
+        - params.alpha * (f - z @ mu)
     res["b_stationarity"] = norm_U(mesh, b_res)
     A = mesh.face_areas
     mass = (u * A[:, None]).sum(axis=0)
-    mu_res = mu * mass[:, None] - (u * A[:, None]).T @ (f2 - b)
-    res["mu_stationarity"] = float(np.linalg.norm(alpha * mu_res))
+    mu_res = mu * mass[:, None] - (u * A[:, None]).T @ (f - b)
+    res["mu_stationarity"] = float(np.linalg.norm(params.alpha * mu_res))
     return res
 
 
 def segment(mesh, f, params):
     """Full pipeline from a feature field: initialize, pick alpha, run the
-    outer loop, classify.
+    outer loop, classify.  The one place a run is resolved: a 1-D field
+    becomes (T, 1), and ``alpha=None`` the estimate that ``params`` carries.
 
     Hitting ``max_outer`` without reaching the tolerance is reported via
     ``converged=False``, not an error.
@@ -535,25 +534,21 @@ def segment(mesh, f, params):
     t0 = time.perf_counter()
     state = initial_state(mesh, f2, params)
     if params.alpha is None:
-        alpha = estimate_alpha(mesh, f2, state.u, state.mu, params.k, params)
-    else:
-        alpha = params.alpha
-    beta = params.beta_ratio * alpha
-
-    systems = Systems(mesh, params, alpha, beta)
+        params = replace(params, alpha=estimate_alpha(mesh, f2, state.u,
+                                                      state.mu, params))
+    systems = Systems(mesh, params)
     error_trace = []
     energy_trace = []
     converged = False
     for outer in range(params.max_outer):
         u_prev = state.u.copy()
-        admm_inner(mesh, f2, state, params, alpha, beta, systems)
+        admm_inner(mesh, f2, state, systems)
         state.mu = update_mu(mesh, state.u, state.b, f2, prev_mu=state.mu)
         state.outer = outer + 1
         err = inner_U(mesh, state.u - u_prev, state.u - u_prev)
         error_trace.append(err)
         energy_trace.append(
-            energy(mesh, state.u, state.v, state.b, state.mu, f2, params,
-                   alpha, beta)
+            energy(mesh, state.u, state.v, state.b, state.mu, f2, params)
         )
         if err < params.outer_tol:
             converged = True
@@ -566,9 +561,9 @@ def segment(mesh, f, params):
         u=state.u,
         error_trace=error_trace,
         energy_trace=energy_trace,
-        kkt=kkt_residuals(mesh, f2, state, params, alpha, beta),
+        kkt=kkt_residuals(mesh, f2, state, params),
         seconds=time.perf_counter() - t0,
         converged=converged,
-        alpha=alpha,
+        alpha=params.alpha,
         state=state,
     )

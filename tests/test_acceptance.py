@@ -188,8 +188,8 @@ def test_criterion_04_subproblem_stationarity():
                 + 0.5 * alpha * inner_U(mesh, z, s_field(f, bb, mu))
 
         systems = Systems(
-            mesh, SolverParams(k=K, r_p=r_p, r_q=r_q, r_z=r_z, eta=eta),
-            alpha, beta)
+            mesh, SolverParams(k=K, r_p=r_p, r_q=r_q, r_z=r_z, eta=eta,
+                               alpha=alpha, beta_ratio=beta / alpha))
         u_sol = solve_u(mesh, z, lam_z, p, v, lam_p, systems)
         v_sol = solve_v(mesh, u_sol, p, lam_p, q, lam_q, systems)
         b_sol = solve_b(mesh, f, z, mu, systems)
@@ -222,8 +222,9 @@ def test_criterion_05_transliteration_oracle():
     alpha, beta = 1.5, 2.0
     expected = one_admm_sweep(mesh, f, arrays, alpha, beta)
     state = SolverState(**{k: v.copy() for k, v in arrays.items()})
-    params = SolverParams(k=K, mode="gpsms", alpha=alpha, inner_iters=1)
-    admm_inner(mesh, f, state, params, alpha, beta)
+    params = SolverParams(k=K, mode="gpsms", alpha=alpha,
+                          beta_ratio=beta / alpha, inner_iters=1)
+    admm_inner(mesh, f, state, Systems(mesh, params))
     worst = 0.0
     for name, want in expected.items():
         err = np.abs(getattr(state, name) - want).max()
@@ -300,7 +301,7 @@ def test_criterion_10_alpha_hand_value():
     f = np.array([[0.0], [1.0]])
     u0 = np.array([[1.0, 0.0], [0.0, 1.0]])
     mu0 = np.array([[0.1], [0.9]])
-    alpha = estimate_alpha(mesh, f, u0, mu0, 2, SolverParams(k=2))
+    alpha = estimate_alpha(mesh, f, u0, mu0, SolverParams(k=2))
     err = abs(alpha - 200.0) / 200.0
     assert err <= 1e-12
     ok(10, f"hand-built 2-face alpha = {alpha!r} (rel err {err:.2e})")

@@ -1,7 +1,5 @@
 """Normal-affinity Laplacian and spectral feature construction."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from msseg import features
 from msseg.errors import FeatureError
 from msseg.features import (
     build_laplacian,
-    dump_features,
     feature_field,
 )
 from msseg.mesh import TriMesh, smoothed_normals
@@ -254,11 +251,3 @@ def test_feature_field_argument_errors():
         feature_field(mesh, 1)
     with pytest.raises(FeatureError):
         feature_field(mesh, 3)  # needs 2 channels but only 2 faces
-
-
-def test_dump_features_round_trip():
-    field = feature_field(random_closed(40, seed=13), 3)
-    buf = io.StringIO()
-    dump_features(field, buf)
-    back = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",")
-    assert np.allclose(back, field.values, atol=1e-15)

@@ -199,6 +199,10 @@ _OBJ_TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
     (load_off, "OFF\n3 1 0\n" + _TRI + "3 0 x 2\n", MeshFormatError, 6),
     (load_off, "OFF\n3 1 0\n" + _TRI + "3 0 1 2.0\n", MeshFormatError, 6),
     (load_off, "OFF\n4 1 0\n" + _TRI + "1 1 0\n4 0 1 3 2\n", TopologyError, 7),
+    (load_off, "OFF\n4 1 0\n" + _TRI + "1 1 0\n3 0 1 2\n3 0 2 3\n",
+     MeshFormatError, 8),
+    (load_off, "OFF\n3 1 0\n" + _TRI + "3 0 1 2\n# end\nhello world\n",
+     MeshFormatError, 8),
     (load_obj, _OBJ_TRI + "f 1 x 3\n", MeshFormatError, 4),
     (load_obj, _OBJ_TRI + "f 0 1 2\n", MeshFormatError, 4),
     (load_obj, _OBJ_TRI + "f -1 1 2\n", MeshFormatError, 4),
@@ -210,6 +214,7 @@ _OBJ_TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
     "off-no-counts", "off-short-counts", "off-counts-x", "off-counts-neg-v",
     "off-counts-neg-f", "off-truncated", "off-short-vertex",
     "off-vertex-not-a-number", "off-face-x", "off-face-float", "off-quad",
+    "off-extra-face", "off-trailing-text",
     "obj-face-x", "obj-face-0", "obj-face-neg", "obj-quad", "obj-no-vertices",
     "obj-short-vertex",
 ])

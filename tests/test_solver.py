@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from msseg import solver
 from msseg.calculus import divergence, gradient, inner_U, tv_energy
 from msseg.errors import DimensionError, InitializationError, ParameterError
 from msseg.mesh import load_off
@@ -63,6 +62,15 @@ def test_params_validation():
         SolverParams(k=2, inner_iters=0).validate()
     with pytest.raises(ParameterError):
         SolverParams(k=2, max_outer=0).validate()
+
+    # wrong types fail typed, the integer type before any range check
+    for kw in ({"inner_iters": 2.5}, {"max_outer": 2.5}, {"seed": 1.5},
+               {"k": 2.0}, {"inner_iters": True}, {"alpha": "3"},
+               {"eta": "1"}, {"r_z": None}, {"alpha": True}):
+        with pytest.raises(ParameterError, match=next(iter(kw))):
+            SolverParams(**{"k": 2, **kw}).validate()
+    SolverParams(k=np.int64(3), inner_iters=np.int32(2), seed=np.uint8(1),
+                 alpha=np.float64(2.5), eta=np.float32(1e-5)).validate()
 
 
 # -- simplex projection --------------------------------------------------------
@@ -179,8 +187,6 @@ def test_s_field_bitwise_equal_to_broadcast_form(T, K, n):
     mu = rng.normal(size=(K, n)) * 3.0
     broadcast = ((f[:, None, :] - b[:, None, :] - mu[None]) ** 2).sum(axis=2)
     assert np.array_equal(s_field(f, b, mu), broadcast)
-    if n == 1:
-        assert np.array_equal(s_field(f[:, 0], b[:, 0], mu[:, 0]), broadcast)
 
 
 def test_update_z_fixed_point():
@@ -281,7 +287,7 @@ def test_estimate_alpha_hand_case_is_200():
     u0 = np.array([[1.0, 0.0], [0.0, 1.0]])
     mu0 = np.array([[0.1], [0.9]])
     params = SolverParams(k=2)
-    alpha = estimate_alpha(mesh, f, u0, mu0, 2, params)
+    alpha = estimate_alpha(mesh, f, u0, mu0, params)
     assert abs(alpha - 200.0) <= 200.0 * 1e-12
 
 
@@ -292,7 +298,7 @@ def test_estimate_alpha_zero_denominator_falls_back():
     mu0 = np.array([[0.0], [1.0]])  # exact fit: denominator 0
     params = SolverParams(k=2, fallback_alpha=3.5)
     with pytest.warns(RuntimeWarning, match="degenerate alpha"):
-        alpha = estimate_alpha(mesh, f, u0, mu0, 2, params)
+        alpha = estimate_alpha(mesh, f, u0, mu0, params)
     assert alpha == 3.5
 
 
@@ -303,7 +309,7 @@ def test_estimate_alpha_zero_numerator_falls_back():
     mu0 = np.array([[0.3], [0.9]])
     params = SolverParams(k=2)
     with pytest.warns(RuntimeWarning, match="degenerate alpha"):
-        alpha = estimate_alpha(mesh, f, u0, mu0, 2, params)
+        alpha = estimate_alpha(mesh, f, u0, mu0, params)
     assert alpha == 1.0
 
 
@@ -316,8 +322,8 @@ def test_solve_u_no_tv_limit_is_diagonal():
     z = rng.normal(size=(5, 2))
     lam_z = rng.normal(size=(5, 2))
     zeros = np.zeros((mesh.n_edges, 2))
-    systems = Systems(mesh, SolverParams(k=2, mode="pcms", r_p=0.0, r_z=50.0),
-                      1.0, 1.0)
+    systems = Systems(mesh, SolverParams(k=2, mode="pcms", alpha=1.0, r_p=0.0,
+                                         r_z=50.0))
     u = solve_u(mesh, z, lam_z, zeros, zeros, zeros, systems)
     assert np.allclose(u, z + lam_z / 50.0, atol=1e-13)
 
@@ -332,8 +338,8 @@ def test_solve_u_two_face_closed_form():
     v = rng.normal(size=(E, K))
     lam_p = rng.normal(size=(E, K))
     r_p, r_z = 1.3, 80.0
-    systems = Systems(mesh, SolverParams(k=K, mode="pcms", r_p=r_p, r_z=r_z),
-                      1.0, 1.0)
+    systems = Systems(mesh, SolverParams(k=K, mode="pcms", alpha=1.0, r_p=r_p,
+                                         r_z=r_z))
     got = solve_u(mesh, z, lam_z, p, v, lam_p, systems)
     A, l, Ginc, Gb, _ = dense_operators(mesh)
     M = r_p * Gb.T @ (l[:, None] * Gb) + r_z * np.diag(A)
@@ -349,7 +355,7 @@ def test_solve_v_single_triangle_diagonal_case():
     lam_p = rng.normal(size=(3, 2))
     u = rng.normal(size=(1, 2))
     r_p = 2.0
-    systems = Systems(mesh, SolverParams(k=2, r_p=r_p, r_q=1.0), 1.0, 1.0)
+    systems = Systems(mesh, SolverParams(k=2, alpha=1.0, r_p=r_p, r_q=1.0))
     v = solve_v(mesh, u, p, lam_p, np.zeros((1, 2)), np.zeros((1, 2)),
                 systems)
     assert np.allclose(v, -p - lam_p / r_p, atol=1e-13)
@@ -365,7 +371,7 @@ def test_solve_v_returns_consistent_stationary_point():
     q = divergence(mesh, v_star)
     zeros_e = np.zeros_like(v_star)
     zeros_t = np.zeros_like(q)
-    systems = Systems(mesh, SolverParams(k=K, r_p=1.0, r_q=1.0), 1.0, 1.0)
+    systems = Systems(mesh, SolverParams(k=K, alpha=1.0, r_p=1.0, r_q=1.0))
     v = solve_v(mesh, u, p, zeros_e, q, zeros_t, systems)
     assert np.allclose(v, v_star, atol=1e-10)
 
@@ -376,8 +382,8 @@ def test_solve_b_zero_right_side():
     z[:, 0] = 1.0
     mu = np.array([[0.7], [2.0]])
     f = z @ mu  # exact piecewise fit
-    systems = Systems(mesh, SolverParams(k=2, mode="psms", eta=1e-5),
-                      alpha=5.0, beta=3.0)
+    systems = Systems(mesh, SolverParams(k=2, mode="psms", eta=1e-5,
+                                         alpha=5.0, beta_ratio=3.0 / 5.0))
     b = solve_b(mesh, f, z, mu, systems)
     assert np.allclose(b, 0.0, atol=1e-12)
 
@@ -393,8 +399,9 @@ def test_solve_b_constant_right_side_closed_mesh():
     f = np.full((4, 1), c)
     alpha, eta = 2.0, 1e-5
     for beta in (1.0, 1e6 * alpha):
-        systems = Systems(mesh, SolverParams(k=2, mode="psms", eta=eta),
-                          alpha, beta)
+        systems = Systems(mesh, SolverParams(k=2, mode="psms", eta=eta,
+                                             alpha=alpha,
+                                             beta_ratio=beta / alpha))
         b = solve_b(mesh, f, z, mu, systems)
         assert np.allclose(b, alpha * c / (eta + alpha), atol=1e-8)
 
@@ -422,7 +429,7 @@ def test_admm_inner_fixed_point_unchanged():
     before = state.copy()
     f = np.zeros((2, 1))  # f = z @ mu exactly
     params = SolverParams(k=2, mode="gpsms", alpha=1.0)
-    admm_inner(mesh, f, state, params, alpha=1.0, beta=1.0)
+    admm_inner(mesh, f, state, Systems(mesh, params))
     for name in ("u", "z", "b", "v", "p", "q", "lam_p", "lam_q", "lam_z"):
         assert np.allclose(getattr(state, name), getattr(before, name),
                            atol=1e-8), name
@@ -448,8 +455,9 @@ def test_admm_inner_matches_transliteration_reference():
     alpha, beta = 1.5, 2.0
     expected = one_admm_sweep(mesh, f, arrays, alpha, beta)
     state = SolverState(**{k: v.copy() for k, v in arrays.items()})
-    params = SolverParams(k=K, mode="gpsms", alpha=alpha, inner_iters=1)
-    admm_inner(mesh, f, state, params, alpha, beta)
+    params = SolverParams(k=K, mode="gpsms", alpha=alpha,
+                          beta_ratio=beta / alpha, inner_iters=1)
+    admm_inner(mesh, f, state, Systems(mesh, params))
     for name, want in expected.items():
         assert np.allclose(getattr(state, name), want, atol=1e-12), name
 
@@ -460,7 +468,7 @@ def test_multiplier_update_identities_exact():
     f = np.random.default_rng(14).normal(size=(mesh.n_faces, 1))
     state = initial_state(mesh, f, params)
     before = state.copy()
-    admm_inner(mesh, f, state, params, alpha=2.0, beta=2.0)
+    admm_inner(mesh, f, state, Systems(mesh, params))
     gu = gradient(mesh, state.u)
     dv = divergence(mesh, state.v)
     assert np.array_equal(
@@ -605,6 +613,33 @@ def test_gpsms_with_frozen_v_matches_psms_bitwise_small():
     assert res_g.error_trace == res_p.error_trace
 
 
+def _same_run(a, b):
+    for name in ("labels", "u", "b", "mu"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.error_trace == b.error_trace
+    assert a.energy_trace == b.energy_trace
+    assert a.kkt == b.kkt
+
+
+def test_segment_one_dimensional_field_is_the_one_column_field():
+    mesh = random_closed(40, seed=21)
+    f = np.random.default_rng(23).normal(size=(mesh.n_faces, 1))
+    params = SolverParams(k=2, mode="gpsms", max_outer=5, seed=3)
+    _same_run(segment(mesh, f[:, 0], params), segment(mesh, f, params))
+
+
+def test_segment_resolved_alpha_replays_bitwise():
+    mesh = random_closed(40, seed=21)
+    f = np.random.default_rng(24).normal(size=(mesh.n_faces, 1))
+    params = SolverParams(k=2, mode="gpsms", max_outer=5, seed=3)
+    auto = segment(mesh, f, params)
+    assert params.alpha is None  # the caller's params are left as given
+    given = segment(mesh, f, SolverParams(k=2, mode="gpsms", max_outer=5,
+                                          seed=3, alpha=auto.alpha))
+    assert given.alpha == auto.alpha
+    _same_run(auto, given)
+
+
 def test_pcms_mode_keeps_b_zero():
     mesh, f, _ = piecewise_constant_instance()
     result = segment(mesh, f, SolverParams(k=2, mode="pcms", alpha=100.0))
@@ -621,28 +656,16 @@ def test_pcms_mode_keeps_b_zero():
     ("gpsms", False, (True, True, True)),
 ])
 def test_systems_factor_only_what_the_mode_solves(mode, freeze_v, factored):
-    params = SolverParams(k=2, mode=mode, freeze_v=freeze_v)
-    systems = Systems(strip10(), params, alpha=2.0, beta=3.0)
+    params = SolverParams(k=2, mode=mode, freeze_v=freeze_v, alpha=2.0,
+                          beta_ratio=3.0 / 2.0)
+    systems = Systems(strip10(), params)
     got = (systems.u_solve, systems.v_solve, systems.b_solve)
     assert tuple(s is not None for s in got) == factored
 
 
-def test_admm_inner_without_systems_factors_each_once(monkeypatch):
-    factored = []
-    spd_solve = solver._SPDSolve
-    monkeypatch.setattr(solver, "_SPDSolve",
-                        lambda A: factored.append(A) or spd_solve(A))
-    mesh = random_closed(40, seed=6)
-    params = SolverParams(k=2, mode="gpsms", inner_iters=3)
-    f = np.random.default_rng(22).normal(size=(mesh.n_faces, 1))
-    state = initial_state(mesh, f, params)
-    prefactored = state.copy()
-    admm_inner(mesh, f, state, params, alpha=2.0, beta=3.0)
-    assert len(factored) <= 3
-    admm_inner(mesh, f, prefactored, params, 2.0, 3.0,
-               Systems(mesh, params, alpha=2.0, beta=3.0))
-    for name, want in prefactored.__dict__.items():
-        assert np.array_equal(getattr(state, name), want), name
+def test_systems_needs_a_resolved_alpha():
+    with pytest.raises(ParameterError, match="alpha"):
+        Systems(strip10(), SolverParams(k=2))
 
 
 # -- energy and KKT diagnostics ---------------------------------------------------
@@ -658,9 +681,9 @@ def test_energy_single_class_is_weighted_variance():
     u[:, 0] = 1.0
     mu = np.array([[m], [7.0]])
     alpha = 3.0
-    params = SolverParams(k=2, mode="psms", alpha=alpha)
-    val = energy(mesh, u, np.zeros((6, 2)), np.zeros((4, 1)), mu, f,
-                 params, alpha, beta=1.0)
+    params = SolverParams(k=2, mode="psms", alpha=alpha,
+                          beta_ratio=1.0 / alpha)
+    val = energy(mesh, u, np.zeros((6, 2)), np.zeros((4, 1)), mu, f, params)
     expected = 0.5 * alpha * float(A @ (f[:, 0] - m) ** 2)
     assert val == pytest.approx(expected, rel=1e-12)
 
@@ -672,9 +695,9 @@ def test_energy_exact_fit_is_tv_only():
     f = mu[labels]
     u = np.zeros((10, 2))
     u[np.arange(10), labels] = 1.0
-    params = SolverParams(k=2, mode="psms", alpha=5.0)
+    params = SolverParams(k=2, mode="psms", alpha=5.0, beta_ratio=1.0 / 5.0)
     val = energy(mesh, u, np.zeros((mesh.n_edges, 2)), np.zeros((10, 1)),
-                 mu, f, params, alpha=5.0, beta=1.0)
+                 mu, f, params)
     assert val == pytest.approx(tv_energy(mesh, u), rel=1e-12)
 
 
@@ -686,11 +709,10 @@ def test_energy_class_permutation_invariance():
     b = 0.1 * rng.normal(size=(10, 2))
     mu = rng.normal(size=(3, 2))
     v = np.zeros((mesh.n_edges, 3))
-    params = SolverParams(k=3, mode="gpsms", alpha=2.0)
+    params = SolverParams(k=3, mode="gpsms", alpha=2.0, beta_ratio=1.0 / 2.0)
     perm = [2, 0, 1]
-    a = energy(mesh, u, v, b, mu, f, params, 2.0, 1.0)
-    b_val = energy(mesh, u[:, perm], v[:, perm], b, mu[perm], f,
-                   params, 2.0, 1.0)
+    a = energy(mesh, u, v, b, mu, f, params)
+    b_val = energy(mesh, u[:, perm], v[:, perm], b, mu[perm], f, params)
     assert a == pytest.approx(b_val, rel=1e-12)
 
 
@@ -699,7 +721,7 @@ def test_kkt_residuals_vanish_at_constructed_point():
     state = make_fixed_point_state(mesh)
     f = np.zeros((2, 1))
     params = SolverParams(k=2, mode="gpsms", alpha=1.0)
-    res = kkt_residuals(mesh, f, state, params, alpha=1.0, beta=1.0)
+    res = kkt_residuals(mesh, f, state, params)
     for name, val in res.items():
         assert val <= 1e-10, (name, val)
 
@@ -708,7 +730,7 @@ def test_kkt_residuals_positive_at_fresh_init():
     mesh, f, _ = piecewise_constant_instance()
     params = SolverParams(k=2, alpha=10.0)
     state = initial_state(mesh, f, params)
-    res = kkt_residuals(mesh, f, state, params, alpha=10.0, beta=10.0)
+    res = kkt_residuals(mesh, f, state, params)
     assert res["primal_z"] > 0.0
     assert res["b_stationarity"] > 0.0
 
