@@ -9,8 +9,9 @@ gradient under the area/length weighted inner products below.
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, NumericError, ParameterError
 
 
 class Operators:
@@ -41,6 +42,34 @@ def operators(mesh):
     if mesh._ops is None:
         mesh._ops = Operators(mesh)
     return mesh._ops
+
+
+_SOLVE_RTOL = 1e-8  # residual bound of every direct solve, relative to 1 + |rhs|
+
+
+class _SPDSolve:
+    """Direct solve of an SPD sparse system, with a residual check.
+
+    The one sparse factorization of the package: the solver's u, v and b
+    systems and the features' shift-invert eigensolve all use it.  One
+    SuperLU factorization in symmetric mode (minimum degree ordering on
+    the pattern of ``A' + A``, diagonal pivots) serves every later solve.
+    """
+
+    def __init__(self, matrix):
+        self.matrix = matrix.tocsc()
+        self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0,
+                             options={"SymmetricMode": True})
+
+    def __call__(self, rhs):
+        x = self._lu.solve(rhs)
+        res = np.linalg.norm(self.matrix @ x - rhs)
+        if res > _SOLVE_RTOL * (1.0 + np.linalg.norm(rhs)):
+            raise NumericError(
+                f"linear solve residual {res:.3e} above tolerance"
+            )
+        return x
 
 
 def _face_field(mesh, u, name="field"):

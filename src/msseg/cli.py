@@ -77,7 +77,7 @@ def export_colored_mesh(mesh, labels, path):
         raise MeshSegError(f"cannot write {path}: {exc}") from exc
 
 
-_LIBRARY_ONLY = ("fallback_alpha", "freeze_v")
+_LIBRARY_ONLY = ("freeze_v",)
 # the only config keys and flags not spelled like their field or key
 _KEYS = {"outer_tol": "tol"}
 _FLAGS = {"r_p": "--rp", "r_q": "--rq", "r_z": "--rz"}

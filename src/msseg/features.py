@@ -14,6 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
+from .calculus import _SPDSolve
 from .errors import FeatureError, NumericError
 from .mesh import DEFAULT_RING, smoothed_normals
 
@@ -69,11 +70,8 @@ def _indicator_bases(laplacian, n_faces):
     orthonormalized between-component contrasts (the informative part of
     that span, empty for a connected mesh).
     """
-    adj = sp.csr_matrix(
-        (np.ones(len(laplacian.data)), laplacian.indices, laplacian.indptr),
-        shape=laplacian.shape,
-    )
-    n_comp, labels = connected_components(adj, directed=False)
+    # the stored pattern, explicit zeros included, is the face graph
+    n_comp, labels = connected_components(laplacian, directed=False)
     indicators = np.zeros((n_faces, n_comp))
     indicators[np.arange(n_faces), labels] = 1.0
     indicators /= np.linalg.norm(indicators, axis=0)
@@ -102,8 +100,8 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
     component) are kept first, followed by eigenvectors of increasing
     positive eigenvalue, with a deterministic sign (first entry of
     magnitude above tolerance is positive).  The eigenpairs come from a
-    shift-invert ARPACK solve at every size; a dense ``eigh`` serves only
-    a request that covers the whole spectrum, where ARPACK cannot run.
+    shift-invert ARPACK solve through ``_SPDSolve`` at every size; a dense
+    ``eigh`` serves only a request that covers the whole spectrum.
     """
     if n_segments < 2:
         raise FeatureError(f"need at least 2 segments, got {n_segments}")
@@ -133,10 +131,12 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
             w, V = np.linalg.eigh(L.toarray())
         else:
             sigma = -1e-6 * max(max_diag, 1.0)
+            shifted = _SPDSolve(L - sigma * sp.identity(T))
             try:
                 w, V = spla.eigsh(
                     L, k=k_solve, sigma=sigma, which="LM",
                     v0=np.full(T, 1.0 / np.sqrt(T)),
+                    OPinv=spla.LinearOperator((T, T), matvec=shifted),
                 )
             except (spla.ArpackNoConvergence, RuntimeError) as exc:
                 raise NumericError(f"eigensolver failed to converge: {exc}")

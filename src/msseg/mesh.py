@@ -257,12 +257,11 @@ def load_off(source):
         raise MeshFormatError("empty OFF file")
     n, header = rows[0]
     body = rows[1:]
+    # "OFF", or "OFF" and the counts on one line: "OFF 8 6 0", "OFF8 6 0"
+    if header[:3] != "OFF" or not (header[3:4].strip() or "0").isdigit():
+        raise MeshFormatError("missing OFF header", line=n)
     if header != "OFF":
-        # counts may share the header line: "OFF 8 6 0"
-        if header.startswith("OFF"):
-            body = [(n, header[3:].strip())] + body
-        else:
-            raise MeshFormatError("missing OFF header", line=n)
+        body = [(n, header[3:].strip())] + body
     if not body:
         raise MeshFormatError("missing counts line")
     n, counts = body[0]

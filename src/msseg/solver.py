@@ -23,14 +23,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import calculus as calc
 from .calculus import divergence, gradient, inner_U, norm_U, norm_V, operators
-from .errors import (DimensionError, InitializationError, NumericError,
-                     ParameterError)
+from .errors import DimensionError, InitializationError, ParameterError
 
 MODES = ("pcms", "psms", "gpsms")
+_FALLBACK_ALPHA = 1.0  # alpha when the estimate from the init degenerates
 
 
 @dataclass
@@ -55,7 +54,6 @@ class SolverParams:
     outer_tol: float = 1e-5
     max_outer: int = 100
     seed: int = 0
-    fallback_alpha: float = 1.0
     freeze_v: bool = False  # diagnostic: disable v/q updates in gpsms mode
 
     @property
@@ -65,6 +63,8 @@ class SolverParams:
     def validate(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.freeze_v, (bool, np.bool_)):
+            raise ParameterError(f"freeze_v must be a bool, got {self.freeze_v!r}")
         # the type before the range, so that no comparison raises TypeError
         for name, least in (("k", 2), ("inner_iters", 1), ("max_outer", 1),
                             ("seed", 0)):
@@ -74,7 +74,7 @@ class SolverParams:
             if value < least:
                 raise ParameterError(f"{name} must be at least {least}, got {value}")
         weights = ("beta_ratio", "alpha0", "eta", "r_p", "r_q", "r_z",
-                   "outer_tol", "fallback_alpha")
+                   "outer_tol")
         for name in weights + (() if self.alpha is None else ("alpha",)):
             value = getattr(self, name)
             # written so that NaN fails too
@@ -126,39 +126,12 @@ class SegmentationResult:
 # -- linear systems ----------------------------------------------------------
 
 
-_SOLVE_RTOL = 1e-8  # residual bound of every direct solve, relative to 1 + |rhs|
-
-
-class _SPDSolve:
-    """Direct solve of an SPD sparse system, with a residual check.
-
-    Direct only: one SuperLU factorization in symmetric mode (minimum
-    degree ordering on the pattern of ``A' + A``, diagonal pivots) serves
-    every later solve, at every size.
-    """
-
-    def __init__(self, matrix):
-        self.matrix = matrix.tocsc()
-        self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
-                             diag_pivot_thresh=0.0,
-                             options={"SymmetricMode": True})
-
-    def __call__(self, rhs):
-        x = self._lu.solve(rhs)
-        res = np.linalg.norm(self.matrix @ x - rhs)
-        if res > _SOLVE_RTOL * (1.0 + np.linalg.norm(rhs)):
-            raise NumericError(
-                f"linear solve residual {res:.3e} above tolerance"
-            )
-        return x
-
-
 class Systems:
     """Prefactorized per-channel SPD systems for the smooth updates.
 
     The one place the u, v and b systems are assembled and factored.  All
     coefficients are constant along a run, so each system is factorized
-    once, direct only (see :class:`_SPDSolve`), and only the systems the
+    once by :class:`msseg.calculus._SPDSolve`, and only the systems the
     mode solves with are built: ``v`` for gpsms without ``freeze_v`` on a
     mesh with interior edges, ``b`` for psms and gpsms; the others are
     ``None``.  The systems are the weighted-inner-product normal equations
@@ -185,23 +158,23 @@ class Systems:
         Winv = sp.diags(1.0 / ops.areas)
         D = sp.diags(ops.lengths)
         S = ops.grad.T @ D @ ops.grad
-        self.u_solve = _SPDSolve(params.r_p * S + params.r_z * W)
+        self.u_solve = calc._SPDSolve(params.r_p * S + params.r_z * W)
         self.v_solve = self.b_solve = None
         if use_vq and self.interior.size:
             DG = (D @ ops.grad).tocsr()[self.interior]
             Dint = sp.diags(ops.lengths[self.interior])
-            self.v_solve = _SPDSolve(params.r_q * (DG @ Winv @ DG.T)
-                                     + params.r_p * Dint)
+            self.v_solve = calc._SPDSolve(params.r_q * (DG @ Winv @ DG.T)
+                                          + params.r_p * Dint)
         if use_b:
-            self.b_solve = _SPDSolve(params.beta * (S @ Winv @ S)
-                                     + (params.eta + params.alpha) * W)
+            self.b_solve = calc._SPDSolve(params.beta * (S @ Winv @ S)
+                                          + (params.eta + params.alpha) * W)
 
 
 # -- closed-form pieces ------------------------------------------------------
 
 
 def s_field(f, b, mu):
-    """Per-face, per-class squared misfit ||f - b - mu_k||^2 (2-D arrays)."""
+    """Per-face, per-class squared misfit ||f - b - mu_k||^2; ``b`` may be 0."""
     g = f - b
     # one class at a time: no (T, K, n) temporary, and the same roundings
     # as subtracting f - b - mu_k in one broadcast
@@ -347,8 +320,7 @@ def init_labels(f, areas, k, seed):
         centers = _kmeans_pp(f, weights, k, rng)
         assign = None
         for _ in range(100):
-            d2 = ((f[:, None, :] - centers[None]) ** 2).sum(axis=2)
-            new_assign = np.argmin(d2, axis=1)
+            new_assign = np.argmin(s_field(f, 0.0, centers), axis=1)
             if assign is not None and np.array_equal(new_assign, assign):
                 break
             assign = new_assign
@@ -377,10 +349,7 @@ def _kmeans_pp(f, weights, k, rng):
     probs = weights / weights.sum()
     centers = [f[rng.choice(T, p=probs)]]
     for _ in range(1, k):
-        d2 = np.min(
-            ((f[:, None, :] - np.array(centers)[None]) ** 2).sum(axis=2), axis=1
-        )
-        scores = weights * d2
+        scores = weights * s_field(f, 0.0, np.array(centers)).min(axis=1)
         total = scores.sum()
         if total <= 0:
             idx = rng.choice(T, p=probs)
@@ -396,17 +365,17 @@ def estimate_alpha(mesh, f, u0, mu0, params):
     ``alpha = 2 K * Per(u0) / <u0, s(f, 0, mu0)>_U`` where ``Per`` is the
     label-boundary perimeter, i.e. half the total variation of the one-hot
     initial labeling (each interface shows up in two channels).  Degenerate
-    numerator or denominator falls back to ``params.fallback_alpha``.
+    numerator or denominator falls back to ``_FALLBACK_ALPHA``.
     """
     numerator = 2.0 * params.k * (calc.tv_energy(mesh, u0) / 2.0)
-    denominator = inner_U(mesh, u0, s_field(f, np.zeros_like(f), mu0))
+    denominator = inner_U(mesh, u0, s_field(f, 0.0, mu0))
     if numerator <= 0 or denominator <= 0:
         warnings.warn(
             f"degenerate alpha estimate (num={numerator}, den={denominator}); "
-            f"using fallback alpha={params.fallback_alpha}",
+            f"using fallback alpha={_FALLBACK_ALPHA}",
             RuntimeWarning,
         )
-        return params.fallback_alpha
+        return _FALLBACK_ALPHA
     return numerator / denominator
 
 
@@ -472,15 +441,11 @@ def initial_state(mesh, f, params):
 
 
 def energy(mesh, u, v, b, mu, f, params):
-    """Model energy: regularizer + smooth-part terms + data term, with the
-    weights of ``params``, which carries a resolved alpha."""
-    if params.mode == "gpsms":
-        reg = calc.rtgv_value(mesh, u, v, params.alpha0)
-    else:
-        reg = calc.tv_energy(mesh, u)
+    """Model energy: relaxed TGV (TV where ``v`` = 0) + smooth-part terms +
+    data term, weighted by ``params``, which carries a resolved alpha."""
     lap = calc.laplace(mesh, b)
     return (
-        reg
+        calc.rtgv_value(mesh, u, v, params.alpha0)
         + 0.5 * params.beta * inner_U(mesh, lap, lap)
         + 0.5 * params.eta * inner_U(mesh, b, b)
         + 0.5 * params.alpha * inner_U(mesh, u, s_field(f, b, mu))

@@ -378,9 +378,8 @@ def test_schema_round_trip_through_report(dumbbell_setup):
         r_p=2.0, r_q=3.0, r_z=50.0, inner_iters=2, outer_tol=1e-4,
         max_outer=2, seed=7,
     )
-    library_only = ("fallback_alpha", "freeze_v")
     for f in fields(SolverParams):
-        if f.name not in library_only:
+        if f.name != "freeze_v":
             assert getattr(params, f.name) != f.default, f.name
     out = base / "round_trip"
     assert main([

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from msseg import features
 from msseg.errors import FeatureError
@@ -203,7 +204,7 @@ def _record_arpack_calls(monkeypatch):
     eigsh = features.spla.eigsh
 
     def recording(*args, **kwargs):
-        calls.append(kwargs["k"])
+        calls.append(kwargs)
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(features.spla, "eigsh", recording)
@@ -219,12 +220,25 @@ def _assert_matches_dense_oracle(mesh, field):
 
 
 def test_arpack_matches_dense_eigh_on_small_mesh(monkeypatch):
-    # a small mesh (690 faces) takes the ARPACK path too
+    # a small mesh (690 faces) takes the ARPACK path too, and its
+    # shift-invert operator is the one SPD factor of L - sigma I
     calls = _record_arpack_calls(monkeypatch)
+    factored = []
+    spd_solve = features._SPDSolve
+
+    def recording(matrix):
+        factored.append(matrix)
+        return spd_solve(matrix)
+
+    monkeypatch.setattr(features, "_SPDSolve", recording)
     mesh = random_closed(800, seed=3)
     assert mesh.n_faces <= 3000
     field = feature_field(mesh, 4)
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0].get("OPinv") is not None
+    assert len(factored) == 1
+    sigma = calls[0]["sigma"]
+    shifted = build_laplacian(mesh) - sigma * sp.identity(mesh.n_faces)
+    assert sigma < 0 and (factored[0] != shifted).nnz == 0
     _assert_matches_dense_oracle(mesh, field)
 
 

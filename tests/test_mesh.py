@@ -177,38 +177,44 @@ def test_obj_quad_rejected():
 
 
 # The loaders' error contract: one fault per input, each pinned to the
-# error type and the 1-based line it names (None: no line in the message).
+# error type and the 1-based line it names (None: no line in the message),
+# and where given to a pattern its message matches.
 _TRI = "0 0 0\n1 0 0\n0 1 0\n"
 _OBJ_TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
 
 
-@pytest.mark.parametrize("load, text, error, line", [
-    (load_off, "", MeshFormatError, None),
-    (load_off, "# only\n\n# comments\n", MeshFormatError, None),
-    (load_off, "3 1 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 1),
-    (load_off, "OFFX\n3 1 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 1),
-    (load_off, "OFF\n# no counts\n", MeshFormatError, None),
-    (load_off, "OFF\n3\n" + _TRI + "3 0 1 2\n", MeshFormatError, 2),
-    (load_off, "OFF\n3 x 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 2),
-    (load_off, "OFF\n-1 1 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 2),
-    (load_off, "OFF\n3 -1 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 2),
-    (load_off, "OFF\n3 1 0\n" + _TRI, MeshFormatError, None),
-    (load_off, "OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", MeshFormatError, 4),
+@pytest.mark.parametrize("load, text, error, line, match", [
+    (load_off, "", MeshFormatError, None, None),
+    (load_off, "# only\n\n# comments\n", MeshFormatError, None, None),
+    (load_off, "3 1 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 1,
+     "missing OFF header"),
+    (load_off, "OFFX\n3 1 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 1,
+     "missing OFF header"),
+    (load_off, "OFF\n# no counts\n", MeshFormatError, None, None),
+    (load_off, "OFF\n3\n" + _TRI + "3 0 1 2\n", MeshFormatError, 2, None),
+    (load_off, "OFF\n3 x 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 2, None),
+    (load_off, "OFF\n-1 1 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 2, None),
+    (load_off, "OFF\n3 -1 0\n" + _TRI + "3 0 1 2\n", MeshFormatError, 2, None),
+    (load_off, "OFF\n3 1 0\n" + _TRI, MeshFormatError, None, None),
+    (load_off, "OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n",
+     MeshFormatError, 4, None),
     (load_off, "OFF\n3 1 0\n0 0 0\n1 a 0\n0 1 0\n3 0 1 2\n",
-     MeshFormatError, 4),
-    (load_off, "OFF\n3 1 0\n" + _TRI + "3 0 x 2\n", MeshFormatError, 6),
-    (load_off, "OFF\n3 1 0\n" + _TRI + "3 0 1 2.0\n", MeshFormatError, 6),
-    (load_off, "OFF\n4 1 0\n" + _TRI + "1 1 0\n4 0 1 3 2\n", TopologyError, 7),
+     MeshFormatError, 4, None),
+    (load_off, "OFF\n3 1 0\n" + _TRI + "3 0 x 2\n", MeshFormatError, 6, None),
+    (load_off, "OFF\n3 1 0\n" + _TRI + "3 0 1 2.0\n", MeshFormatError, 6, None),
+    (load_off, "OFF\n4 1 0\n" + _TRI + "1 1 0\n4 0 1 3 2\n",
+     TopologyError, 7, None),
     (load_off, "OFF\n4 1 0\n" + _TRI + "1 1 0\n3 0 1 2\n3 0 2 3\n",
-     MeshFormatError, 8),
+     MeshFormatError, 8, None),
     (load_off, "OFF\n3 1 0\n" + _TRI + "3 0 1 2\n# end\nhello world\n",
-     MeshFormatError, 8),
-    (load_obj, _OBJ_TRI + "f 1 x 3\n", MeshFormatError, 4),
-    (load_obj, _OBJ_TRI + "f 0 1 2\n", MeshFormatError, 4),
-    (load_obj, _OBJ_TRI + "f -1 1 2\n", MeshFormatError, 4),
-    (load_obj, _OBJ_TRI + "v 1 1 0\nf 1 2 4 3\n", TopologyError, 5),
-    (load_obj, "# none\nvn 0 0 1\n", MeshFormatError, None),
-    (load_obj, "v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n", MeshFormatError, 2),
+     MeshFormatError, 8, None),
+    (load_obj, _OBJ_TRI + "f 1 x 3\n", MeshFormatError, 4, None),
+    (load_obj, _OBJ_TRI + "f 0 1 2\n", MeshFormatError, 4, None),
+    (load_obj, _OBJ_TRI + "f -1 1 2\n", MeshFormatError, 4, None),
+    (load_obj, _OBJ_TRI + "v 1 1 0\nf 1 2 4 3\n", TopologyError, 5, None),
+    (load_obj, "# none\nvn 0 0 1\n", MeshFormatError, None, None),
+    (load_obj, "v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n",
+     MeshFormatError, 2, None),
 ], ids=[
     "off-empty", "off-comments-only", "off-no-header", "off-OFFX",
     "off-no-counts", "off-short-counts", "off-counts-x", "off-counts-neg-v",
@@ -218,8 +224,8 @@ _OBJ_TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
     "obj-face-x", "obj-face-0", "obj-face-neg", "obj-quad", "obj-no-vertices",
     "obj-short-vertex",
 ])
-def test_loader_error_contract(load, text, error, line):
-    with pytest.raises(MeshSegError) as info:
+def test_loader_error_contract(load, text, error, line, match):
+    with pytest.raises(MeshSegError, match=match) as info:
         load(text)
     assert type(info.value) is error
     if error is MeshFormatError:

@@ -9,6 +9,7 @@ from msseg.calculus import divergence, gradient, inner_U, tv_energy
 from msseg.errors import DimensionError, InitializationError, ParameterError
 from msseg.mesh import load_off
 from msseg.solver import (
+    MODES,
     SolverParams,
     SolverState,
     Systems,
@@ -66,11 +67,14 @@ def test_params_validation():
     # wrong types fail typed, the integer type before any range check
     for kw in ({"inner_iters": 2.5}, {"max_outer": 2.5}, {"seed": 1.5},
                {"k": 2.0}, {"inner_iters": True}, {"alpha": "3"},
-               {"eta": "1"}, {"r_z": None}, {"alpha": True}):
+               {"eta": "1"}, {"r_z": None}, {"alpha": True},
+               {"freeze_v": "no"}, {"freeze_v": 0}, {"freeze_v": None}):
         with pytest.raises(ParameterError, match=next(iter(kw))):
             SolverParams(**{"k": 2, **kw}).validate()
     SolverParams(k=np.int64(3), inner_iters=np.int32(2), seed=np.uint8(1),
                  alpha=np.float64(2.5), eta=np.float32(1e-5)).validate()
+    SolverParams(k=2, freeze_v=True).validate()
+    SolverParams(k=2, freeze_v=np.bool_(False)).validate()
 
 
 # -- simplex projection --------------------------------------------------------
@@ -187,6 +191,9 @@ def test_s_field_bitwise_equal_to_broadcast_form(T, K, n):
     mu = rng.normal(size=(K, n)) * 3.0
     broadcast = ((f[:, None, :] - b[:, None, :] - mu[None]) ** 2).sum(axis=2)
     assert np.array_equal(s_field(f, b, mu), broadcast)
+    # b = 0: the k-means distance of init_labels and _kmeans_pp
+    broadcast = ((f[:, None, :] - mu[None]) ** 2).sum(axis=2)
+    assert np.array_equal(s_field(f, 0.0, mu), broadcast)
 
 
 def test_update_z_fixed_point():
@@ -296,10 +303,10 @@ def test_estimate_alpha_zero_denominator_falls_back():
     f = np.array([[0.0], [1.0]])
     u0 = np.array([[1.0, 0.0], [0.0, 1.0]])
     mu0 = np.array([[0.0], [1.0]])  # exact fit: denominator 0
-    params = SolverParams(k=2, fallback_alpha=3.5)
+    params = SolverParams(k=2)
     with pytest.warns(RuntimeWarning, match="degenerate alpha"):
         alpha = estimate_alpha(mesh, f, u0, mu0, params)
-    assert alpha == 3.5
+    assert alpha == 1.0
 
 
 def test_estimate_alpha_zero_numerator_falls_back():
@@ -689,16 +696,19 @@ def test_energy_single_class_is_weighted_variance():
 
 
 def test_energy_exact_fit_is_tv_only():
+    # with v = 0, as the TV modes keep it, the one regularizer of energy
+    # is the TV of u, bit for bit
     mesh = strip10()
     labels = (mesh.vertices[mesh.faces].mean(axis=1)[:, 0] > 2.5).astype(int)
     mu = np.array([[0.3], [0.9]])
     f = mu[labels]
     u = np.zeros((10, 2))
     u[np.arange(10), labels] = 1.0
-    params = SolverParams(k=2, mode="psms", alpha=5.0, beta_ratio=1.0 / 5.0)
-    val = energy(mesh, u, np.zeros((mesh.n_edges, 2)), np.zeros((10, 1)),
-                 mu, f, params)
-    assert val == pytest.approx(tv_energy(mesh, u), rel=1e-12)
+    for mode in MODES:
+        params = SolverParams(k=2, mode=mode, alpha=5.0, beta_ratio=1.0 / 5.0)
+        val = energy(mesh, u, np.zeros((mesh.n_edges, 2)), np.zeros((10, 1)),
+                     mu, f, params)
+        assert val == tv_energy(mesh, u) > 0, mode
 
 
 def test_energy_class_permutation_invariance():
