@@ -4,44 +4,15 @@ Face fields are ``(n_faces, n)`` arrays, edge fields ``(n_edges, n)``
 arrays.  The gradient jumps a face field across interior edges and is
 zero on boundary edges; the divergence maps edge fields back to faces
 with the 1/area factor that makes ``-div`` the exact adjoint of the
-gradient under the area/length weighted inner products below.
+gradient under the area/length weighted inner products below.  Both
+read the mesh's own signed incidence, ``TriMesh.grad`` and
+``TriMesh.incidence``.
 """
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionError, NumericError, ParameterError
-
-
-class Operators:
-    """Sparse incidence operators cached per mesh.
-
-    Attributes
-    ----------
-    incidence : (E, T) csr matrix
-        Full signed incidence: row e holds sgn(tau, e) for each face.
-    grad : (E, T) csr matrix
-        Incidence with boundary-edge rows zeroed; the gradient matrix.
-    """
-
-    def __init__(self, mesh):
-        T, E = mesh.n_faces, mesh.n_edges
-        rows = mesh.face_edges.ravel()
-        cols = np.repeat(np.arange(T), 3)
-        vals = mesh.face_edge_signs.ravel().astype(float)
-        self.incidence = sp.csr_matrix((vals, (rows, cols)), shape=(E, T))
-        mask = sp.diags((~mesh.boundary_edge).astype(float))
-        self.grad = (mask @ self.incidence).tocsr()
-        self.lengths = mesh.edge_lengths
-        self.areas = mesh.face_areas
-
-
-def operators(mesh):
-    """Return the cached :class:`Operators` for a mesh."""
-    if mesh._ops is None:
-        mesh._ops = Operators(mesh)
-    return mesh._ops
 
 
 _SOLVE_RTOL = 1e-8  # residual bound of every direct solve, relative to 1 + |rhs|
@@ -72,26 +43,15 @@ class _SPDSolve:
         return x
 
 
-def _face_field(mesh, u, name="field"):
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    if u.ndim != 2 or u.shape[0] != mesh.n_faces:
+def _field(x, rows, kind, name):
+    """``x`` as a ``(rows, n)`` array; a 1-D ``x`` becomes one column."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[0] != rows:
         raise DimensionError(
-            f"{name}: expected ({mesh.n_faces}, n) face field, got {u.shape}"
-        )
-    return u
-
-
-def _edge_field(mesh, p, name="field"):
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 1:
-        p = p[:, None]
-    if p.ndim != 2 or p.shape[0] != mesh.n_edges:
-        raise DimensionError(
-            f"{name}: expected ({mesh.n_edges}, n) edge field, got {p.shape}"
-        )
-    return p
+            f"{name}: expected ({rows}, n) {kind} field, got {x.shape}")
+    return x
 
 
 def gradient(mesh, u):
@@ -99,16 +59,16 @@ def gradient(mesh, u):
 
     Boundary edge rows are zero.
     """
-    u = _face_field(mesh, u, "u")
-    return operators(mesh).grad @ u
+    u = _field(u, mesh.n_faces, "face", "u")
+    return mesh.grad @ u
 
 
 def divergence(mesh, p):
     """Divergence of an edge field: -(1/A) * sum of sgn-weighted p*l over
     the three edges of each face (boundary edges included)."""
-    p = _edge_field(mesh, p, "p")
-    ops = operators(mesh)
-    return -(ops.incidence.T @ (ops.lengths[:, None] * p)) / ops.areas[:, None]
+    p = _field(p, mesh.n_edges, "edge", "p")
+    return -(mesh.incidence.T @ (mesh.edge_lengths[:, None] * p)) \
+        / mesh.face_areas[:, None]
 
 
 def laplace(mesh, u):
@@ -118,8 +78,8 @@ def laplace(mesh, u):
 
 def inner_U(mesh, a, b):
     """Area-weighted inner product of two face fields."""
-    a = _face_field(mesh, a, "a")
-    b = _face_field(mesh, b, "b")
+    a = _field(a, mesh.n_faces, "face", "a")
+    b = _field(b, mesh.n_faces, "face", "b")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.sum(mesh.face_areas[:, None] * a * b))
@@ -127,8 +87,8 @@ def inner_U(mesh, a, b):
 
 def inner_V(mesh, a, b):
     """Length-weighted inner product of two edge fields."""
-    a = _edge_field(mesh, a, "a")
-    b = _edge_field(mesh, b, "b")
+    a = _field(a, mesh.n_edges, "edge", "a")
+    b = _field(b, mesh.n_edges, "edge", "b")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.sum(mesh.edge_lengths[:, None] * a * b))
@@ -156,8 +116,8 @@ def rtgv_value(mesh, u, v, alpha0):
     """
     if alpha0 <= 0:
         raise ParameterError(f"alpha0 must be positive, got {alpha0}")
-    u = _face_field(mesh, u, "u")
-    v = _edge_field(mesh, v, "v")
+    u = _field(u, mesh.n_faces, "face", "u")
+    v = _field(v, mesh.n_edges, "edge", "v")
     g = gradient(mesh, u)
     if g.shape != v.shape:
         raise DimensionError(f"shape mismatch: grad u {g.shape} vs v {v.shape}")

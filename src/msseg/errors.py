@@ -1,5 +1,7 @@
 """Exception hierarchy for the msseg package."""
 
+import numbers
+
 
 class MeshSegError(Exception):
     """Base class for all msseg errors."""
@@ -44,3 +46,9 @@ class NumericError(MeshSegError):
 
 class InitializationError(MeshSegError):
     """Clustering initialization failed to produce non-empty classes."""
+
+
+def check_integer(name, value):
+    """ParameterError unless ``value`` is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")

@@ -1,10 +1,10 @@
 """Normal-affinity face Laplacian and spectral feature fields.
 
-The Laplacian couples edge-adjacent faces with weights
-``w_ij = l_e * exp(-d(i,j) / dbar)`` where ``d`` is the squared distance
-between (smoothed) unit normals and ``dbar`` its mean over interior
-edges.  The segmentation input signal is built from the low end of its
-spectrum.
+The Laplacian ``grad.T @ diag(w) @ grad`` couples edge-adjacent faces
+with weights ``w_e = l_e * exp(-d_e / dbar)`` where ``d_e`` is the squared
+distance between the (smoothed) unit normals of the faces of edge ``e``
+and ``dbar`` its mean over interior edges.  The segmentation input signal
+is built from the low end of its spectrum.
 """
 
 from dataclasses import dataclass
@@ -15,36 +15,26 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .calculus import _SPDSolve
-from .errors import FeatureError, NumericError
+from .errors import FeatureError, NumericError, check_integer
 from .mesh import DEFAULT_RING, smoothed_normals
 
 
 def build_laplacian(mesh, ring=DEFAULT_RING):
-    """Assemble the symmetric PSD face Laplacian with zero row sums.
+    """The symmetric PSD face Laplacian ``grad.T @ diag(w) @ grad``, with
+    ``grad = mesh.grad``: zero row sums, ``-w_e`` off the diagonal.
 
-    Off-diagonals are ``-w_ij`` for edge-adjacent face pairs.  On a
-    perfectly flat mesh (mean normal distance below 1e-12) every
+    On a perfectly flat mesh (mean normal distance below 1e-12) every
     exponential is taken as 1.
     """
-    interior = np.nonzero(~mesh.boundary_edge)[0]
-    if interior.size == 0:
+    interior = ~mesh.boundary_edge
+    if not interior.any():
         raise FeatureError("mesh has no interior edges; cannot build Laplacian")
     normals = smoothed_normals(mesh, ring) if ring != "raw" else mesh.face_normals
-    fi = mesh.edge_faces[interior, 0]
-    fj = mesh.edge_faces[interior, 1]
-    d = np.sum((normals[fi] - normals[fj]) ** 2, axis=1)
-    dbar = float(d.mean())
-    lengths = mesh.edge_lengths[interior]
-    if dbar < 1e-12:
-        w = lengths.copy()
-    else:
-        w = lengths * np.exp(-d / dbar)
-
-    T = mesh.n_faces
-    rows = np.concatenate([fi, fj, fi, fj])
-    cols = np.concatenate([fj, fi, fi, fj])
-    vals = np.concatenate([-w, -w, w, w])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(T, T))
+    # the normal jump across each edge; boundary rows of grad are empty
+    d = np.sum((mesh.grad @ normals) ** 2, axis=1)
+    dbar = float(d[interior].mean())
+    w = mesh.edge_lengths * (np.exp(-d / dbar) if dbar >= 1e-12 else 1.0)
+    return (mesh.grad.T @ sp.diags(w) @ mesh.grad).tocsr()
 
 
 @dataclass
@@ -62,7 +52,7 @@ class FeatureField:
     scales: np.ndarray
 
 
-def _indicator_bases(laplacian, n_faces):
+def _indicator_bases(mesh):
     """Component-indicator structure of the face graph.
 
     Returns an orthonormal basis Q of the span of component indicators
@@ -70,8 +60,9 @@ def _indicator_bases(laplacian, n_faces):
     orthonormalized between-component contrasts (the informative part of
     that span, empty for a connected mesh).
     """
-    # the stored pattern, explicit zeros included, is the face graph
-    n_comp, labels = connected_components(laplacian, directed=False)
+    n_faces = mesh.n_faces
+    n_comp, labels = connected_components(mesh.neighborhoods("n1"),
+                                          directed=False)
     indicators = np.zeros((n_faces, n_comp))
     indicators[np.arange(n_faces), labels] = 1.0
     indicators /= np.linalg.norm(indicators, axis=0)
@@ -86,10 +77,7 @@ def _indicator_bases(laplacian, n_faces):
         x /= np.linalg.norm(x)
         prev.append(x)
         contrasts.append(x)
-    contrasts = (
-        np.column_stack(contrasts) if contrasts else np.zeros((n_faces, 0))
-    )
-    return indicators, contrasts
+    return indicators, np.column_stack([np.zeros((n_faces, 0))] + contrasts)
 
 
 def feature_field(mesh, n_segments, ring=DEFAULT_RING):
@@ -103,6 +91,7 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
     shift-invert ARPACK solve through ``_SPDSolve`` at every size; a dense
     ``eigh`` serves only a request that covers the whole spectrum.
     """
+    check_integer("n_segments", n_segments)
     if n_segments < 2:
         raise FeatureError(f"need at least 2 segments, got {n_segments}")
     T = mesh.n_faces
@@ -115,7 +104,7 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
     L = build_laplacian(mesh, ring)
     max_diag = float(L.diagonal().max())
 
-    indicators, contrasts = _indicator_bases(L, T)
+    indicators, contrasts = _indicator_bases(mesh)
     n_comp = indicators.shape[1]
 
     channels = [contrasts[:, j] for j in range(min(n_comp - 1, k_needed))]

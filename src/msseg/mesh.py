@@ -2,15 +2,17 @@
 
 A :class:`TriMesh` stores, besides vertices and faces, one fixed direction
 per edge (from the lower to the higher vertex index), the signed
-face/edge incidence sgn(face, edge), face areas, edge lengths, unit face
-normals and boundary flags.  All arrays are frozen after construction;
-instances are safe to share between threads.
+face/edge incidence sgn(face, edge) and the gradient, face areas, edge
+lengths, unit face normals and boundary flags.  Its faces are wound
+consistently on each connected component.  All arrays are frozen after
+construction; instances are safe to share between threads.
 """
 
 import warnings
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateGeometryError,
@@ -30,12 +32,17 @@ class TriMesh:
     vertices : (V, 3) array_like
         3D vertex positions.
     faces : (T, 3) array_like
-        Vertex index triples; winding order defines face orientation.
+        Vertex index triples; winding order defines face orientation.  A
+        face wound against the lowest-index face of its connected
+        component has its last two vertices swapped, with a
+        ``RuntimeWarning`` giving the number reversed; a non-orientable
+        component raises ``TopologyError`` naming a face.
 
     Attributes
     ----------
     vertices : (V, 3) float array
     faces : (T, 3) int array
+        The faces as repaired.
     edges : (E, 2) int array
         Endpoint indices; each row is (low, high), which fixes the edge
         direction low -> high.
@@ -51,6 +58,10 @@ class TriMesh:
     edge_lengths : (E,) float array
     face_normals : (T, 3) float array
         Unit normals following winding order.
+    incidence : (E, T) csr matrix
+        Signed incidence: row e holds sgn(tau, e) for each face tau.
+    grad : (E, T) csr matrix
+        The gradient: ``incidence`` with the boundary-edge rows empty.
     """
 
     def __init__(self, vertices, faces):
@@ -74,13 +85,24 @@ class TriMesh:
         self.vertices = vertices
         self.faces = faces
         self._build_incidence()
+        flip = self._misoriented_faces()
+        if flip.size:
+            self.faces = faces.copy()
+            self.faces[flip] = faces[flip][:, [0, 2, 1]]
+            self._build_incidence()
+            warnings.warn(f"reversed the winding of {flip.size} face(s) to "
+                          "orient every connected component like its "
+                          "lowest-index face", RuntimeWarning)
+        self.grad = (sp.diags((~self.boundary_edge).astype(float))
+                     @ self.incidence).tocsr()
         self._build_geometry()
         self._patterns = {}
-        self._ops = None
         for arr in (self.vertices, self.faces, self.edges, self.face_edges,
                     self.face_edge_signs, self.edge_faces, self.boundary_edge,
                     self.face_areas, self.edge_lengths, self.face_normals):
             arr.setflags(write=False)
+        _freeze(self.incidence)
+        _freeze(self.grad)
 
     # -- construction ------------------------------------------------------
 
@@ -118,24 +140,42 @@ class TriMesh:
         self.face_edges = side_edge.reshape(T, 3)
         self.face_edge_signs = np.where(tail < head, 1, -1).reshape(T, 3)
         interior = np.flatnonzero(counts == 2)
-        first_side = by_edge[start]
-        second_side = by_edge[start[interior] + 1]
         ef = np.full((len(counts), 2), -1, dtype=np.int64)
-        ef[:, 0] = first_side // 3
-        ef[interior, 1] = second_side // 3
+        ef[:, 0] = by_edge[start] // 3
+        ef[interior, 1] = by_edge[start[interior] + 1] // 3
         self.edge_faces = ef
         self.boundary_edge = ef[:, 1] < 0
+        self.incidence = sp.csr_matrix(
+            (self.face_edge_signs.ravel().astype(float),
+             (self.face_edges.ravel(), np.repeat(np.arange(T), 3))),
+            shape=(len(counts), T))
 
-        # Interior edges whose two faces carry equal signs reveal
-        # inconsistent winding; report, do not repair.
-        signs = self.face_edge_signs.ravel()
-        bad = interior[signs[first_side[interior]] == signs[second_side]]
-        if bad.size:
-            warnings.warn(
-                f"{len(bad)} interior edge(s) with inconsistent face winding "
-                f"(first: edge {bad[0]})",
-                RuntimeWarning,
-            )
+    def _misoriented_faces(self):
+        """Faces wound against the lowest-index face of their component.
+
+        Node t of the double cover is face t, node t + T face t reversed;
+        faces that traverse their shared edge in the same direction join
+        t to t' + T.  A face joined to its own reversal is non-orientable.
+        """
+        T = self.n_faces
+        interior = ~self.boundary_edge
+        f0, f1 = self.edge_faces[interior].T
+        # the incidence row of such an edge sums to +-2
+        cross = T * (np.abs(self.incidence @ np.ones(T))[interior] == 2)
+        cover = sp.csr_matrix(
+            (np.ones(2 * len(f0)), (np.r_[f0, f0 + T],
+                                    np.r_[f1 + cross, f1 + T - cross])),
+            shape=(2 * T, 2 * T))
+        label = connected_components(cover, directed=False)[1]
+        same, other = label[:T], label[T:]
+        twisted = np.flatnonzero(same == other)
+        if twisted.size:
+            raise TopologyError(
+                f"face {twisted[0]} lies on a non-orientable component")
+        component = np.minimum(same, other)  # the pair of its two sheets
+        lowest = np.full(len(label), T)
+        np.minimum.at(lowest, component, np.arange(T))
+        return np.flatnonzero(same != same[lowest[component]])
 
     def _build_geometry(self):
         v = self.vertices
@@ -184,12 +224,9 @@ class TriMesh:
             if ring == "raw":
                 pattern = sp.identity(T, format="csr")
             elif ring == "n1":
-                fi, fj = self.edge_faces[~self.boundary_edge].T
-                diag = np.arange(T)
-                rows = np.concatenate([fi, fj, diag])
-                cols = np.concatenate([fj, fi, diag])
-                pattern = sp.csr_matrix(
-                    (np.ones(len(rows)), (rows, cols)), shape=(T, T))
+                # consistent winding: adjacent faces meet with opposite
+                # signs on every shared edge, so nothing cancels
+                pattern = self.incidence.T @ self.incidence
             else:
                 # faces sharing a vertex: the pattern of F F^T, with F the
                 # face-vertex incidence
@@ -201,10 +238,14 @@ class TriMesh:
             pattern.sum_duplicates()
             pattern.sort_indices()
             pattern.data[:] = 1.0
-            for arr in (pattern.data, pattern.indices, pattern.indptr):
-                arr.setflags(write=False)
-            self._patterns[ring] = pattern
+            self._patterns[ring] = _freeze(pattern)
         return pattern
+
+
+def _freeze(matrix):
+    for arr in (matrix.data, matrix.indices, matrix.indptr):
+        arr.setflags(write=False)
+    return matrix
 
 
 def smoothed_normals(mesh, ring=DEFAULT_RING):

@@ -25,8 +25,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import calculus as calc
-from .calculus import divergence, gradient, inner_U, norm_U, norm_V, operators
-from .errors import DimensionError, InitializationError, ParameterError
+from .calculus import divergence, gradient, inner_U, norm_U, norm_V
+from .errors import (DimensionError, InitializationError, ParameterError,
+                     check_integer)
 
 MODES = ("pcms", "psms", "gpsms")
 _FALLBACK_ALPHA = 1.0  # alpha when the estimate from the init degenerates
@@ -69,8 +70,7 @@ class SolverParams:
         for name, least in (("k", 2), ("inner_iters", 1), ("max_outer", 1),
                             ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, value)
             if value < least:
                 raise ParameterError(f"{name} must be at least {least}, got {value}")
         weights = ("beta_ratio", "alpha0", "eta", "r_p", "r_q", "r_z",
@@ -153,16 +153,15 @@ class Systems:
         use_vq, use_b = _mode_flags(params)
         self.params = params
         self.interior = np.nonzero(~mesh.boundary_edge)[0]
-        ops = operators(mesh)
-        W = sp.diags(ops.areas)
-        Winv = sp.diags(1.0 / ops.areas)
-        D = sp.diags(ops.lengths)
-        S = ops.grad.T @ D @ ops.grad
+        W = sp.diags(mesh.face_areas)
+        Winv = sp.diags(1.0 / mesh.face_areas)
+        D = sp.diags(mesh.edge_lengths)
+        S = mesh.grad.T @ D @ mesh.grad
         self.u_solve = calc._SPDSolve(params.r_p * S + params.r_z * W)
         self.v_solve = self.b_solve = None
         if use_vq and self.interior.size:
-            DG = (D @ ops.grad).tocsr()[self.interior]
-            Dint = sp.diags(ops.lengths[self.interior])
+            DG = (D @ mesh.grad).tocsr()[self.interior]
+            Dint = sp.diags(mesh.edge_lengths[self.interior])
             self.v_solve = calc._SPDSolve(params.r_q * (DG @ Winv @ DG.T)
                                           + params.r_p * Dint)
         if use_b:
@@ -262,10 +261,9 @@ def update_mu(mesh, u, b, f, prev_mu=None):
 def solve_u(mesh, z, lam_z, p, v, lam_p, systems):
     """Quadratic label update: (r_p S + r_z W) u = W rhs with
     rhs = r_z z + lam_z - div(lam_p + r_p (p + v))."""
-    ops = operators(mesh)
     edge_term = lam_p + systems.params.r_p * (p + v)
-    rhs = ops.areas[:, None] * (systems.params.r_z * z + lam_z) \
-        + ops.incidence.T @ (ops.lengths[:, None] * edge_term)
+    rhs = mesh.face_areas[:, None] * (systems.params.r_z * z + lam_z) \
+        + mesh.incidence.T @ (mesh.edge_lengths[:, None] * edge_term)
     return systems.u_solve(rhs)
 
 
@@ -277,7 +275,6 @@ def solve_v(mesh, u, p, lam_p, q, lam_q, systems):
     on boundary edges the gradient vanishes and the rows reduce to
     ``r_p v = -lam_p - r_p p``.
     """
-    ops = operators(mesh)
     r_p, r_q = systems.params.r_p, systems.params.r_q
     interior = systems.interior
     gu = gradient(mesh, u)
@@ -288,7 +285,7 @@ def solve_v(mesh, u, p, lam_p, q, lam_q, systems):
     # interior equations couple to boundary values through div
     rhs_full = -gradient(mesh, lam_q + r_q * q) - lam_p + r_p * (gu - p) \
         + r_q * gradient(mesh, divergence(mesh, v))
-    rhs = ops.lengths[interior, None] * rhs_full[interior]
+    rhs = mesh.edge_lengths[interior, None] * rhs_full[interior]
     v[interior] = systems.v_solve(rhs)
     return v
 
@@ -296,9 +293,7 @@ def solve_v(mesh, u, p, lam_p, q, lam_q, systems):
 def solve_b(mesh, f, z, mu, systems):
     """Smooth-part update: (beta L'L + (eta + alpha) I) b = alpha (f - z mu)
     in the weighted inner products, with L the face Laplacian."""
-    ops = operators(mesh)
-    rhs_field = systems.params.alpha * (f - z @ mu)
-    rhs = ops.areas[:, None] * rhs_field
+    rhs = mesh.face_areas[:, None] * (systems.params.alpha * (f - z @ mu))
     return systems.b_solve(rhs)
 
 
@@ -482,6 +477,7 @@ def segment(mesh, f, params):
     """Full pipeline from a feature field: initialize, pick alpha, run the
     outer loop, classify.  The one place a run is resolved: a 1-D field
     becomes (T, 1), and ``alpha=None`` the estimate that ``params`` carries.
+    A feature row with a NaN or infinite entry raises ``ParameterError``.
 
     Hitting ``max_outer`` without reaching the tolerance is reported via
     ``converged=False``, not an error.
@@ -496,6 +492,10 @@ def segment(mesh, f, params):
     if f2.shape[0] != mesh.n_faces:
         raise DimensionError(f"feature field has {f2.shape[0]} rows, mesh "
                              f"has {mesh.n_faces} faces")
+    nonfinite = np.flatnonzero(~np.isfinite(f2).all(axis=1))
+    if nonfinite.size:
+        raise ParameterError(
+            f"feature field row {nonfinite[0]} has a non-finite entry")
     t0 = time.perf_counter()
     state = initial_state(mesh, f2, params)
     if params.alpha is None:

@@ -130,6 +130,26 @@ def flat_patch(n=4):
     return TriMesh(verts, np.array(faces))
 
 
+def mobius_strip(n=12, width=0.3):
+    """Vertices and faces of a Moebius strip of ``2 n`` faces: a band of
+    ``n`` quads around the unit circle whose last quad joins the first
+    with a half twist.  Arrays, not a mesh: it has no orientation."""
+    angles = 2 * np.pi * np.arange(n) / n
+    radial = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)])
+    across = np.cos(angles / 2)[:, None] * radial
+    across[:, 2] = np.sin(angles / 2)
+    verts = np.vstack([radial + width * across, radial - width * across])
+    # vertex i on the top rail, n + i below it; the half twist makes the
+    # last quad close on the first pair of rails swapped
+    top = list(range(n)) + [n]
+    bottom = list(range(n, 2 * n)) + [0]
+    faces = []
+    for i in range(n):
+        faces.append((top[i], bottom[i], top[i + 1]))
+        faces.append((bottom[i], bottom[i + 1], top[i + 1]))
+    return verts, np.array(faces)
+
+
 def random_closed(n_points, seed):
     """Closed convex triangulated surface with outward-consistent winding."""
     rng = np.random.default_rng(seed)

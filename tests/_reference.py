@@ -172,6 +172,46 @@ def incidence_loops(faces):
             "edge_faces": ef, "bad_winding": bad}
 
 
+def orient_loop(faces):
+    """Faces with every connected component wound like its lowest-index
+    face, by breadth-first search over shared edges.
+
+    A face is reversed by swapping its last two vertices.  Returns the
+    faces and the number reversed, or ``None`` when a component is
+    non-orientable.
+    """
+    faces = np.asarray(faces, dtype=np.int64).tolist()
+    by_edge = {}
+    for t, (a, b, c) in enumerate(faces):
+        for u, v in ((a, b), (b, c), (c, a)):
+            by_edge.setdefault(frozenset((u, v)), []).append((t, (u, v)))
+    reverse = [None] * len(faces)
+    for root in range(len(faces)):
+        if reverse[root] is not None:
+            continue
+        reverse[root] = False
+        queue = [root]
+        while queue:
+            t = queue.pop(0)
+            a, b, c = faces[t]
+            for u, v in ((a, b), (b, c), (c, a)):
+                mine = (v, u) if reverse[t] else (u, v)
+                for s, side in by_edge[frozenset((u, v))]:
+                    if s == t:
+                        continue
+                    # agreeing faces traverse a shared edge in opposite
+                    # directions
+                    want = side == mine
+                    if reverse[s] is None:
+                        reverse[s] = want
+                        queue.append(s)
+                    elif reverse[s] != want:
+                        return None
+    out = [[a, c, b] if flip else [a, b, c]
+           for (a, b, c), flip in zip(faces, reverse)]
+    return np.array(out, dtype=np.int64).reshape(-1, 3), sum(reverse)
+
+
 def neighbor_lists(mesh, ring):
     """Per-face sorted ``n1`` (edge-adjacent) or ``n2`` (vertex-adjacent)
     neighborhoods, the face itself included, built from Python sets."""

@@ -11,7 +11,6 @@ from msseg.calculus import (
     laplace,
     norm_U,
     norm_V,
-    operators,
     rtgv_value,
     tv_energy,
 )
@@ -267,8 +266,3 @@ def test_rtgv_parameter_and_shape_errors():
         rtgv_value(mesh, np.zeros(4), np.zeros(6), 0.0)
     with pytest.raises(DimensionError):
         rtgv_value(mesh, np.zeros((4, 2)), np.zeros((6, 1)), 1.0)
-
-
-def test_operators_cached_per_mesh():
-    mesh = load_off(TETRA_OFF)
-    assert operators(mesh) is operators(mesh)

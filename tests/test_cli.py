@@ -30,6 +30,7 @@ from _meshes import (
     RIGHT_TRIANGLE_OFF,
     dumbbell,
     dumbbell_ground_truth,
+    random_closed,
     write_off,
 )
 from _reference import colored_ply_loop
@@ -261,6 +262,27 @@ def test_dumbbell_run_artifacts_and_convergence(dumbbell_setup, capsys):
     printed = capsys.readouterr().out
     assert "converged" in printed
     assert "rand-index" in printed
+
+
+def test_flipped_faces_run_like_their_twin_and_export_repaired(tmp_path):
+    twin = random_closed(120, seed=2)
+    faces = np.array(twin.faces)
+    faces[5:40] = faces[5:40][:, [0, 2, 1]]
+    text = write_off(twin, tmp_path / "twin.off").splitlines()
+    body = [f"3 {a} {b} {c}" for a, b, c in faces.tolist()]
+    (tmp_path / "flipped.off").write_text(
+        "\n".join(text[:2 + twin.n_vertices] + body) + "\n")
+
+    def args(name):
+        return ["--mesh", str(tmp_path / f"{name}.off"), "--k", "2",
+                "--out", str(tmp_path / name)]
+
+    assert main(args("twin")) == 0
+    with pytest.warns(RuntimeWarning, match="reversed the winding of 35 face"):
+        assert main(args("flipped")) == 0
+    for suffix in (".seg", "_colored.ply"):
+        assert (tmp_path / "flipped" / f"flipped{suffix}").read_bytes() \
+            == (tmp_path / "twin" / f"twin{suffix}").read_bytes()
 
 
 def test_rerun_is_byte_identical(dumbbell_setup):

@@ -1,21 +1,26 @@
 """Normal-affinity Laplacian and spectral feature construction."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from msseg import features
-from msseg.errors import FeatureError
+from msseg.calculus import tv_energy
+from msseg.errors import FeatureError, ParameterError
 from msseg.features import (
     build_laplacian,
     feature_field,
 )
 from msseg.mesh import TriMesh, smoothed_normals
+from msseg.solver import SolverParams, segment
 
 from _meshes import (
     equilateral,
     path_strip,
     random_closed,
+    random_patch,
     square_axis_pair,
     triangle_strip,
     two_components,
@@ -265,3 +270,47 @@ def test_feature_field_argument_errors():
         feature_field(mesh, 1)
     with pytest.raises(FeatureError):
         feature_field(mesh, 3)  # needs 2 channels but only 2 faces
+
+
+@pytest.mark.parametrize("n_segments", [2.5, 2.0, True, "3", None])
+def test_feature_field_needs_an_integer_segment_count(n_segments):
+    with pytest.raises(ParameterError,
+                       match=f"n_segments must be an integer, got "
+                             f"{re.escape(repr(n_segments))}"):
+        feature_field(random_closed(40, seed=0), n_segments)
+
+
+def test_laplacian_matches_edge_loop():
+    mesh = random_patch(200, seed=5)  # dbar is taken over interior edges
+    normals = smoothed_normals(mesh)
+    pairs = mesh.edge_faces[~mesh.boundary_edge]
+    lengths = mesh.edge_lengths[~mesh.boundary_edge]
+    d = [np.sum((normals[i] - normals[j]) ** 2) for i, j in pairs]
+    dbar = np.mean(d)
+    want = np.zeros((mesh.n_faces, mesh.n_faces))
+    for (i, j), l_e, d_e in zip(pairs, lengths, d):
+        w = l_e * np.exp(-d_e / dbar)
+        want[[i, j], [j, i]] -= w
+        want[[i, j], [i, j]] += w
+    L = build_laplacian(mesh)
+    assert L.nnz == mesh.n_faces + 2 * len(pairs)
+    assert np.abs(L.toarray() - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_flipped_patch_matches_its_twin():
+    twin = random_closed(300, seed=3)
+    centroids = twin.vertices[twin.faces].mean(axis=1)
+    patch = np.flatnonzero(centroids[:, 2] > 0.3)
+    assert 0 not in patch and len(patch) > 100
+    faces = np.array(twin.faces)
+    faces[patch] = faces[patch][:, [0, 2, 1]]
+    with pytest.warns(RuntimeWarning,
+                      match=f"reversed the winding of {len(patch)} face"):
+        mesh = TriMesh(twin.vertices, faces)
+    assert tv_energy(mesh, np.ones(mesh.n_faces)) == 0.0
+    field = feature_field(mesh, 3)
+    twin_field = feature_field(twin, 3)
+    assert np.array_equal(field.values, twin_field.values)
+    params = SolverParams(k=3)
+    assert np.array_equal(segment(mesh, field.values, params).labels,
+                          segment(twin, twin_field.values, params).labels)

@@ -1,6 +1,7 @@
 """Mesh loading, incidence structure, geometry and smoothed normals."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from _meshes import (
     equilateral,
     flat_patch,
     folded_pair,
+    mobius_strip,
     random_closed,
     write_off,
 )
+from _reference import orient_loop
 
 
 # -- loading -----------------------------------------------------------------
@@ -145,7 +148,33 @@ def test_face_index_out_of_range():
 def test_inconsistent_winding_warns():
     verts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
     faces = [(0, 1, 2), (0, 3, 2)]  # second face wound the wrong way
-    with pytest.warns(RuntimeWarning, match="winding"):
+    with pytest.warns(RuntimeWarning,
+                      match="reversed the winding of 1 face\\(s\\)"):
+        mesh = TriMesh(verts, faces)
+    twin = load_off(SQUARE_DIAGONAL_OFF)
+    assert np.array_equal(mesh.faces, twin.faces)
+    assert np.array_equal(mesh.face_edge_signs, twin.face_edge_signs)
+    # a constant has no jump across the repaired interior edge
+    assert not (mesh.grad @ np.ones(2)).any()
+
+
+def test_each_component_keeps_its_own_winding():
+    # the second patch is wound the other way round as a whole; it is
+    # oriented consistently on its own, so nothing is reversed
+    verts = [(0, 0, 0), (0, 1, 0), (-1, 0, 0), (1, 0, 0)]
+    verts += [(10 + x, y, z) for x, y, z in verts]
+    faces = [(0, 1, 2), (0, 3, 1), (4, 6, 5), (4, 5, 7)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = TriMesh(verts, faces)
+    assert np.array_equal(mesh.faces, faces)
+
+
+def test_mobius_strip_raises():
+    verts, faces = mobius_strip()
+    assert orient_loop(faces) is None
+    with pytest.raises(TopologyError,
+                       match="face 0 lies on a non-orientable component"):
         TriMesh(verts, faces)
 
 
@@ -348,6 +377,10 @@ def test_arrays_are_immutable():
         mesh.face_areas[0] = 9.0
     with pytest.raises(ValueError):
         mesh.neighborhoods("n1").data[0] = 9.0
+    for matrix in (mesh.incidence, mesh.grad):
+        for arr in (matrix.data, matrix.indices, matrix.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = 9
 
 
 # -- smoothed normals --------------------------------------------------------

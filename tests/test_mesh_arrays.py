@@ -10,8 +10,14 @@ import pytest
 from msseg.errors import DegenerateGeometryError, TopologyError
 from msseg.mesh import TriMesh, smoothed_normals
 
-from _meshes import equilateral, flat_patch, random_closed
-from _reference import incidence_loops, neighbor_lists, smoothed_normals_loop
+from _meshes import equilateral, flat_patch, random_closed, random_patch
+from _reference import (
+    dense_operators,
+    incidence_loops,
+    neighbor_lists,
+    orient_loop,
+    smoothed_normals_loop,
+)
 
 INCIDENCE = ("edges", "face_edges", "face_edge_signs", "edge_faces")
 
@@ -34,6 +40,11 @@ def test_construction_matches_loop_oracle(mesh):
         assert got.shape == ref[name].shape
         assert np.array_equal(got, ref[name]), name
     assert np.array_equal(mesh.boundary_edge, ref["edge_faces"][:, 1] < 0)
+    _, _, Ginc, Gb, _ = dense_operators(mesh)
+    assert np.array_equal(mesh.incidence.toarray(), Ginc)
+    assert np.array_equal(mesh.grad.toarray(), Gb)
+    # boundary rows of the gradient store nothing
+    assert not np.diff(mesh.grad.indptr)[mesh.boundary_edge].any()
     for ring in ("n1", "n2"):
         pattern = mesh.neighborhoods(ring)
         for tau, want in enumerate(neighbor_lists(mesh, ring)):
@@ -98,22 +109,55 @@ def test_repeated_vertex_error_names_first_bad_face():
     assert str(got.value) == "face 1 has repeated vertices"
 
 
-def test_winding_warning_count_and_first_edge():
+def _repaired(vertices, faces):
+    """The mesh and the messages of the RuntimeWarnings its construction
+    raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mesh = TriMesh(vertices, faces)
+    return mesh, [str(w.message) for w in caught
+                  if issubclass(w.category, RuntimeWarning)]
+
+
+def test_winding_repair_count_and_faces():
     base = random_closed(40, seed=4)
     faces = np.array(base.faces)
     flipped = [3, 11, 30]
     faces[flipped] = faces[flipped][:, [0, 2, 1]]
     bad = incidence_loops(faces)["bad_winding"]
     assert len(bad) == 9  # three isolated faces, three edges each
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        TriMesh(base.vertices, faces)
-    messages = [str(w.message) for w in caught
-                if issubclass(w.category, RuntimeWarning)]
+    mesh, messages = _repaired(base.vertices, faces)
     assert messages == [
-        f"{len(bad)} interior edge(s) with inconsistent face winding "
-        f"(first: edge {bad[0]})"
+        "reversed the winding of 3 face(s) to orient every connected "
+        "component like its lowest-index face"
     ]
+    assert np.array_equal(mesh.faces, base.faces)
+    for name in INCIDENCE:
+        assert np.array_equal(getattr(mesh, name), getattr(base, name)), name
+    for name in ("incidence", "grad"):
+        assert (getattr(mesh, name) != getattr(base, name)).nnz == 0, name
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_repair_matches_bfs_oracle(seed):
+    rng = np.random.default_rng(seed)
+    base = (random_closed if seed % 2 else random_patch)(80, seed=seed)
+    # random flips, face 0 included on some seeds, plus a second
+    # component shifted clear of the first
+    verts = np.vstack([base.vertices, base.vertices + 10.0])
+    faces = np.vstack([base.faces, base.faces + base.n_vertices])
+    flip = rng.random(len(faces)) < 0.3
+    faces[flip] = faces[flip][:, [0, 2, 1]]
+    want, n_reversed = orient_loop(faces)
+    mesh, messages = _repaired(verts, faces)
+    assert np.array_equal(mesh.faces, want)
+    assert len(messages) == (n_reversed > 0)
+    assert all(f"reversed the winding of {n_reversed} face(s)" in m
+               for m in messages)
+    assert incidence_loops(mesh.faces)["bad_winding"] == []
+    # the repaired faces are a fixed point: nothing left to reverse
+    _, again = _repaired(verts, mesh.faces)
+    assert again == []
 
 
 def test_consistent_mesh_does_not_warn():

@@ -601,6 +601,16 @@ def test_segment_channel_count_mismatch():
         segment(mesh, f, SolverParams(k=3, alpha=1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_segment_rejects_non_finite_features(bad):
+    mesh, f, _ = piecewise_constant_instance()
+    f = np.column_stack([f, f])
+    f[[7, 9], 1] = bad
+    with pytest.raises(ParameterError,
+                       match="feature field row 7 has a non-finite entry"):
+        segment(mesh, f, SolverParams(k=3))
+
+
 @pytest.mark.parametrize("alpha", [None, 1.0])
 def test_segment_row_count_mismatch(alpha):
     mesh, f, _ = piecewise_constant_instance()
