@@ -17,6 +17,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import (
     DegenerateGeometryError,
     MeshFormatError,
+    ParameterError,
     TopologyError,
 )
 
@@ -65,8 +66,9 @@ class TriMesh:
     """
 
     def __init__(self, vertices, faces):
-        vertices = np.asarray(vertices, dtype=float)
-        faces = np.asarray(faces, dtype=np.int64)
+        # copies: the mesh freezes its arrays, and not the caller's
+        vertices = np.array(vertices, dtype=float)
+        faces = np.array(faces, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise TopologyError("vertices must be an (V, 3) array")
         nonfinite = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
@@ -87,8 +89,7 @@ class TriMesh:
         self._build_incidence()
         flip = self._misoriented_faces()
         if flip.size:
-            self.faces = faces.copy()
-            self.faces[flip] = faces[flip][:, [0, 2, 1]]
+            faces[flip] = faces[flip][:, [0, 2, 1]]
             self._build_incidence()
             warnings.warn(f"reversed the winding of {flip.size} face(s) to "
                           "orient every connected component like its "
@@ -217,7 +218,7 @@ class TriMesh:
         included.
         """
         if ring not in RINGS:
-            raise ValueError(f"ring must be one of {RINGS}, got {ring!r}")
+            raise ParameterError(f"ring must be one of {RINGS}, got {ring!r}")
         pattern = self._patterns.get(ring)
         if pattern is None:
             T = self.n_faces

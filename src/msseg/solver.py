@@ -132,19 +132,18 @@ class Systems:
     The one place the u, v and b systems are assembled and factored.  All
     coefficients are constant along a run, so each system is factorized
     once by :class:`msseg.calculus._SPDSolve`, and only the systems the
-    mode solves with are built: ``v`` for gpsms without ``freeze_v`` on a
-    mesh with interior edges, ``b`` for psms and gpsms; the others are
-    ``None``.  The systems are the weighted-inner-product normal equations
-    written in plain coordinates, with ``S = G' D G``:
+    mode solves with are built: ``v`` for gpsms without ``freeze_v``,
+    ``b`` for psms and gpsms; the others are ``None``.  The systems are
+    the weighted-inner-product normal equations written in plain
+    coordinates, with ``G`` the gradient and ``S = G' D G``:
 
     * ``u_solve``:  (r_p * S + r_z * W) u = W * rhs,
-    * ``v_solve``:  interior-edge block of
-      (r_q * DG W^-1 (DG)' + r_p * D) v = D * rhs, boundary rows reduce to
-      ``r_p * v = rhs`` since the gradient annihilates them,
+    * ``v_solve``:  (S + (r_p / r_q) * W) w = G' D y, the face form of the
+      edge system (r_p * D + r_q * DG W^-1 (DG)') v = D y (see solve_v),
     * ``b_solve``:  (beta * S W^-1 S + (eta + alpha) * W) b = W * rhs.
 
-    ``params`` carries a resolved alpha; the right-hand sides read their
-    coefficients from it and the ``interior`` edge indices from here.
+    u and v share the face pattern of ``S``.  ``params`` carries a
+    resolved alpha; the right-hand sides read their coefficients from it.
     """
 
     def __init__(self, mesh, params):
@@ -152,19 +151,14 @@ class Systems:
             raise ParameterError("Systems needs a resolved alpha, got None")
         use_vq, use_b = _mode_flags(params)
         self.params = params
-        self.interior = np.nonzero(~mesh.boundary_edge)[0]
         W = sp.diags(mesh.face_areas)
-        Winv = sp.diags(1.0 / mesh.face_areas)
-        D = sp.diags(mesh.edge_lengths)
-        S = mesh.grad.T @ D @ mesh.grad
+        S = mesh.grad.T @ sp.diags(mesh.edge_lengths) @ mesh.grad
         self.u_solve = calc._SPDSolve(params.r_p * S + params.r_z * W)
         self.v_solve = self.b_solve = None
-        if use_vq and self.interior.size:
-            DG = (D @ mesh.grad).tocsr()[self.interior]
-            Dint = sp.diags(mesh.edge_lengths[self.interior])
-            self.v_solve = calc._SPDSolve(params.r_q * (DG @ Winv @ DG.T)
-                                          + params.r_p * Dint)
+        if use_vq:
+            self.v_solve = calc._SPDSolve(S + (params.r_p / params.r_q) * W)
         if use_b:
+            Winv = sp.diags(1.0 / mesh.face_areas)
             self.b_solve = calc._SPDSolve(params.beta * (S @ Winv @ S)
                                           + (params.eta + params.alpha) * W)
 
@@ -270,24 +264,22 @@ def solve_u(mesh, z, lam_z, p, v, lam_p, systems):
 def solve_v(mesh, u, p, lam_p, q, lam_q, systems):
     """Quadratic update of the slope field.
 
-    Interior edges solve the SPD system
-    ``(-r_q grad div + r_p I) v = -grad(lam_q + r_q q) - lam_p + r_p(grad u - p)``;
-    on boundary edges the gradient vanishes and the rows reduce to
-    ``r_p v = -lam_p - r_p p``.
+    Solves the edge system ``M v = D y``, ``M = r_p D + r_q DG W^-1 (DG)'``,
+    with ``y = -grad(lam_q + r_q q) - lam_p + r_p(grad u - p)
+    + r_q grad div vb`` and ``vb = -lam_p / r_p - p`` on boundary edges, 0
+    elsewhere.  The gradient ``G`` has empty boundary rows, so ``v = vb``
+    there.  By the Woodbury identity ``v = (y - G w) / r_p`` with the face
+    system ``(S + (r_p / r_q) W) w = G' D y``.  If ``e`` is the residual of
+    that solve, ``M v - D y = -(r_q / r_p) D G W^-1 e``, so the residual
+    gate of the face solve bounds that of the edge system.
     """
     r_p, r_q = systems.params.r_p, systems.params.r_q
-    interior = systems.interior
-    gu = gradient(mesh, u)
-    v = (-lam_p - r_p * p) / r_p
-    v[interior] = 0.0
-    if interior.size == 0:
-        return v
-    # interior equations couple to boundary values through div
-    rhs_full = -gradient(mesh, lam_q + r_q * q) - lam_p + r_p * (gu - p) \
-        + r_q * gradient(mesh, divergence(mesh, v))
-    rhs = mesh.edge_lengths[interior, None] * rhs_full[interior]
-    v[interior] = systems.v_solve(rhs)
-    return v
+    vb = np.where(mesh.boundary_edge[:, None], (-lam_p - r_p * p) / r_p, 0.0)
+    y = -gradient(mesh, lam_q + r_q * q) - lam_p \
+        + r_p * (gradient(mesh, u) - p) \
+        + r_q * gradient(mesh, divergence(mesh, vb))
+    w = systems.v_solve(mesh.grad.T @ (mesh.edge_lengths[:, None] * y))
+    return (y - mesh.grad @ w) / r_p
 
 
 def solve_b(mesh, f, z, mu, systems):

@@ -114,6 +114,12 @@ def two_components():
     return TriMesh(verts, faces)
 
 
+def disjoint_triangles():
+    """Two separated triangles: every edge is a boundary edge."""
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (5, 0, 0), (6, 0, 0), (5, 1, 0)]
+    return TriMesh(verts, [(0, 1, 2), (3, 4, 5)])
+
+
 def flat_patch(n=4):
     """Regular triangulated flat grid patch in the z=0 plane."""
     xs, ys = np.meshgrid(np.arange(n + 1), np.arange(n + 1))

@@ -110,6 +110,26 @@ def one_admm_sweep(mesh, f, st, alpha, beta,
             "lam_p": lam_p, "lam_q": lam_q, "lam_z": lam_z, "mu": mu}
 
 
+def interior_edge_v(mesh, u, p, lam_p, q, lam_q, r_p, r_q):
+    """Slope update by a direct solve on the interior edges alone.
+
+    Boundary edges take ``r_p v = -lam_p - r_p p``.  With those values
+    held, the interior rows of
+    ``(-r_q grad div + r_p I) v = -grad(lam_q + r_q q) - lam_p + r_p(grad u - p)``
+    are solved as the symmetric interior-edge system
+    ``(r_q DG W^-1 (DG)' + r_p D) v = D rhs``.
+    """
+    A, l, _, Gb, Dmat = dense_operators(mesh)
+    inner = ~np.array(mesh.boundary_edge)
+    v = np.where(inner[:, None], 0.0, -lam_p / r_p - p)
+    rhs = -Gb @ (lam_q + r_q * q) - lam_p + r_p * (Gb @ u - p) \
+        + r_q * Gb @ (Dmat @ v)
+    DG = l[inner, None] * Gb[inner]
+    M = r_q * (DG / A) @ DG.T + r_p * np.diag(l[inner])
+    v[inner] = np.linalg.solve(M, l[inner, None] * rhs[inner])
+    return v
+
+
 def dense_spectral_channels(laplacian, areas, n_channels):
     """Smallest nonzero eigenpairs of a connected mesh's face Laplacian
     by dense ``np.linalg.eigh`` of the full matrix.

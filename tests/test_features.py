@@ -280,6 +280,11 @@ def test_feature_field_needs_an_integer_segment_count(n_segments):
         feature_field(random_closed(40, seed=0), n_segments)
 
 
+def test_feature_field_rejects_an_unknown_ring():
+    with pytest.raises(ParameterError, match="ring must be one of"):
+        feature_field(random_closed(40, seed=0), 2, ring="n3")
+
+
 def test_laplacian_matches_edge_loop():
     mesh = random_patch(200, seed=5)  # dbar is taken over interior edges
     normals = smoothed_normals(mesh)

@@ -10,6 +10,7 @@ from msseg.errors import (
     DegenerateGeometryError,
     MeshFormatError,
     MeshSegError,
+    ParameterError,
     TopologyError,
 )
 from msseg.mesh import (
@@ -359,7 +360,7 @@ def test_neighborhood_symmetry():
 def test_neighborhood_raw_and_errors():
     mesh = load_off(TETRA_OFF)
     assert np.array_equal(mesh.neighborhoods("raw").toarray(), np.eye(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="ring must be one of"):
         mesh.neighborhoods("n3")
 
 
@@ -367,6 +368,18 @@ def test_n1_is_edge_adjacent_faces():
     mesh = load_off(TETRA_OFF)
     # every tetra face touches the other three along edges
     assert np.array_equal(mesh.neighborhoods("n1").toarray(), np.ones((4, 4)))
+
+
+def test_caller_arrays_stay_writable_and_apart():
+    v = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0)], dtype=float)
+    f = np.array([(0, 1, 2)], dtype=np.int64)
+    mesh = TriMesh(v, f)
+    assert v.flags.writeable and f.flags.writeable
+    v[1, 0] = 5.0
+    f[0] = (0, 2, 1)
+    assert np.array_equal(mesh.vertices[1], (1, 0, 0))
+    assert np.array_equal(mesh.faces, [(0, 1, 2)])
+    assert mesh.face_areas[0] == 0.5
 
 
 def test_arrays_are_immutable():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from msseg.errors import DegenerateGeometryError, TopologyError
+from msseg.errors import DegenerateGeometryError, ParameterError, TopologyError
 from msseg.mesh import TriMesh, smoothed_normals
 
 from _meshes import equilateral, flat_patch, random_closed, random_patch
@@ -80,7 +80,7 @@ def test_smoothed_normals_names_first_degenerate_face():
 
 
 def test_smoothed_normals_rejects_unknown_ring():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="ring must be one of"):
         smoothed_normals(equilateral(), "n3")
 
 

@@ -33,15 +33,18 @@ from msseg.solver import (
 
 from _meshes import (
     TETRA_OFF,
+    disjoint_triangles,
     equilateral,
     fan5,
     flat_patch,
     random_closed,
+    random_patch,
     square_axis_pair,
     strip10,
     unit_area_pair,
 )
-from _reference import dense_operators, one_admm_sweep, simplex_bisect
+from _reference import (dense_operators, interior_edge_v, one_admm_sweep,
+                        simplex_bisect)
 
 
 # -- parameter validation ------------------------------------------------------
@@ -381,6 +384,30 @@ def test_solve_v_returns_consistent_stationary_point():
     systems = Systems(mesh, SolverParams(k=K, alpha=1.0, r_p=1.0, r_q=1.0))
     v = solve_v(mesh, u, p, zeros_e, q, zeros_t, systems)
     assert np.allclose(v, v_star, atol=1e-10)
+
+
+@pytest.mark.parametrize("make", [
+    flat_patch, lambda: random_patch(200, 5), strip10, equilateral,
+    disjoint_triangles,
+], ids=["flat_patch", "random_patch", "strip10", "equilateral",
+        "disjoint_triangles"])
+def test_solve_v_matches_interior_edge_oracle(make):
+    mesh = make()
+    rng = np.random.default_rng(13)
+    T, E, K = mesh.n_faces, mesh.n_edges, 3
+    u = rng.normal(size=(T, K))
+    p, lam_p = rng.normal(size=(2, E, K))
+    q, lam_q = rng.normal(size=(2, T, K))
+    r_p, r_q = 2.0, 0.5
+    systems = Systems(mesh, SolverParams(k=K, alpha=1.0, r_p=r_p, r_q=r_q))
+    v = solve_v(mesh, u, p, lam_p, q, lam_q, systems)
+    want = interior_edge_v(mesh, u, p, lam_p, q, lam_q, r_p, r_q)
+    assert np.abs(v - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+    # the edge system itself, boundary rows included
+    _, _, _, Gb, Dmat = dense_operators(mesh)
+    M = r_p * np.eye(E) - r_q * Gb @ Dmat
+    rhs = -Gb @ (lam_q + r_q * q) - lam_p + r_p * (Gb @ u - p)
+    assert np.linalg.norm(M @ v - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_solve_b_zero_right_side():
