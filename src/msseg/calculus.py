@@ -2,11 +2,10 @@
 
 Face fields are ``(n_faces, n)`` arrays, edge fields ``(n_edges, n)``
 arrays.  The gradient jumps a face field across interior edges and is
-zero on boundary edges; the divergence maps edge fields back to faces
-with the 1/area factor that makes ``-div`` the exact adjoint of the
-gradient under the area/length weighted inner products below.  Both
-read the mesh's own signed incidence, ``TriMesh.grad`` and
-``TriMesh.incidence``.
+zero on boundary edges.  The divergence maps edge fields back to faces
+by the transpose of the same matrix, ``TriMesh.grad``, with the 1/area
+factor that makes ``-div`` the exact adjoint of the gradient under the
+area/length weighted inner products below, for every edge field.
 """
 
 import numpy as np
@@ -64,10 +63,13 @@ def gradient(mesh, u):
 
 
 def divergence(mesh, p):
-    """Divergence of an edge field: -(1/A) * sum of sgn-weighted p*l over
-    the three edges of each face (boundary edges included)."""
+    """Divergence of an edge field, ``-(1/A) grad' (l p)``: the sgn-weighted
+    sum of p*l over the interior edges of each face.
+
+    ``<grad u, p>_V = -<u, div p>_U`` holds for every edge field ``p``.
+    """
     p = _field(p, mesh.n_edges, "edge", "p")
-    return -(mesh.incidence.T @ (mesh.edge_lengths[:, None] * p)) \
+    return -(mesh.grad.T @ (mesh.edge_lengths[:, None] * p)) \
         / mesh.face_areas[:, None]
 
 

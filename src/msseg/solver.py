@@ -257,7 +257,7 @@ def solve_u(mesh, z, lam_z, p, v, lam_p, systems):
     rhs = r_z z + lam_z - div(lam_p + r_p (p + v))."""
     edge_term = lam_p + systems.params.r_p * (p + v)
     rhs = mesh.face_areas[:, None] * (systems.params.r_z * z + lam_z) \
-        + mesh.incidence.T @ (mesh.edge_lengths[:, None] * edge_term)
+        + mesh.grad.T @ (mesh.edge_lengths[:, None] * edge_term)
     return systems.u_solve(rhs)
 
 
@@ -265,19 +265,16 @@ def solve_v(mesh, u, p, lam_p, q, lam_q, systems):
     """Quadratic update of the slope field.
 
     Solves the edge system ``M v = D y``, ``M = r_p D + r_q DG W^-1 (DG)'``,
-    with ``y = -grad(lam_q + r_q q) - lam_p + r_p(grad u - p)
-    + r_q grad div vb`` and ``vb = -lam_p / r_p - p`` on boundary edges, 0
-    elsewhere.  The gradient ``G`` has empty boundary rows, so ``v = vb``
-    there.  By the Woodbury identity ``v = (y - G w) / r_p`` with the face
-    system ``(S + (r_p / r_q) W) w = G' D y``.  If ``e`` is the residual of
-    that solve, ``M v - D y = -(r_q / r_p) D G W^-1 e``, so the residual
-    gate of the face solve bounds that of the edge system.
+    with ``y = -grad(lam_q + r_q q) - lam_p + r_p(grad u - p)``.  By the
+    Woodbury identity ``v = (y - G w) / r_p`` with the face system
+    ``(S + (r_p / r_q) W) w = G' D y``.  The gradient ``G`` has empty
+    boundary rows, so there ``v = -lam_p / r_p - p``.  If ``e`` is the
+    residual of the face solve, ``M v - D y = -(r_q / r_p) D G W^-1 e``, so
+    the residual gate of the face solve bounds that of the edge system.
     """
     r_p, r_q = systems.params.r_p, systems.params.r_q
-    vb = np.where(mesh.boundary_edge[:, None], (-lam_p - r_p * p) / r_p, 0.0)
     y = -gradient(mesh, lam_q + r_q * q) - lam_p \
-        + r_p * (gradient(mesh, u) - p) \
-        + r_q * gradient(mesh, divergence(mesh, vb))
+        + r_p * (gradient(mesh, u) - p)
     w = systems.v_solve(mesh.grad.T @ (mesh.edge_lengths[:, None] * y))
     return (y - mesh.grad @ w) / r_p
 

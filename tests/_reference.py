@@ -10,7 +10,11 @@ from scipy.optimize import minimize_scalar
 
 
 def dense_operators(mesh):
-    """Dense incidence, gradient and divergence matrices plus weights."""
+    """Dense incidence, gradient and divergence matrices plus weights.
+
+    The gradient is the incidence with its boundary-edge rows zeroed; the
+    divergence is built from the gradient, so boundary edges carry no
+    flux."""
     T, E = mesh.n_faces, mesh.n_edges
     A = np.array(mesh.face_areas)
     l = np.array(mesh.edge_lengths)
@@ -20,8 +24,30 @@ def dense_operators(mesh):
             Ginc[mesh.face_edges[t, s], t] += mesh.face_edge_signs[t, s]
     Gb = Ginc.copy()
     Gb[np.array(mesh.boundary_edge)] = 0.0
-    Dmat = -(Ginc.T * l) / A[:, None]
+    Dmat = -(Gb.T * l) / A[:, None]
     return A, l, Ginc, Gb, Dmat
+
+
+def fd_gradient(fun, x, step=1e-5):
+    """Central-difference gradient of the scalar ``fun`` at ``x``.
+
+    Perturbs a C-ordered copy of ``x`` one entry at a time: ``ravel`` of a
+    Fortran-ordered array is a copy, and writes to it would never reach
+    the point ``fun`` reads.
+    """
+    x = np.array(x, dtype=float, order="C")
+    g = np.zeros_like(x)
+    flat = x.ravel()
+    gflat = g.ravel()
+    for i in range(flat.size):
+        old = flat[i]
+        flat[i] = old + step
+        hi = fun(x)
+        flat[i] = old - step
+        lo = fun(x)
+        flat[i] = old
+        gflat[i] = (hi - lo) / (2.0 * step)
+    return g
 
 
 def simplex_bisect(rows, iters=400):
@@ -72,7 +98,7 @@ def one_admm_sweep(mesh, f, st, alpha, beta,
                    r_p=1.0, r_q=1.0, r_z=100.0, alpha0=2.0, eta=1e-5):
     """One full inner sweep (z, u, v, b, p, q, multipliers) transliterated
     with dense solves; returns a dict of the new state arrays."""
-    A, l, Ginc, Gb, Dmat = dense_operators(mesh)
+    A, l, _, Gb, Dmat = dense_operators(mesh)
     E = mesh.n_edges
     f = np.atleast_2d(np.asarray(f, dtype=float).T).T
     u, z, b = st["u"].copy(), st["z"].copy(), st["b"].copy()
@@ -86,7 +112,7 @@ def one_admm_sweep(mesh, f, st, alpha, beta,
 
     Mu = r_p * Gb.T @ (l[:, None] * Gb) + r_z * np.diag(A)
     rhs_u = A[:, None] * (r_z * z + lam_z) \
-        + Ginc.T @ (l[:, None] * (lam_p + r_p * (p + v)))
+        + Gb.T @ (l[:, None] * (lam_p + r_p * (p + v)))
     u = np.linalg.solve(Mu, rhs_u)
 
     gu = Gb @ u
@@ -113,17 +139,16 @@ def one_admm_sweep(mesh, f, st, alpha, beta,
 def interior_edge_v(mesh, u, p, lam_p, q, lam_q, r_p, r_q):
     """Slope update by a direct solve on the interior edges alone.
 
-    Boundary edges take ``r_p v = -lam_p - r_p p``.  With those values
-    held, the interior rows of
+    Boundary edges take ``r_p v = -lam_p - r_p p``; the divergence does
+    not read them.  The interior rows of
     ``(-r_q grad div + r_p I) v = -grad(lam_q + r_q q) - lam_p + r_p(grad u - p)``
     are solved as the symmetric interior-edge system
     ``(r_q DG W^-1 (DG)' + r_p D) v = D rhs``.
     """
-    A, l, _, Gb, Dmat = dense_operators(mesh)
+    A, l, _, Gb, _ = dense_operators(mesh)
     inner = ~np.array(mesh.boundary_edge)
     v = np.where(inner[:, None], 0.0, -lam_p / r_p - p)
-    rhs = -Gb @ (lam_q + r_q * q) - lam_p + r_p * (Gb @ u - p) \
-        + r_q * Gb @ (Dmat @ v)
+    rhs = -Gb @ (lam_q + r_q * q) - lam_p + r_p * (Gb @ u - p)
     DG = l[inner, None] * Gb[inner]
     M = r_q * (DG / A) @ DG.T + r_p * np.diag(l[inner])
     v[inner] = np.linalg.solve(M, l[inner, None] * rhs[inner])

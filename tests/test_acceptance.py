@@ -41,7 +41,8 @@ from _meshes import (
     two_components,
     unit_area_pair,
 )
-from _reference import one_admm_sweep, prox_norm_oracle, simplex_bisect
+from _reference import (fd_gradient, one_admm_sweep, prox_norm_oracle,
+                        simplex_bisect)
 
 
 def ok(n, text):
@@ -135,19 +136,15 @@ def test_criterion_03_simplex_projection():
           f"worst {worst:.2e}")
 
 
-def fd_gradient(fun, x, step=1e-5):
-    g = np.zeros_like(x)
-    flat = x.ravel()
-    gflat = g.ravel()
-    for i in range(flat.size):
-        old = flat[i]
-        flat[i] = old + step
-        hi = fun(x)
-        flat[i] = old - step
-        lo = fun(x)
-        flat[i] = old
-        gflat[i] = (hi - lo) / (2.0 * step)
-    return g
+def test_fd_gradient_of_a_quadratic_at_a_fortran_ordered_point():
+    # solve_u and solve_b return Fortran-ordered arrays; criterion 04 reads
+    # its gradient at such points
+    rng = np.random.default_rng(3)
+    c = rng.random((6, 3)) + 0.5
+    d = rng.normal(size=(6, 3))
+    x = np.asfortranarray(rng.normal(size=(6, 3)))
+    g = fd_gradient(lambda y: 0.5 * np.sum(c * y * y) + np.sum(d * y), x)
+    assert np.abs(g - (c * x + d)).max() <= 1e-8
 
 
 def test_criterion_04_subproblem_stationarity():

@@ -23,6 +23,7 @@ from _meshes import (
     diagonal_pair,
     equilateral,
     random_meshes,
+    random_patch,
     square_axis_pair,
 )
 
@@ -85,14 +86,23 @@ def test_divergence_zero_field():
 
 
 def test_divergence_equilateral_hand_value():
-    # p aligned with every face-edge sign makes each summand l_e, so
-    # div = -3 / (sqrt(3)/4) = -4 sqrt(3)
+    # p aligned with every face-edge sign: all three edges are boundary
+    # edges, outside the range of the gradient, so they carry no flux
     mesh = equilateral()
     p = np.zeros((3, 1))
     for s in range(3):
         p[mesh.face_edges[0, s], 0] = mesh.face_edge_signs[0, s]
-    d = divergence(mesh, p)
-    assert d[0, 0] == pytest.approx(-4.0 * np.sqrt(3.0), rel=1e-13)
+    assert divergence(mesh, p)[0, 0] == 0.0
+
+
+def test_divergence_unit_flux_hand_value():
+    # unit flux on the unit-length interior edge (0,0)-(0,1), which face 0
+    # traverses along its direction and face 1 against it; both areas are
+    # 1/2, so div = -(+-1) * 1 / (1/2); the boundary values add nothing
+    mesh = square_axis_pair()
+    p = np.where(mesh.boundary_edge, 5.0, 1.0)
+    assert np.allclose(divergence(mesh, p)[:, 0], [-2.0, 2.0],
+                       rtol=0, atol=1e-15)
 
 
 def test_divergence_dimension_error():
@@ -125,10 +135,12 @@ def test_adjointness_spot_case():
     rng = np.random.default_rng(42)
     for mesh in random_meshes(5, seed=3, max_faces=300):
         u = rng.normal(size=(mesh.n_faces, 2))
-        p = interior_field(mesh, rng, n=2)
-        lhs = inner_V(mesh, gradient(mesh, u), p)
-        rhs = -inner_U(mesh, u, divergence(mesh, p))
-        assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+        # a field in the range of the gradient, and one with boundary values
+        for p in (interior_field(mesh, rng, n=2),
+                  rng.normal(size=(mesh.n_edges, 2))):
+            lhs = inner_V(mesh, gradient(mesh, u), p)
+            rhs = -inner_U(mesh, u, divergence(mesh, p))
+            assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
 def test_laplace_is_div_of_grad():
@@ -226,30 +238,36 @@ def test_rtgv_zero_fields():
 
 
 def test_rtgv_brute_force_oracle():
-    mesh = random_meshes(1, seed=30, max_faces=50)[0]
-    rng = np.random.default_rng(7)
-    u = np.zeros((mesh.n_faces, 2))
-    v = rng.normal(size=(mesh.n_edges, 2))
-    alpha0 = 1.7
-    # independent summation straight from the incidence arrays
-    first = 0.0
-    for e in range(mesh.n_edges):
-        g = np.zeros(2)
-        if not mesh.boundary_edge[e]:
-            for t in mesh.edge_faces[e]:
-                s = mesh.face_edge_signs[t][mesh.face_edges[t] == e][0]
-                g += s * u[t]
-        first += mesh.edge_lengths[e] * np.abs(g - v[e]).sum()
-    second = 0.0
-    for t in range(mesh.n_faces):
-        d = np.zeros(2)
-        for s in range(3):
-            e = mesh.face_edges[t, s]
-            d -= mesh.face_edge_signs[t, s] * mesh.edge_lengths[e] * v[e]
-        d /= mesh.face_areas[t]
-        second += mesh.face_areas[t] * np.abs(d).sum()
-    expected = first + alpha0 * second
-    assert rtgv_value(mesh, u, v, alpha0) == pytest.approx(expected, rel=1e-10)
+    # a closed mesh and an open one
+    for mesh in (random_meshes(1, seed=30, max_faces=50)[0],
+                 random_patch(20, 4)):
+        rng = np.random.default_rng(7)
+        u = np.zeros((mesh.n_faces, 2))
+        v = rng.normal(size=(mesh.n_edges, 2))
+        alpha0 = 1.7
+        # independent summation straight from the incidence arrays; the
+        # gradient and the divergence both skip boundary edges
+        first = 0.0
+        for e in range(mesh.n_edges):
+            g = np.zeros(2)
+            if not mesh.boundary_edge[e]:
+                for t in mesh.edge_faces[e]:
+                    s = mesh.face_edge_signs[t][mesh.face_edges[t] == e][0]
+                    g += s * u[t]
+            first += mesh.edge_lengths[e] * np.abs(g - v[e]).sum()
+        second = 0.0
+        for t in range(mesh.n_faces):
+            d = np.zeros(2)
+            for s in range(3):
+                e = mesh.face_edges[t, s]
+                if not mesh.boundary_edge[e]:
+                    d -= mesh.face_edge_signs[t, s] * mesh.edge_lengths[e] \
+                        * v[e]
+            d /= mesh.face_areas[t]
+            second += mesh.face_areas[t] * np.abs(d).sum()
+        expected = first + alpha0 * second
+        assert rtgv_value(mesh, u, v, alpha0) == pytest.approx(expected,
+                                                               rel=1e-10)
 
 
 def test_rtgv_nonnegative():

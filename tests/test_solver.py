@@ -7,6 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from msseg.calculus import divergence, gradient, inner_U, tv_energy
 from msseg.errors import DimensionError, InitializationError, ParameterError
+from msseg.features import feature_field
 from msseg.mesh import load_off
 from msseg.solver import (
     MODES,
@@ -43,8 +44,8 @@ from _meshes import (
     strip10,
     unit_area_pair,
 )
-from _reference import (dense_operators, interior_edge_v, one_admm_sweep,
-                        simplex_bisect)
+from _reference import (dense_operators, fd_gradient, interior_edge_v,
+                        one_admm_sweep, simplex_bisect)
 
 
 # -- parameter validation ------------------------------------------------------
@@ -351,10 +352,10 @@ def test_solve_u_two_face_closed_form():
     systems = Systems(mesh, SolverParams(k=K, mode="pcms", alpha=1.0, r_p=r_p,
                                          r_z=r_z))
     got = solve_u(mesh, z, lam_z, p, v, lam_p, systems)
-    A, l, Ginc, Gb, _ = dense_operators(mesh)
+    A, l, _, Gb, _ = dense_operators(mesh)
     M = r_p * Gb.T @ (l[:, None] * Gb) + r_z * np.diag(A)
     rhs = A[:, None] * (r_z * z + lam_z) \
-        + Ginc.T @ (l[:, None] * (lam_p + r_p * (p + v)))
+        + Gb.T @ (l[:, None] * (lam_p + r_p * (p + v)))
     assert np.allclose(got, np.linalg.solve(M, rhs), atol=1e-12)
 
 
@@ -408,6 +409,57 @@ def test_solve_v_matches_interior_edge_oracle(make):
     M = r_p * np.eye(E) - r_q * Gb @ Dmat
     rhs = -Gb @ (lam_q + r_q * q) - lam_p + r_p * (Gb @ u - p)
     assert np.linalg.norm(M @ v - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: flat_patch(3), lambda: random_patch(12, 1),
+    lambda: random_patch(15, 2), strip10, square_axis_pair,
+], ids=["flat_patch3", "random_patch12", "random_patch15", "strip10",
+        "square_axis_pair"])
+def test_subproblem_solves_are_stationary_on_open_meshes(make):
+    # criterion 04 on open meshes, with edge inputs that are non-zero on
+    # boundary edges and objectives written with the dense operators
+    mesh = make()
+    rng = np.random.default_rng(14)
+    T, E, K = mesh.n_faces, mesh.n_edges, 3
+    r_p, r_q, r_z = 1.0, 1.0, 100.0
+    alpha, beta, eta = 2.0, 1.5, 1e-5
+    z = project_simplex(rng.normal(size=(T, K)))
+    lam_z, q, lam_q = rng.normal(size=(3, T, K))
+    p, v, lam_p = rng.normal(size=(3, E, K))
+    f = rng.normal(size=(T, K - 1))
+    mu = rng.normal(size=(K, K - 1))
+    A, l, _, Gb, Dmat = dense_operators(mesh)
+
+    def sq_U(a):
+        return np.sum(A[:, None] * a * a)
+
+    def sq_V(a):
+        return np.sum(l[:, None] * a * a)
+
+    def obj_u(uu):
+        return 0.5 * r_z * sq_U(uu - z - lam_z / r_z) \
+            + 0.5 * r_p * sq_V(Gb @ uu - (p + v + lam_p / r_p))
+
+    def obj_v(vv):
+        return 0.5 * r_p * sq_V(vv - (Gb @ u_sol - p - lam_p / r_p)) \
+            + 0.5 * r_q * sq_U(Dmat @ vv - (q + lam_q / r_q))
+
+    def obj_b(bb):
+        s = ((f[:, None, :] - bb[:, None, :] - mu[None]) ** 2).sum(axis=2)
+        return 0.5 * beta * sq_U(Dmat @ Gb @ bb) + 0.5 * eta * sq_U(bb) \
+            + 0.5 * alpha * np.sum(A[:, None] * z * s)
+
+    systems = Systems(
+        mesh, SolverParams(k=K, r_p=r_p, r_q=r_q, r_z=r_z, eta=eta,
+                           alpha=alpha, beta_ratio=beta / alpha))
+    u_sol = solve_u(mesh, z, lam_z, p, v, lam_p, systems)
+    v_sol = solve_v(mesh, u_sol, p, lam_p, q, lam_q, systems)
+    b_sol = solve_b(mesh, f, z, mu, systems)
+    for name, fun, x in (("u", obj_u, u_sol), ("v", obj_v, v_sol),
+                         ("b", obj_b, b_sol)):
+        g = fd_gradient(fun, x)
+        assert np.linalg.norm(g) <= 1e-4 * (1.0 + abs(fun(x))), name
 
 
 def test_solve_b_zero_right_side():
@@ -682,6 +734,18 @@ def test_segment_resolved_alpha_replays_bitwise():
                                           seed=3, alpha=auto.alpha))
     assert given.alpha == auto.alpha
     _same_run(auto, given)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_segment_keeps_boundary_edge_rows_zero(mode):
+    # v, p and lam_p start at 0, and each sweep maps boundary rows of 0 to
+    # 0: v = -lam_p / r_p - p, p = prox(-v - lam_p / r_p), lam_p += r_p (p + v)
+    mesh = random_patch(300, 3)
+    assert mesh.boundary_edge.any()
+    f = feature_field(mesh, 3).values
+    state = segment(mesh, f, SolverParams(k=3, mode=mode)).state
+    for name in ("v", "p", "lam_p"):
+        assert np.all(getattr(state, name)[mesh.boundary_edge] == 0.0), name
 
 
 def test_pcms_mode_keeps_b_zero():
