@@ -13,6 +13,7 @@ _EXPORTS = {
     "inner_V": "calculus",
     "tv_energy": "calculus",
     "rtgv_value": "calculus",
+    "vectorial_rtgv": "calculus",
     "build_laplacian": "features",
     "feature_field": "features",
     "FeatureField": "features",

@@ -9,6 +9,7 @@ area/length weighted inner products below, for every edge field.
 """
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionError, NumericError, ParameterError
@@ -17,13 +18,16 @@ from .errors import DimensionError, NumericError, ParameterError
 _SOLVE_RTOL = 1e-8  # residual bound of every direct solve, relative to 1 + |rhs|
 
 
-class _SPDSolve:
-    """Direct solve of an SPD sparse system, with a residual check.
+class _DirectSolve:
+    """Direct solve of a sparse system, with a residual check.
 
     The one sparse factorization of the package: the solver's u, v and b
     systems and the features' shift-invert eigensolve all use it.  One
     SuperLU factorization in symmetric mode (minimum degree ordering on
     the pattern of ``A' + A``, diagonal pivots) serves every later solve.
+    Diagonal pivots are safe for an SPD matrix, and for a complex one that
+    a unit multiple gives a positive definite Hermitian part (the b
+    system's factor, :class:`_BiharmonicSolve`).
     """
 
     def __init__(self, matrix):
@@ -34,12 +38,41 @@ class _SPDSolve:
 
     def __call__(self, rhs):
         x = self._lu.solve(rhs)
-        res = np.linalg.norm(self.matrix @ x - rhs)
+        return self._checked(x, self.matrix @ x, rhs)
+
+    @staticmethod
+    def _checked(x, image, rhs):
+        """``x`` if the residual ``image - rhs`` is within the gate."""
+        res = np.linalg.norm(image - rhs)
         if res > _SOLVE_RTOL * (1.0 + np.linalg.norm(rhs)):
             raise NumericError(
                 f"linear solve residual {res:.3e} above tolerance"
             )
         return x
+
+
+class _BiharmonicSolve(_DirectSolve):
+    """Solve ``(beta S W^-1 S + c W) b = r`` for a real ``r`` through one
+    complex factor on the pattern of ``S``.
+
+    With ``A = sqrt(beta) S`` and ``s = sqrt(c)`` the matrix is
+    ``(A - i s W) W^-1 (A + i s W)``, so ``b = Im((A - i s W)^-1 r) / s``.
+    Times ``i``, the factored matrix has the positive definite Hermitian
+    part ``s W``.  The residual gate checks the real system, by matvecs:
+    ``S W^-1 S`` is never formed.
+    """
+
+    def __init__(self, S, areas, beta, c):
+        W = sp.diags(areas)
+        super().__init__(np.sqrt(beta) * S - 1j * np.sqrt(c) * W)
+        self.S, self.W, self.Winv = S, W, sp.diags(1.0 / areas)
+        self.beta, self.c = beta, c
+
+    def __call__(self, rhs):
+        b = self._lu.solve(rhs).imag / np.sqrt(self.c)
+        image = self.beta * (self.S @ (self.Winv @ (self.S @ b))) \
+            + self.c * (self.W @ b)
+        return self._checked(b, image, rhs)
 
 
 def _field(x, rows, kind, name):
@@ -116,6 +149,22 @@ def rtgv_value(mesh, u, v, alpha0):
     Returns ``sum |grad u - v| * l  +  alpha0 * sum |div v| * A``.  The
     minimum over ``v`` is realized by the solver; this is the evaluator.
     """
+    return _rtgv(mesh, u, v, alpha0, np.abs)
+
+
+def vectorial_rtgv(mesh, u, v, alpha0):
+    """Relaxed TGV with the Euclidean norm of each row across channels:
+    ``sum ||grad u - v||_2 * l  +  alpha0 * sum ||div v||_2 * A``.
+
+    The vectorial (channel-isotropic) form that the solver's row-wise
+    shrinkages ``prox_p`` and ``prox_q`` minimize; ``rtgv_value`` sums
+    the absolute values of the entries instead.
+    """
+    return _rtgv(mesh, u, v, alpha0,
+                 lambda x: np.linalg.norm(x, axis=1, keepdims=True))
+
+
+def _rtgv(mesh, u, v, alpha0, norm):
     if alpha0 <= 0:
         raise ParameterError(f"alpha0 must be positive, got {alpha0}")
     u = _field(u, mesh.n_faces, "face", "u")
@@ -123,6 +172,6 @@ def rtgv_value(mesh, u, v, alpha0):
     g = gradient(mesh, u)
     if g.shape != v.shape:
         raise DimensionError(f"shape mismatch: grad u {g.shape} vs v {v.shape}")
-    first = np.sum(mesh.edge_lengths[:, None] * np.abs(g - v))
-    second = np.sum(mesh.face_areas[:, None] * np.abs(divergence(mesh, v)))
+    first = np.sum(mesh.edge_lengths[:, None] * norm(g - v))
+    second = np.sum(mesh.face_areas[:, None] * norm(divergence(mesh, v)))
     return float(first + alpha0 * second)

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .calculus import _SPDSolve
+from .calculus import _DirectSolve
 from .errors import FeatureError, NumericError, check_integer
 from .mesh import DEFAULT_RING, smoothed_normals
 
@@ -88,7 +88,7 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
     component) are kept first, followed by eigenvectors of increasing
     positive eigenvalue, with a deterministic sign (first entry of
     magnitude above tolerance is positive).  The eigenpairs come from a
-    shift-invert ARPACK solve through ``_SPDSolve`` at every size; a dense
+    shift-invert ARPACK solve through ``_DirectSolve`` at every size; a dense
     ``eigh`` serves only a request that covers the whole spectrum.
     """
     check_integer("n_segments", n_segments)
@@ -120,7 +120,7 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
             w, V = np.linalg.eigh(L.toarray())
         else:
             sigma = -1e-6 * max(max_diag, 1.0)
-            shifted = _SPDSolve(L - sigma * sp.identity(T))
+            shifted = _DirectSolve(L - sigma * sp.identity(T))
             try:
                 w, V = spla.eigsh(
                     L, k=k_solve, sigma=sigma, which="LM",

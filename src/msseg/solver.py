@@ -127,11 +127,11 @@ class SegmentationResult:
 
 
 class Systems:
-    """Prefactorized per-channel SPD systems for the smooth updates.
+    """Prefactorized per-channel systems for the smooth updates.
 
     The one place the u, v and b systems are assembled and factored.  All
     coefficients are constant along a run, so each system is factorized
-    once by :class:`msseg.calculus._SPDSolve`, and only the systems the
+    once by :class:`msseg.calculus._DirectSolve`, and only the systems the
     mode solves with are built: ``v`` for gpsms without ``freeze_v``,
     ``b`` for psms and gpsms; the others are ``None``.  The systems are
     the weighted-inner-product normal equations written in plain
@@ -140,10 +140,14 @@ class Systems:
     * ``u_solve``:  (r_p * S + r_z * W) u = W * rhs,
     * ``v_solve``:  (S + (r_p / r_q) * W) w = G' D y, the face form of the
       edge system (r_p * D + r_q * DG W^-1 (DG)') v = D y (see solve_v),
-    * ``b_solve``:  (beta * S W^-1 S + (eta + alpha) * W) b = W * rhs.
+    * ``b_solve``:  (beta * S W^-1 S + c * W) b = W * rhs, c = eta + alpha,
+      solved as ``b = Im(x) / sqrt(c)`` with one complex factor of
+      ``sqrt(beta) S - i sqrt(c) W`` (``calculus._BiharmonicSolve``); its
+      residual gate checks the real system by matvecs, so ``S W^-1 S`` is
+      never assembled.
 
-    u and v share the face pattern of ``S``.  ``params`` carries a
-    resolved alpha; the right-hand sides read their coefficients from it.
+    All three factors share the face pattern of ``S``.  ``params`` carries
+    a resolved alpha; the right-hand sides read their coefficients from it.
     """
 
     def __init__(self, mesh, params):
@@ -153,14 +157,13 @@ class Systems:
         self.params = params
         W = sp.diags(mesh.face_areas)
         S = mesh.grad.T @ sp.diags(mesh.edge_lengths) @ mesh.grad
-        self.u_solve = calc._SPDSolve(params.r_p * S + params.r_z * W)
+        self.u_solve = calc._DirectSolve(params.r_p * S + params.r_z * W)
         self.v_solve = self.b_solve = None
         if use_vq:
-            self.v_solve = calc._SPDSolve(S + (params.r_p / params.r_q) * W)
+            self.v_solve = calc._DirectSolve(S + (params.r_p / params.r_q) * W)
         if use_b:
-            Winv = sp.diags(1.0 / mesh.face_areas)
-            self.b_solve = calc._SPDSolve(params.beta * (S @ Winv @ S)
-                                          + (params.eta + params.alpha) * W)
+            self.b_solve = calc._BiharmonicSolve(
+                S, mesh.face_areas, params.beta, params.eta + params.alpha)
 
 
 # -- closed-form pieces ------------------------------------------------------
@@ -426,10 +429,15 @@ def initial_state(mesh, f, params):
 
 def energy(mesh, u, v, b, mu, f, params):
     """Model energy: relaxed TGV (TV where ``v`` = 0) + smooth-part terms +
-    data term, weighted by ``params``, which carries a resolved alpha."""
+    data term, weighted by ``params``, which carries a resolved alpha.
+
+    The regularizer takes the row norm across the K channels, as the
+    row-wise prox steps do (:func:`msseg.calculus.vectorial_rtgv`), so
+    this is the objective the iterations minimize.
+    """
     lap = calc.laplace(mesh, b)
     return (
-        calc.rtgv_value(mesh, u, v, params.alpha0)
+        calc.vectorial_rtgv(mesh, u, v, params.alpha0)
         + 0.5 * params.beta * inner_U(mesh, lap, lap)
         + 0.5 * params.eta * inner_U(mesh, b, b)
         + 0.5 * params.alpha * inner_U(mesh, u, s_field(f, b, mu))

@@ -120,10 +120,7 @@ def one_admm_sweep(mesh, f, st, alpha, beta,
     rhs_v = -Gb @ (lam_q + r_q * q) - lam_p + r_p * (gu - p)
     v = np.linalg.solve(Mv, rhs_v)
 
-    Delta = Dmat @ Gb
-    Mb = beta * (Delta.T * A) @ Delta + (eta + alpha) * np.diag(A)
-    rhs_b = alpha * (A[:, None] * (f - z @ mu))
-    b = np.linalg.solve(Mb, rhs_b)
+    b = biharmonic_b(mesh, f, z, mu, alpha, beta, eta)
 
     p = shrink_rows_ref(gu - v - lam_p / r_p, 1.0 / r_p)
     dv = Dmat @ v
@@ -134,6 +131,32 @@ def one_admm_sweep(mesh, f, st, alpha, beta,
     lam_z = lam_z + r_z * (z - u)
     return {"u": u, "z": z, "b": b, "v": v, "p": p, "q": q,
             "lam_p": lam_p, "lam_q": lam_q, "lam_z": lam_z, "mu": mu}
+
+
+def biharmonic_b(mesh, f, z, mu, alpha, beta, eta):
+    """Smooth-part update by a dense solve of the real biharmonic system
+    ``(beta Delta' W Delta + (eta + alpha) W) b = alpha W (f - z mu)``,
+    with ``Delta = div grad`` the face Laplacian and ``W`` the areas.
+
+    The system is ill-conditioned on small meshes (1e10 on a sliver-faced
+    patch at scale 0.01), so the double solve is refined against the
+    system and residual formed in ``np.longdouble``.
+    """
+    A, l, _, Gb, Dmat = dense_operators(mesh)
+    Delta = Dmat @ Gb
+    M = beta * (Delta.T * A) @ Delta + (eta + alpha) * np.diag(A)
+    Al = A.astype(np.longdouble)[:, None]
+    Dl = -(Gb.T * l.astype(np.longdouble)) / Al
+
+    def matvec(x):
+        lap = Dl @ (Gb @ x)
+        return beta * (Gb.T @ (Dl.T @ (Al * lap))) + (eta + alpha) * Al * x
+
+    rhs = alpha * (Al * (f - z @ mu))
+    b = np.linalg.solve(M, rhs.astype(float))
+    for _ in range(3):
+        b = b + np.linalg.solve(M, (rhs - matvec(b)).astype(float))
+    return b
 
 
 def interior_edge_v(mesh, u, p, lam_p, q, lam_q, r_p, r_q):

@@ -13,6 +13,7 @@ from msseg.calculus import (
     norm_V,
     rtgv_value,
     tv_energy,
+    vectorial_rtgv,
 )
 from msseg.errors import DimensionError, ParameterError
 from msseg.mesh import load_off
@@ -268,6 +269,24 @@ def test_rtgv_brute_force_oracle():
         expected = first + alpha0 * second
         assert rtgv_value(mesh, u, v, alpha0) == pytest.approx(expected,
                                                                rel=1e-10)
+
+
+def test_vectorial_rtgv_takes_row_norms():
+    mesh = random_patch(20, 4)
+    rng = np.random.default_rng(9)
+    u = rng.normal(size=(mesh.n_faces, 3))
+    v = rng.normal(size=(mesh.n_edges, 3))
+    alpha0 = 1.7
+    first = mesh.edge_lengths @ np.sqrt(
+        ((gradient(mesh, u) - v) ** 2).sum(axis=1))
+    second = mesh.face_areas @ np.sqrt((divergence(mesh, v) ** 2).sum(axis=1))
+    assert vectorial_rtgv(mesh, u, v, alpha0) == pytest.approx(
+        first + alpha0 * second, rel=1e-12)
+    # one channel: the row norm is the absolute value
+    assert vectorial_rtgv(mesh, u[:, :1], v[:, :1], alpha0) == pytest.approx(
+        rtgv_value(mesh, u[:, :1], v[:, :1], alpha0), rel=1e-14)
+    with pytest.raises(ParameterError):
+        vectorial_rtgv(mesh, u, v, 0.0)
 
 
 def test_rtgv_nonnegative():

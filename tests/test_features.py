@@ -229,13 +229,13 @@ def test_arpack_matches_dense_eigh_on_small_mesh(monkeypatch):
     # shift-invert operator is the one SPD factor of L - sigma I
     calls = _record_arpack_calls(monkeypatch)
     factored = []
-    spd_solve = features._SPDSolve
+    direct_solve = features._DirectSolve
 
     def recording(matrix):
         factored.append(matrix)
-        return spd_solve(matrix)
+        return direct_solve(matrix)
 
-    monkeypatch.setattr(features, "_SPDSolve", recording)
+    monkeypatch.setattr(features, "_DirectSolve", recording)
     mesh = random_closed(800, seed=3)
     assert mesh.n_faces <= 3000
     field = feature_field(mesh, 4)
