@@ -77,7 +77,6 @@ def export_colored_mesh(mesh, labels, path):
         raise MeshSegError(f"cannot write {path}: {exc}") from exc
 
 
-_LIBRARY_ONLY = ("freeze_v",)
 # the only config keys and flags not spelled like their field or key
 _KEYS = {"outer_tol": "tol"}
 _FLAGS = {"r_p": "--rp", "r_q": "--rq", "r_z": "--rz"}
@@ -93,7 +92,7 @@ _SCHEMA = {
 } | {
     _KEYS.get(f.name, f.name):
         (f.name, f.default, f.type, f.metadata.get("help"))
-    for f in fields(SolverParams) if f.name not in _LIBRARY_ONLY
+    for f in fields(SolverParams)
 }
 
 

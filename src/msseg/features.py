@@ -29,7 +29,7 @@ def build_laplacian(mesh, ring=DEFAULT_RING):
     interior = ~mesh.boundary_edge
     if not interior.any():
         raise FeatureError("mesh has no interior edges; cannot build Laplacian")
-    normals = smoothed_normals(mesh, ring) if ring != "raw" else mesh.face_normals
+    normals = smoothed_normals(mesh, ring)
     # the normal jump across each edge; boundary rows of grad are empty
     d = np.sum((mesh.grad @ normals) ** 2, axis=1)
     dbar = float(d[interior].mean())

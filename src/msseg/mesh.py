@@ -256,14 +256,15 @@ def smoothed_normals(mesh, ring=DEFAULT_RING):
     Raises
     ------
     DegenerateGeometryError
-        Naming the first face whose averaged vector has norm below 1e-12.
+        Naming the first face whose averaged vector has norm below 1e-12
+        of its neighborhood's area, a test that does not depend on units.
     """
-    weighted = mesh.face_areas[:, None] * mesh.face_normals
-    avg = mesh.neighborhoods(ring) @ weighted
+    pattern = mesh.neighborhoods(ring)
+    avg = pattern @ (mesh.face_areas[:, None] * mesh.face_normals)
     # one dot product per row, so a row rounds as ``np.linalg.norm`` of
     # that row alone does
     norm = np.sqrt((avg[:, None, :] @ avg[:, :, None])[:, 0, 0])
-    degenerate = np.flatnonzero(norm < 1e-12)
+    degenerate = np.flatnonzero(norm < 1e-12 * (pattern @ mesh.face_areas))
     if degenerate.size:
         raise DegenerateGeometryError(
             f"averaged normal of face {degenerate[0]} (ring {ring}) "

@@ -55,7 +55,6 @@ class SolverParams:
     outer_tol: float = 1e-5
     max_outer: int = 100
     seed: int = 0
-    freeze_v: bool = False  # diagnostic: disable v/q updates in gpsms mode
 
     @property
     def beta(self):
@@ -64,8 +63,6 @@ class SolverParams:
     def validate(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.freeze_v, (bool, np.bool_)):
-            raise ParameterError(f"freeze_v must be a bool, got {self.freeze_v!r}")
         # the type before the range, so that no comparison raises TypeError
         for name, least in (("k", 2), ("inner_iters", 1), ("max_outer", 1),
                             ("seed", 0)):
@@ -99,13 +96,9 @@ class SolverState:
     lam_q: np.ndarray   # (T, K)
     lam_z: np.ndarray   # (T, K)
     mu: np.ndarray      # (K, K-1) class means
-    outer: int = 0
 
     def copy(self):
-        return SolverState(
-            **{k: (v.copy() if isinstance(v, np.ndarray) else v)
-               for k, v in self.__dict__.items()}
-        )
+        return SolverState(**{k: v.copy() for k, v in self.__dict__.items()})
 
 
 @dataclass
@@ -132,10 +125,11 @@ class Systems:
     The one place the u, v and b systems are assembled and factored.  All
     coefficients are constant along a run, so each system is factorized
     once by :class:`msseg.calculus._DirectSolve`, and only the systems the
-    mode solves with are built: ``v`` for gpsms without ``freeze_v``,
-    ``b`` for psms and gpsms; the others are ``None``.  The systems are
-    the weighted-inner-product normal equations written in plain
-    coordinates, with ``G`` the gradient and ``S = G' D G``:
+    mode solves with are built: ``v`` for gpsms, ``b`` for psms and gpsms;
+    the others are ``None``.  This is the one reader of ``params.mode``:
+    :func:`admm_inner` runs a block exactly when its system is built.  The
+    systems are the weighted-inner-product normal equations written in
+    plain coordinates, with ``G`` the gradient and ``S = G' D G``:
 
     * ``u_solve``:  (r_p * S + r_z * W) u = W * rhs,
     * ``v_solve``:  (S + (r_p / r_q) * W) w = G' D y, the face form of the
@@ -153,15 +147,14 @@ class Systems:
     def __init__(self, mesh, params):
         if params.alpha is None:
             raise ParameterError("Systems needs a resolved alpha, got None")
-        use_vq, use_b = _mode_flags(params)
         self.params = params
         W = sp.diags(mesh.face_areas)
         S = mesh.grad.T @ sp.diags(mesh.edge_lengths) @ mesh.grad
         self.u_solve = calc._DirectSolve(params.r_p * S + params.r_z * W)
         self.v_solve = self.b_solve = None
-        if use_vq:
+        if params.mode == "gpsms":
             self.v_solve = calc._DirectSolve(S + (params.r_p / params.r_q) * W)
-        if use_b:
+        if params.mode != "pcms":
             self.b_solve = calc._BiharmonicSolve(
                 S, mesh.face_areas, params.beta, params.eta + params.alpha)
 
@@ -369,40 +362,34 @@ def estimate_alpha(mesh, f, u0, mu0, params):
 # -- ADMM inner loop and AMM outer loop ---------------------------------------
 
 
-def _mode_flags(params):
-    gpsms = params.mode == "gpsms" and not params.freeze_v
-    smooth = params.mode in ("psms", "gpsms")
-    return gpsms, smooth
-
-
 def admm_inner(mesh, f, state, systems):
     """Run ``inner_iters`` ADMM sweeps in place and return the state.
 
-    Sweep order: z, u, v, b, p, q, multipliers.  TV modes keep ``v``,
-    ``q`` and their multiplier at zero; the piecewise-constant mode also
-    freezes ``b``.  Every coefficient, the data weight included, comes
-    from ``systems.params``, which carries a resolved alpha.
+    Sweep order: z, u, v, b, p, lam_p, q, lam_q, lam_z.  A block runs
+    exactly when :class:`Systems` built its system: without ``v_solve``
+    (TV modes) ``v``, ``q`` and ``lam_q`` stay zero, and without
+    ``b_solve`` (the piecewise-constant mode) ``b`` does.  Every
+    coefficient, the data weight included, comes from ``systems.params``,
+    which carries a resolved alpha.
     """
     params = systems.params
-    use_vq, use_b = _mode_flags(params)
     r_p, r_q, r_z = params.r_p, params.r_q, params.r_z
     for _ in range(params.inner_iters):
         s = s_field(f, state.b, state.mu)
         state.z = update_z(state.u, state.lam_z, s, params.alpha, r_z)
         state.u = solve_u(mesh, state.z, state.lam_z, state.p, state.v,
                           state.lam_p, systems)
-        if use_vq:
+        if systems.v_solve is not None:
             state.v = solve_v(mesh, state.u, state.p, state.lam_p,
                               state.q, state.lam_q, systems)
-        if use_b:
+        if systems.b_solve is not None:
             state.b = solve_b(mesh, f, state.z, state.mu, systems)
         gu = gradient(mesh, state.u)
         state.p = prox_p(gu - state.v - state.lam_p / r_p, r_p)
-        if use_vq:
+        state.lam_p = state.lam_p + r_p * (state.p + state.v - gu)
+        if systems.v_solve is not None:
             dv = divergence(mesh, state.v)
             state.q = prox_q(dv - state.lam_q / r_q, r_q, params.alpha0)
-        state.lam_p = state.lam_p + r_p * (state.p + state.v - gu)
-        if use_vq:
             state.lam_q = state.lam_q + r_q * (state.q - dv)
         state.lam_z = state.lam_z + r_z * (state.z - state.u)
     return state
@@ -433,7 +420,10 @@ def energy(mesh, u, v, b, mu, f, params):
 
     The regularizer takes the row norm across the K channels, as the
     row-wise prox steps do (:func:`msseg.calculus.vectorial_rtgv`), so
-    this is the objective the iterations minimize.
+    this is the objective the iterations minimize.  :func:`segment`
+    evaluates it at the simplex iterate ``z``, a feasible point, where
+    every term is non-negative; ``u`` is off the simplex until ADMM
+    converges, so its data term can be negative.
     """
     lap = calc.laplace(mesh, b)
     return (
@@ -502,15 +492,14 @@ def segment(mesh, f, params):
     error_trace = []
     energy_trace = []
     converged = False
-    for outer in range(params.max_outer):
+    for _ in range(params.max_outer):
         u_prev = state.u.copy()
         admm_inner(mesh, f2, state, systems)
         state.mu = update_mu(mesh, state.u, state.b, f2, prev_mu=state.mu)
-        state.outer = outer + 1
         err = inner_U(mesh, state.u - u_prev, state.u - u_prev)
         error_trace.append(err)
         energy_trace.append(
-            energy(mesh, state.u, state.v, state.b, state.mu, f2, params)
+            energy(mesh, state.z, state.v, state.b, state.mu, f2, params)
         )
         if err < params.outer_tol:
             converged = True

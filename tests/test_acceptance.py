@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import msseg.solver
 from msseg.calculus import divergence, gradient, inner_U, inner_V, laplace
 from msseg.evaluation import rand_index_dissimilarity
 from msseg.features import build_laplacian, feature_field
@@ -279,11 +280,14 @@ def test_criterion_08_dumbbell_segmentation(dumbbell_case, gpsms_run,
           f"gpsms {scores['gpsms']:.3f}")
 
 
-def test_criterion_09_mode_degeneracy_bitwise(dumbbell_case):
+def test_criterion_09_mode_degeneracy_bitwise(dumbbell_case, monkeypatch):
     mesh, f, _ = dumbbell_case
     kw = dict(k=2, alpha=150.0, max_outer=10, outer_tol=1e-300, seed=0)
-    frozen = segment(mesh, f, SolverParams(mode="gpsms", freeze_v=True, **kw))
     psms = segment(mesh, f, SolverParams(mode="psms", **kw))
+    # freeze the v-step of gpsms at v = 0
+    monkeypatch.setattr(msseg.solver, "solve_v",
+                        lambda mesh, u, p, *rest: np.zeros_like(p))
+    frozen = segment(mesh, f, SolverParams(mode="gpsms", **kw))
     assert len(frozen.error_trace) == 10
     assert np.array_equal(frozen.u, psms.u)
     assert np.array_equal(frozen.b, psms.b)

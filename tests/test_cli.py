@@ -401,8 +401,7 @@ def test_schema_round_trip_through_report(dumbbell_setup):
         max_outer=2, seed=7,
     )
     for f in fields(SolverParams):
-        if f.name != "freeze_v":
-            assert getattr(params, f.name) != f.default, f.name
+        assert getattr(params, f.name) != f.default, f.name
     out = base / "round_trip"
     assert main([
         "--mesh", str(mesh_path), "--k", "3", "--mode", "psms",

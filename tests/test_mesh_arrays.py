@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from msseg.errors import DegenerateGeometryError, ParameterError, TopologyError
-from msseg.mesh import TriMesh, smoothed_normals
+from msseg.mesh import RINGS, TriMesh, smoothed_normals
 
-from _meshes import equilateral, flat_patch, random_closed, random_patch
+from _meshes import (dumbbell, equilateral, flat_patch, random_closed,
+                     random_patch)
 from _reference import (
     dense_operators,
     incidence_loops,
@@ -82,6 +83,17 @@ def test_smoothed_normals_names_first_degenerate_face():
 def test_smoothed_normals_rejects_unknown_ring():
     with pytest.raises(ParameterError, match="ring must be one of"):
         smoothed_normals(equilateral(), "n3")
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("ring", RINGS)
+def test_smoothed_normals_do_not_depend_on_units(ring, scale):
+    # the degenerate test is relative to the neighborhood's area, so a
+    # uniformly rescaled mesh gives the same normals to rounding
+    mesh = dumbbell()
+    scaled = TriMesh(scale * mesh.vertices, mesh.faces)
+    assert np.allclose(smoothed_normals(scaled, ring),
+                       smoothed_normals(mesh, ring), rtol=0, atol=1e-14)
 
 
 # -- errors and warnings name the same edge or face as the loop -------------

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
+import msseg.solver
 from msseg.calculus import (_SOLVE_RTOL, _DirectSolve, divergence, gradient,
                             inner_U, tv_energy)
 from msseg.errors import (DimensionError, InitializationError, NumericError,
@@ -37,6 +38,7 @@ from msseg.solver import (
 
 from _meshes import (
     TETRA_OFF,
+    bumpy_revolution,
     disjoint_triangles,
     equilateral,
     fan5,
@@ -74,14 +76,11 @@ def test_params_validation():
     # wrong types fail typed, the integer type before any range check
     for kw in ({"inner_iters": 2.5}, {"max_outer": 2.5}, {"seed": 1.5},
                {"k": 2.0}, {"inner_iters": True}, {"alpha": "3"},
-               {"eta": "1"}, {"r_z": None}, {"alpha": True},
-               {"freeze_v": "no"}, {"freeze_v": 0}, {"freeze_v": None}):
+               {"eta": "1"}, {"r_z": None}, {"alpha": True}):
         with pytest.raises(ParameterError, match=next(iter(kw))):
             SolverParams(**{"k": 2, **kw}).validate()
     SolverParams(k=np.int64(3), inner_iters=np.int32(2), seed=np.uint8(1),
                  alpha=np.float64(2.5), eta=np.float32(1e-5)).validate()
-    SolverParams(k=2, freeze_v=True).validate()
-    SolverParams(k=2, freeze_v=np.bool_(False)).validate()
 
 
 # -- simplex projection --------------------------------------------------------
@@ -777,11 +776,14 @@ def test_segment_row_count_mismatch(alpha):
         segment(mesh, np.vstack([f, f[:5]]), SolverParams(k=2, alpha=alpha))
 
 
-def test_gpsms_with_frozen_v_matches_psms_bitwise_small():
+def test_gpsms_with_frozen_v_matches_psms_bitwise_small(monkeypatch):
     mesh, f, _ = piecewise_constant_instance()
     kw = dict(k=2, alpha=100.0, max_outer=4, outer_tol=1e-300, seed=0)
-    res_g = segment(mesh, f, SolverParams(mode="gpsms", freeze_v=True, **kw))
     res_p = segment(mesh, f, SolverParams(mode="psms", **kw))
+    # gpsms with the v-step frozen at v = 0 runs psms's operations
+    monkeypatch.setattr(msseg.solver, "solve_v",
+                        lambda mesh, u, p, *rest: np.zeros_like(p))
+    res_g = segment(mesh, f, SolverParams(mode="gpsms", **kw))
     assert np.array_equal(res_g.u, res_p.u)
     assert np.array_equal(res_g.b, res_p.b)
     assert np.array_equal(res_g.labels, res_p.labels)
@@ -836,15 +838,13 @@ def test_pcms_mode_keeps_b_zero():
 # -- prefactorized systems -------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode, freeze_v, factored", [
-    ("pcms", False, (True, False, False)),
-    ("psms", False, (True, False, True)),
-    ("gpsms", True, (True, False, True)),
-    ("gpsms", False, (True, True, True)),
+@pytest.mark.parametrize("mode, factored", [
+    ("pcms", (True, False, False)),
+    ("psms", (True, False, True)),
+    ("gpsms", (True, True, True)),
 ])
-def test_systems_factor_only_what_the_mode_solves(mode, freeze_v, factored):
-    params = SolverParams(k=2, mode=mode, freeze_v=freeze_v, alpha=2.0,
-                          beta_ratio=3.0 / 2.0)
+def test_systems_factor_only_what_the_mode_solves(mode, factored):
+    params = SolverParams(k=2, mode=mode, alpha=2.0, beta_ratio=3.0 / 2.0)
     systems = Systems(strip10(), params)
     got = (systems.u_solve, systems.v_solve, systems.b_solve)
     assert tuple(s is not None for s in got) == factored
@@ -910,6 +910,25 @@ def test_energy_class_permutation_invariance():
     a = energy(mesh, u, v, b, mu, f, params)
     b_val = energy(mesh, u[:, perm], v[:, perm], b, mu[perm], f, params)
     assert a == pytest.approx(b_val, rel=1e-12)
+
+
+@pytest.mark.parametrize("make_mesh, mode, alpha", [
+    (lambda: random_patch(800, 11), "psms", 1e4),
+    (bumpy_revolution, "gpsms", None),
+], ids=["patch-psms", "bumpy-gpsms"])
+def test_energy_trace_is_the_energy_of_a_feasible_point(make_mesh, mode,
+                                                          alpha):
+    # z lies on the simplex, so every term of its energy is non-negative;
+    # u does not, and its data term went negative on both meshes
+    mesh = make_mesh()
+    f = feature_field(mesh, 3).values
+    params = SolverParams(k=3, mode=mode, alpha=alpha)
+    result = segment(mesh, f, params)
+    assert min(result.energy_trace) >= 0
+    state = result.state
+    params = SolverParams(k=3, mode=mode, alpha=result.alpha)
+    assert result.energy_trace[-1] == energy(
+        mesh, state.z, state.v, state.b, state.mu, f, params)
 
 
 def test_kkt_residuals_vanish_at_constructed_point():
