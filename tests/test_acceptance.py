@@ -138,8 +138,8 @@ def test_criterion_03_simplex_projection():
 
 
 def test_fd_gradient_of_a_quadratic_at_a_fortran_ordered_point():
-    # solve_u and solve_b return Fortran-ordered arrays; criterion 04 reads
-    # its gradient at such points
+    # fd_gradient must step the point it is given whatever its memory
+    # order; ravel() of a Fortran-ordered array is a copy
     rng = np.random.default_rng(3)
     c = rng.random((6, 3)) + 0.5
     d = rng.normal(size=(6, 3))

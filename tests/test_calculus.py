@@ -1,4 +1,8 @@
-"""Discrete gradient/divergence, weighted inner products, TV and rTGV."""
+"""Discrete gradient/divergence, weighted inner products, TV and rTGV,
+and the one sparse factorization site."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +307,21 @@ def test_rtgv_parameter_and_shape_errors():
         rtgv_value(mesh, np.zeros(4), np.zeros(6), 0.0)
     with pytest.raises(DimensionError):
         rtgv_value(mesh, np.zeros((4, 2)), np.zeros((6, 1)), 1.0)
+
+
+def test_splu_is_called_only_in_direct_solve_init():
+    # every factor goes through _DirectSolve, so none escapes its SuperLU
+    # settings or its backward-error gate
+    src = Path(__file__).parents[1] / "src" / "msseg"
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        scopes = [(f"{cls.name}.{fn.name}", fn.lineno, fn.end_lineno)
+                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "splu(" in line:
+                where = [name for name, lo, hi in scopes if lo <= lineno <= hi]
+                sites.append((path.name, where))
+    assert sites == [("calculus.py", ["_DirectSolve.__init__"])]

@@ -49,6 +49,20 @@ def test_only_the_smooth_modes_split_a_step_on_a_steep_ramp(grid):
     assert scores["psms"] <= 1.0 and scores["gpsms"] <= 1.0, scores
 
 
+def test_gpsms_runs_with_a_heavy_smoothness_weight(grid):
+    # at beta_ratio 1e4 a b solve of the 16th outer iteration has a
+    # residual of 1.7e-8 |rhs| but a backward error of 1e-16, so a gate
+    # relative to 1 + |rhs| stops this run with NumericError
+    mesh, x, y = grid
+    step = (x > 0.5).astype(int)
+    noise = np.random.default_rng(0).normal(size=mesh.n_faces)
+    f = (step + 2.0 * y + 0.05 * noise)[:, None]
+    params = SolverParams(k=2, mode="gpsms", beta_ratio=1e4, max_outer=20)
+    result = segment(mesh, f, params)
+    assert len(result.error_trace) == 20
+    assert np.isfinite(result.b).all() and result.labels.shape == step.shape
+
+
 def _wavy(x, y):
     return (y > 0.5 + 0.1 * np.sin(6 * np.pi * x)).astype(int)
 
