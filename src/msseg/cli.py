@@ -100,6 +100,9 @@ def _cast(key, val):
     """The one conversion of a flag, config-file or report value."""
     kind = _SCHEMA[key][2]
     try:
+        # JSON true, false and null: no field takes a bool, only alpha None
+        if isinstance(val, bool) or (val is None and kind != float | None):
+            raise ValueError
         if kind == float | None:  # None or 'auto': estimated by the solver
             return None if val is None or str(val).lower() == "auto" \
                 else float(val)

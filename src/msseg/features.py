@@ -4,7 +4,9 @@ The Laplacian ``grad.T @ diag(w) @ grad`` couples edge-adjacent faces
 with weights ``w_e = l_e * exp(-d_e / dbar)`` where ``d_e`` is the squared
 distance between the (smoothed) unit normals of the faces of edge ``e``
 and ``dbar`` its mean over interior edges.  The segmentation input signal
-is built from the low end of its spectrum.
+is built from the low end of its spectrum.  Its kernel is spanned by the
+indicators of the mesh's components (``mesh.components``); their
+contrasts are written down in closed form, not computed.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .calculus import _DirectSolve
 from .errors import FeatureError, NumericError, check_integer
@@ -52,44 +53,21 @@ class FeatureField:
     scales: np.ndarray
 
 
-def _indicator_bases(mesh):
-    """Component-indicator structure of the face graph.
-
-    Returns an orthonormal basis Q of the span of component indicators
-    (the exact, uninformative-except-for-contrasts kernel) and the
-    orthonormalized between-component contrasts (the informative part of
-    that span, empty for a connected mesh).
-    """
-    n_faces = mesh.n_faces
-    n_comp, labels = connected_components(mesh.neighborhoods("n1"),
-                                          directed=False)
-    indicators = np.zeros((n_faces, n_comp))
-    indicators[np.arange(n_faces), labels] = 1.0
-    indicators /= np.linalg.norm(indicators, axis=0)
-    # contrasts: Gram-Schmidt the indicators against the global constant,
-    # in component order, for a deterministic basis
-    contrasts = []
-    prev = [np.full(n_faces, 1.0 / np.sqrt(n_faces))]
-    for k in range(1, n_comp):
-        x = indicators[:, k].copy()
-        for b in prev:
-            x -= b * (b @ x)
-        x /= np.linalg.norm(x)
-        prev.append(x)
-        contrasts.append(x)
-    return indicators, np.column_stack([np.zeros((n_faces, 0))] + contrasts)
-
-
 def feature_field(mesh, n_segments, ring=DEFAULT_RING):
     """Low-spectrum feature signal: ``n_segments - 1`` channels.
 
     The uninformative global-constant direction is skipped.  Remaining
-    kernel directions of a disconnected mesh (piecewise constant per
-    component) are kept first, followed by eigenvectors of increasing
-    positive eigenvalue, with a deterministic sign (first entry of
-    magnitude above tolerance is positive).  The eigenpairs come from a
-    shift-invert ARPACK solve through ``_DirectSolve`` at every size; a dense
-    ``eigh`` serves only a request that covers the whole spectrum.
+    kernel directions of a disconnected mesh come first: for component
+    k = 1, 2, ... the normalized contrast ``1_k - (n_k / N_k) 1_{R_k}``,
+    where ``R_k`` is component 0 together with components k, k+1, ...,
+    and ``n_k``, ``N_k`` count the faces of component k and of ``R_k``.
+    That is Gram-Schmidt of the indicators against the constant, in
+    component order; only the contrasts used are built.  Eigenvectors of
+    increasing positive eigenvalue follow.  Every channel gets a
+    deterministic sign (first entry of magnitude above tolerance is
+    positive).  The eigenpairs come from a shift-invert ARPACK solve
+    through ``_DirectSolve`` at every size; a dense ``eigh`` serves only a
+    request that covers the whole spectrum.
     """
     check_integer("n_segments", n_segments)
     if n_segments < 2:
@@ -104,10 +82,15 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
     L = build_laplacian(mesh, ring)
     max_diag = float(L.diagonal().max())
 
-    indicators, contrasts = _indicator_bases(mesh)
-    n_comp = indicators.shape[1]
-
-    channels = [contrasts[:, j] for j in range(min(n_comp - 1, k_needed))]
+    comp = mesh.components
+    size = np.bincount(comp)
+    n_comp = len(size)
+    # the contrasts of the docstring; rest[k] is N_k
+    rest = size[0] + np.cumsum(size[::-1])[::-1]
+    channels = []
+    for k in range(1, min(n_comp - 1, k_needed) + 1):
+        x = (comp == k) - size[k] / rest[k] * ((comp == 0) | (comp >= k))
+        channels.append(x / np.linalg.norm(x))
     eigvals = [0.0] * len(channels)
     vecs_needed = k_needed - len(channels)
 
@@ -137,7 +120,7 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
         kept = 0
         for idx in range(V.shape[1]):
             x = V[:, idx]
-            outside = x - indicators @ (indicators.T @ x)
+            outside = x - (np.bincount(comp, x) / size)[comp]
             if np.linalg.norm(outside) < 0.5:
                 continue
             channels.append(x)

@@ -63,6 +63,9 @@ class TriMesh:
         Signed incidence: row e holds sgn(tau, e) for each face tau.
     grad : (E, T) csr matrix
         The gradient: ``incidence`` with the boundary-edge rows empty.
+    components : (T,) int array
+        Connected component of each face (edge adjacency), numbered
+        0, 1, ... in order of each component's lowest-index face.
     """
 
     def __init__(self, vertices, faces):
@@ -87,7 +90,7 @@ class TriMesh:
         self.vertices = vertices
         self.faces = faces
         self._build_incidence()
-        flip = self._misoriented_faces()
+        self.components, flip = self._orient()
         if flip.size:
             faces[flip] = faces[flip][:, [0, 2, 1]]
             self._build_incidence()
@@ -100,7 +103,8 @@ class TriMesh:
         self._patterns = {}
         for arr in (self.vertices, self.faces, self.edges, self.face_edges,
                     self.face_edge_signs, self.edge_faces, self.boundary_edge,
-                    self.face_areas, self.edge_lengths, self.face_normals):
+                    self.face_areas, self.edge_lengths, self.face_normals,
+                    self.components):
             arr.setflags(write=False)
         _freeze(self.incidence)
         _freeze(self.grad)
@@ -151,8 +155,9 @@ class TriMesh:
              (self.face_edges.ravel(), np.repeat(np.arange(T), 3))),
             shape=(len(counts), T))
 
-    def _misoriented_faces(self):
-        """Faces wound against the lowest-index face of their component.
+    def _orient(self):
+        """Component labels, numbered by lowest face, and the faces wound
+        against the lowest-index face of their component.
 
         Node t of the double cover is face t, node t + T face t reversed;
         faces that traverse their shared edge in the same direction join
@@ -176,7 +181,8 @@ class TriMesh:
         component = np.minimum(same, other)  # the pair of its two sheets
         lowest = np.full(len(label), T)
         np.minimum.at(lowest, component, np.arange(T))
-        return np.flatnonzero(same != same[lowest[component]])
+        return (np.unique(component, return_inverse=True)[1],
+                np.flatnonzero(same != same[lowest[component]]))
 
     def _build_geometry(self):
         v = self.vertices

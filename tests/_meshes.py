@@ -204,6 +204,33 @@ def random_meshes(count, seed, max_faces=2000):
     return meshes
 
 
+def scattered_components(pieces, seed):
+    """Vertices and faces of the meshes ``pieces`` side by side, each
+    shifted clear of the last, with the faces of all of them shuffled
+    together and about 30 % of them wound the wrong way.  Arrays, not a
+    mesh: building one reverses the flipped faces with a warning."""
+    rng = np.random.default_rng(seed)
+    verts, faces, base = [], [], 0
+    for i, piece in enumerate(pieces):
+        verts.append(piece.vertices + (10.0 * i, 0.0, 0.0))
+        faces.append(piece.faces + base)
+        base += piece.n_vertices
+    faces = np.vstack(faces)[rng.permutation(sum(p.n_faces for p in pieces))]
+    flip = rng.random(len(faces)) < 0.3
+    faces[flip] = faces[flip][:, [0, 2, 1]]
+    return np.vstack(verts), faces
+
+
+def with_loose_triangles(mesh, n):
+    """``mesh`` followed by ``n`` separate unit right triangles: a mesh of
+    ``n + 1`` or more components, most of them a single face."""
+    tri = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+    offsets = np.column_stack([10.0 + 2.0 * np.arange(n), np.zeros((n, 2))])
+    verts = np.vstack([mesh.vertices, (offsets[:, None] + tri).reshape(-1, 3)])
+    loose = mesh.n_vertices + np.arange(3 * n).reshape(n, 3)
+    return TriMesh(verts, np.vstack([mesh.faces, loose]))
+
+
 def revolve_rings(ring_z, ring_r, n_around, z_lo, z_hi):
     """Closed surface of revolution from explicit ring positions and radii,
     capped by pole vertices at ``z_lo`` and ``z_hi``."""

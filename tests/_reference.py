@@ -194,6 +194,65 @@ def dense_spectral_channels(laplacian, areas, n_channels):
     return w, V / np.sqrt(var)
 
 
+def indicator_bases(mesh):
+    """Component indicators and their contrasts by Gram-Schmidt.
+
+    Components come from the interior edges of ``mesh.edge_faces``.
+    Returns the unit indicator columns, in component order, and the
+    indicators 1..C-1 orthonormalized against the global constant and
+    each other in that order (no columns for a connected mesh).
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n_faces = mesh.n_faces
+    f0, f1 = mesh.edge_faces[~mesh.boundary_edge].T
+    graph = coo_matrix((np.ones(len(f0)), (f0, f1)), shape=(n_faces, n_faces))
+    n_comp, labels = connected_components(graph, directed=False)
+    indicators = np.zeros((n_faces, n_comp))
+    indicators[np.arange(n_faces), labels] = 1.0
+    indicators /= np.linalg.norm(indicators, axis=0)
+    contrasts = []
+    prev = [np.full(n_faces, 1.0 / np.sqrt(n_faces))]
+    for k in range(1, n_comp):
+        x = indicators[:, k].copy()
+        for b in prev:
+            x -= b * (b @ x)
+        x /= np.linalg.norm(x)
+        prev.append(x)
+        contrasts.append(x)
+    return indicators, np.column_stack([np.zeros((n_faces, 0))] + contrasts)
+
+
+def dense_feature_field(laplacian, areas, indicators, contrasts, n_channels):
+    """Feature channels of a possibly disconnected mesh by dense ``eigh``.
+
+    The contrasts come first; the eigenvectors of increasing eigenvalue
+    that lie outside the indicator span follow.  Each channel is scaled
+    to unit area-weighted variance and signed so that its first entry of
+    magnitude above 1e-8 of its largest is positive.  Returns the
+    channels and their eigenvalues.
+    """
+    channels = [contrasts[:, j] for j in range(contrasts.shape[1])]
+    channels = channels[:n_channels]
+    eigvals = [0.0] * len(channels)
+    w, V = np.linalg.eigh(laplacian.toarray())
+    for lam, x in zip(w, V.T):
+        if len(channels) == n_channels:
+            break
+        if np.linalg.norm(x - indicators @ (indicators.T @ x)) >= 0.5:
+            channels.append(x)
+            eigvals.append(lam)
+    A = np.asarray(areas, dtype=float)
+    out = []
+    for x in channels:
+        mean = A @ x / A.sum()
+        x = x / np.sqrt(A @ (x - mean) ** 2 / A.sum())
+        first = np.flatnonzero(np.abs(x) > 1e-8 * np.abs(x).max())[0]
+        out.append(x if x[first] > 0 else -x)
+    return np.column_stack(out), np.array(eigvals)
+
+
 # -- mesh construction by per-face loops ------------------------------------
 
 

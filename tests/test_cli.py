@@ -393,6 +393,33 @@ def test_bad_value_is_one_parameter_error_line(dumbbell_setup, tmp_path,
     assert not out.exists()  # rejected before any output is written
 
 
+@pytest.mark.parametrize("key, val", [
+    ("max_outer", True), ("seed", True), ("beta_ratio", True),
+    ("k", False), ("mode", None), ("out", None), ("out", True),
+])
+def test_json_literal_is_one_parameter_error_line(dumbbell_setup, tmp_path,
+                                                  monkeypatch, capsys,
+                                                  key, val):
+    # JSON true/false/null would otherwise be cast to 1, 0, "None", "True"
+    _, mesh_path, _ = dumbbell_setup
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(
+        {"params": {"mesh": str(mesh_path), "k": 2, key: val}}))
+    assert main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error\tParameterError\tbad value {val!r} for {key}"]
+    assert list(tmp_path.iterdir()) == [cfg]  # no output written
+
+
+def test_json_null_alpha_is_estimated(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"params": {"mesh": "m.off", "k": 2,
+                                          "alpha": None}}))
+    config = resolve_config(build_parser().parse_args(["--config", str(cfg)]))
+    assert _solver_params(config).alpha is None
+
+
 def test_schema_round_trip_through_report(dumbbell_setup):
     base, mesh_path, _ = dumbbell_setup
     params = SolverParams(

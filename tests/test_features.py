@@ -1,10 +1,12 @@
 """Normal-affinity Laplacian and spectral feature construction."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from msseg import features
 from msseg.calculus import tv_energy
@@ -17,15 +19,22 @@ from msseg.mesh import TriMesh, smoothed_normals
 from msseg.solver import SolverParams, segment
 
 from _meshes import (
+    dumbbell,
     equilateral,
     path_strip,
     random_closed,
     random_patch,
+    scattered_components,
     square_axis_pair,
     triangle_strip,
     two_components,
+    with_loose_triangles,
 )
-from _reference import dense_spectral_channels
+from _reference import (
+    dense_feature_field,
+    dense_spectral_channels,
+    indicator_bases,
+)
 
 
 # -- normal distance, read off the Laplacian weights --------------------------
@@ -199,6 +208,62 @@ def test_face_reorder_invariance_up_to_sign():
     other = feature_field(permuted, 2).values[:, 0]
     aligned = other if np.dot(other, base[perm]) >= 0 else -other
     assert np.allclose(aligned, base[perm], atol=1e-10)
+
+
+# -- disconnected meshes: closed-form contrasts, then eigenvectors -------------
+
+
+def _scattered_cases():
+    """3 to 6 components of unequal size, a single triangle among them."""
+    return [
+        [random_closed(14, 1), random_patch(30, 2), equilateral()],
+        [random_patch(40, 3), random_closed(10, 4), random_closed(25, 5),
+         equilateral()],
+        [random_closed(30, 6), equilateral(), random_patch(20, 7),
+         random_closed(8, 8), random_patch(50, 9)],
+        [random_patch(25, 10), random_closed(12, 11), equilateral(),
+         random_closed(40, 12), random_patch(18, 13), random_closed(6, 14)],
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_contrasts_and_eigenvectors_match_gram_schmidt_oracle(case):
+    pieces = _scattered_cases()[case]
+    n_comp = len(pieces)
+    with pytest.warns(RuntimeWarning, match="reversed the winding"):
+        mesh = TriMesh(*scattered_components(pieces, seed=case))
+    labels = connected_components(mesh.neighborhoods("n1"),
+                                  directed=False)[1]
+    assert np.array_equal(mesh.components, labels)
+    assert len(set(np.bincount(labels))) == n_comp  # all sizes differ
+    indicators, contrasts = indicator_bases(mesh)
+    L = build_laplacian(mesh)
+    # contrasts only (K <= C), then contrasts followed by eigenvectors
+    for k in (2, n_comp, n_comp + 1, n_comp + 3):
+        field = feature_field(mesh, k)
+        want, eigvals = dense_feature_field(L, mesh.face_areas, indicators,
+                                            contrasts, k - 1)
+        c = min(n_comp, k) - 1
+        assert np.abs(field.values[:, :c] - want[:, :c]).max() <= 1e-12
+        assert not field.eigenvalues[:c].any()
+        # ARPACK against dense eigh: equal up to the solvers' rounding
+        assert np.abs(field.values[:, c:] - want[:, c:]).max(initial=0) <= 1e-10
+        assert np.abs(field.eigenvalues - eigvals).max() <= 1e-12
+
+
+def test_many_components_build_only_the_contrasts_used():
+    # a dense face-by-component matrix would take 1,300 x 501 doubles
+    mesh = with_loose_triangles(dumbbell(20, 10), 500)
+    assert np.bincount(mesh.components).tolist() == [800] + [1] * 500
+    tracemalloc.start()
+    try:
+        field = feature_field(mesh, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+    assert field.values.shape == (1300, 2)
+    assert not field.eigenvalues.any()
 
 
 # -- eigensolver paths: shift-invert ARPACK, dense eigh only when k >= T ------

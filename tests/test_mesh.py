@@ -2,6 +2,7 @@
 
 import io
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,3 +438,22 @@ def test_write_off_round_trip(tmp_path):
     again = load_mesh_file(path)
     assert np.allclose(again.vertices, mesh.vertices)
     assert np.array_equal(again.faces, mesh.faces)
+
+
+def test_components_are_found_only_in_mesh():
+    # feature_field reads mesh.components; no second component pass
+    src = Path(__file__).parents[1] / "src" / "msseg"
+    sites = [path.name for path in sorted(src.glob("*.py"))
+             if "connected_components" in path.read_text()]
+    assert sites == ["mesh.py"]
+
+
+def test_components_numbered_by_lowest_face_and_frozen():
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    verts += [(10 + x, y, z) for x, y, z in verts]
+    # the second patch's faces come first and last
+    faces = [(4, 5, 6), (0, 1, 2), (2, 1, 3), (6, 5, 7)]
+    mesh = TriMesh(verts, faces)
+    assert mesh.components.tolist() == [0, 1, 1, 0]
+    with pytest.raises(ValueError):
+        mesh.components[0] = 1
