@@ -77,24 +77,25 @@ class _BiharmonicSolve(_DirectSolve):
     With ``A = sqrt(beta) S`` and ``s = sqrt(c)`` the matrix is
     ``(A - i s W) W^-1 (A + i s W)``, so ``b = Im((A - i s W)^-1 r) / s``.
     Times ``i``, the factored matrix has the positive definite Hermitian
-    part ``s W``.  The residual gate checks the real system, by matvecs:
-    ``S W^-1 S`` is never formed, and its norm is bounded by
+    part ``s W``.  The residual gate checks the real system, by matvecs
+    with ``S`` and row scalings by the areas that apply ``W`` and
+    ``W^-1``: ``S W^-1 S`` is never formed, and its norm is bounded by
     ``beta |S| |W^-1 S| + c |W|`` (infinity norms).
     """
 
     def __init__(self, S, areas, beta, c):
-        W = sp.diags(areas)
         rows = np.asarray(abs(S).sum(axis=1)).ravel()  # |S| = max(rows)
         norm = beta * rows.max() * (rows / areas).max() + c * areas.max()
-        super().__init__(np.sqrt(beta) * S - 1j * np.sqrt(c) * W, norm)
-        self.S, self.W, self.Winv = S, W, sp.diags(1.0 / areas)
+        super().__init__(np.sqrt(beta) * S - 1j * np.sqrt(c) * sp.diags(areas),
+                         norm)
+        self.S, self.areas = S, areas[:, None]
         self.beta, self.c = beta, c
 
     def __call__(self, rhs):
         # divide into a C-ordered array: one pass over the strided Im(x)
         b = np.divide(self._lu.solve(rhs).imag, np.sqrt(self.c), order="C")
-        image = self.beta * (self.S @ (self.Winv @ (self.S @ b))) \
-            + self.c * (self.W @ b)
+        image = self.beta * (self.S @ ((self.S @ b) / self.areas)) \
+            + self.c * (self.areas * b)
         return self._checked(b, image, rhs)
 
 
@@ -119,14 +120,16 @@ def gradient(mesh, u):
 
 
 def divergence(mesh, p):
-    """Divergence of an edge field, ``-(1/A) grad' (l p)``: the sgn-weighted
-    sum of p*l over the interior edges of each face.
+    """Divergence of an edge field, ``-(grad' diag(l) p) / A``: the
+    sgn-weighted sum of p*l over the interior edges of each face.
 
-    ``<grad u, p>_V = -<u, div p>_U`` holds for every edge field ``p``.
+    ``mesh.grad_tl`` holds ``grad' diag(l)``, so each term is the product
+    ``+-l_e * p_e`` and the terms of a face add up in edge order, as in
+    ``grad' @ (l * p)``.  ``<grad u, p>_V = -<u, div p>_U`` holds for
+    every edge field ``p``.
     """
     p = _field(p, mesh.n_edges, "edge", "p")
-    return -(mesh.grad.T @ (mesh.edge_lengths[:, None] * p)) \
-        / mesh.face_areas[:, None]
+    return -(mesh.grad_tl @ p) / mesh.face_areas[:, None]
 
 
 def laplace(mesh, u):
@@ -136,20 +139,20 @@ def laplace(mesh, u):
 
 def inner_U(mesh, a, b):
     """Area-weighted inner product of two face fields."""
-    a = _field(a, mesh.n_faces, "face", "a")
-    b = _field(b, mesh.n_faces, "face", "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(mesh.face_areas[:, None] * a * b))
+    return _inner(mesh.face_areas, "face", a, b)
 
 
 def inner_V(mesh, a, b):
     """Length-weighted inner product of two edge fields."""
-    a = _field(a, mesh.n_edges, "edge", "a")
-    b = _field(b, mesh.n_edges, "edge", "b")
+    return _inner(mesh.edge_lengths, "edge", a, b)
+
+
+def _inner(weights, kind, a, b):
+    a = _field(a, len(weights), kind, "a")
+    b = _field(b, len(weights), kind, "b")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(mesh.edge_lengths[:, None] * a * b))
+    return float(np.sum(weights[:, None] * a * b))
 
 
 def norm_U(mesh, a):
@@ -162,8 +165,8 @@ def norm_V(mesh, a):
 
 def tv_energy(mesh, u):
     """First-order total variation: sum_e sum_i |(grad u)_ei| * l_e."""
-    g = gradient(mesh, u)
-    return float(np.sum(mesh.edge_lengths[:, None] * np.abs(g)))
+    g = np.abs(gradient(mesh, u))
+    return inner_V(mesh, g, np.ones_like(g))
 
 
 def rtgv_value(mesh, u, v, alpha0):
@@ -183,8 +186,22 @@ def vectorial_rtgv(mesh, u, v, alpha0):
     shrinkages ``prox_p`` and ``prox_q`` minimize; ``rtgv_value`` sums
     the absolute values of the entries instead.
     """
-    return _rtgv(mesh, u, v, alpha0,
-                 lambda x: np.linalg.norm(x, axis=1, keepdims=True))
+    return _rtgv(mesh, u, v, alpha0, row_norms)
+
+
+def row_norms(x):
+    """Euclidean norm of each row of a ``(rows, n)`` array.
+
+    The squares are summed column by column, each step over all rows at
+    once, where a reduction along the short row axis runs row by row.
+    Below 8 columns these are the sums of ``np.linalg.norm(x, axis=1)``,
+    whose pairwise summation adds fewer than 8 terms in sequence; from 8
+    columns on the two differ by rounding.
+    """
+    total = x[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        total += x[:, j] * x[:, j]
+    return np.sqrt(total)
 
 
 def _rtgv(mesh, u, v, alpha0, norm):
@@ -195,6 +212,8 @@ def _rtgv(mesh, u, v, alpha0, norm):
     g = gradient(mesh, u)
     if g.shape != v.shape:
         raise DimensionError(f"shape mismatch: grad u {g.shape} vs v {v.shape}")
-    first = np.sum(mesh.edge_lengths[:, None] * norm(g - v))
-    second = np.sum(mesh.face_areas[:, None] * norm(divergence(mesh, v)))
-    return float(first + alpha0 * second)
+    # each part is <|x|, 1>, with |x| the entry or row norm of a field
+    first = norm(g - v)
+    second = norm(divergence(mesh, v))
+    return inner_V(mesh, first, np.ones_like(first)) \
+        + alpha0 * inner_U(mesh, second, np.ones_like(second))

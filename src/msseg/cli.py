@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MeshSegError, ParameterError
+from .errors import DimensionError, MeshSegError, ParameterError
 from .evaluation import mean_dissimilarity, parse_seg
 from .features import feature_field
 from .mesh import DEFAULT_RING, RINGS, load_mesh_file
@@ -209,6 +209,10 @@ def run(config):
     gt_files = config.get("gt", [])
     truths = [parse_seg(Path(p).read_bytes()) for p in gt_files]
     mesh = load_mesh_file(mesh_path)
+    for path, truth in zip(gt_files, truths):
+        if len(truth) != mesh.n_faces:
+            raise DimensionError(f"{path}: {len(truth)} labels for "
+                                 f"{mesh.n_faces} faces")
     features = feature_field(mesh, params.k, ring=config["ring"])
     result = segment(mesh, features.values, params)
 

@@ -63,6 +63,10 @@ class TriMesh:
         Signed incidence: row e holds sgn(tau, e) for each face tau.
     grad : (E, T) csr matrix
         The gradient: ``incidence`` with the boundary-edge rows empty.
+    grad_tl : (T, E) csr matrix
+        ``grad.T @ diag(edge_lengths)``, indices sorted: the length-weighted
+        transpose that the divergence and the solver's right-hand sides
+        apply, each entry ``+-l_e``.
     components : (T,) int array
         Connected component of each face (edge adjacency), numbered
         0, 1, ... in order of each component's lowest-index face.
@@ -100,6 +104,8 @@ class TriMesh:
         self.grad = (sp.diags((~self.boundary_edge).astype(float))
                      @ self.incidence).tocsr()
         self._build_geometry()
+        self.grad_tl = (self.grad.T @ sp.diags(self.edge_lengths)).tocsr()
+        self.grad_tl.sort_indices()
         self._patterns = {}
         for arr in (self.vertices, self.faces, self.edges, self.face_edges,
                     self.face_edge_signs, self.edge_faces, self.boundary_edge,
@@ -108,6 +114,7 @@ class TriMesh:
             arr.setflags(write=False)
         _freeze(self.incidence)
         _freeze(self.grad)
+        _freeze(self.grad_tl)
 
     # -- construction ------------------------------------------------------
 

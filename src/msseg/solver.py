@@ -178,21 +178,37 @@ def s_field(f, b, mu):
 def project_simplex(rows):
     """Euclidean projection of each row onto the probability simplex.
 
-    Sort-based finite algorithm: with entries in decreasing order, the
-    support is the longest prefix whose hyperplane shift keeps its last
-    entry positive.
+    Sort-based finite algorithm (Duchi et al. 2008): with entries in
+    decreasing order, the support is the longest prefix whose hyperplane
+    shift keeps its last entry positive.  Every step runs on the K
+    columns, over all rows at once.  An odd-even transposition network of
+    ``np.maximum`` and ``np.minimum`` sorts the rows; it only moves
+    entries, so it is exact like ``np.sort``.  The prefix sums are running
+    column sums, the additions ``np.cumsum`` makes in the same order, and
+    each prefix that keeps its last entry overwrites the shift, so the
+    longest one sets it.  For finite rows the result is bitwise that of
+    the row-wise sort, for every K.
     """
     y = np.atleast_2d(np.asarray(rows, dtype=float))
+    K = y.shape[1]
     # the projection is invariant under a uniform shift of a row; centering
     # on the row max keeps the hyperplane offset (sum - 1) well conditioned
     # for rows of large magnitude (kept entries all lie within 1 of the max)
-    x = y - y.max(axis=1, keepdims=True)
-    K = x.shape[1]
-    srt = -np.sort(-x, axis=1)
-    css = np.cumsum(srt, axis=1) - 1.0
-    keep = srt - css / np.arange(1, K + 1) > 0
-    rho = K - 1 - np.argmax(keep[:, ::-1], axis=1)
-    tau = css[np.arange(x.shape[0]), rho] / (rho + 1)
+    top = y[:, 0]
+    for j in range(1, K):
+        top = np.maximum(top, y[:, j])
+    x = y - top[:, None]
+    col = [x[:, j] for j in range(K)]
+    for phase in range(K):
+        for j in range(phase % 2, K - 1, 2):
+            col[j], col[j + 1] = (np.maximum(col[j], col[j + 1]),
+                                  np.minimum(col[j], col[j + 1]))
+    total = col[0]
+    tau = total - 1.0  # the first entry, the row max, is always kept
+    for j in range(1, K):
+        total = total + col[j]
+        shift = (total - 1.0) / (j + 1)
+        np.copyto(tau, shift, where=col[j] > shift)
     x = np.maximum(x - tau[:, None], 0.0)
     if np.asarray(rows).ndim == 1:
         return x[0]
@@ -213,7 +229,7 @@ def _shrink_rows(w, threshold):
     w = np.asarray(w, dtype=float)
     flat = w.ndim == 1
     w = np.atleast_2d(w.T).T if flat else w
-    norms = np.linalg.norm(w, axis=1)
+    norms = calc.row_norms(w)
     factor = np.zeros_like(norms)
     big = norms > threshold
     factor[big] = 1.0 - threshold / norms[big]
@@ -253,7 +269,7 @@ def solve_u(mesh, z, lam_z, p, v, lam_p, systems):
     rhs = r_z z + lam_z - div(lam_p + r_p (p + v))."""
     edge_term = lam_p + systems.params.r_p * (p + v)
     rhs = mesh.face_areas[:, None] * (systems.params.r_z * z + lam_z) \
-        + mesh.grad.T @ (mesh.edge_lengths[:, None] * edge_term)
+        + mesh.grad_tl @ edge_term
     return systems.u_solve(rhs)
 
 
@@ -271,7 +287,7 @@ def solve_v(mesh, u, p, lam_p, q, lam_q, systems):
     r_p, r_q = systems.params.r_p, systems.params.r_q
     y = -gradient(mesh, lam_q + r_q * q) - lam_p \
         + r_p * (gradient(mesh, u) - p)
-    w = systems.v_solve(mesh.grad.T @ (mesh.edge_lengths[:, None] * y))
+    w = systems.v_solve(mesh.grad_tl @ y)
     return (y - mesh.grad @ w) / r_p
 
 

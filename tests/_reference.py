@@ -392,3 +392,83 @@ def colored_ply_loop(mesh, labels, label_color):
         r, g, b = label_color(int(lab))
         lines.append(f"3 {f[0]} {f[1]} {f[2]} {r} {g} {b}")
     return "\n".join(lines) + "\n"
+
+
+# -- row-wise forms of the ADMM sweep, bitwise oracles of the column-wise ones
+#
+# The package's earlier forms of these steps.  Unlike the oracles above they
+# read the mesh's ``grad`` and the solver's factored systems: they pin the
+# order of every floating-point operation, not the mathematics.
+
+
+def project_simplex_sort(rows):
+    """Simplex projection by a row-wise sort: ``np.sort``, ``np.cumsum``
+    and the last kept prefix by ``argmax`` along each row, after centering
+    each row on its max."""
+    y = np.atleast_2d(np.asarray(rows, dtype=float))
+    x = y - y.max(axis=1, keepdims=True)
+    K = x.shape[1]
+    srt = -np.sort(-x, axis=1)
+    css = np.cumsum(srt, axis=1) - 1.0
+    keep = srt - css / np.arange(1, K + 1) > 0
+    rho = K - 1 - np.argmax(keep[:, ::-1], axis=1)
+    tau = css[np.arange(x.shape[0]), rho] / (rho + 1)
+    x = np.maximum(x - tau[:, None], 0.0)
+    if np.asarray(rows).ndim == 1:
+        return x[0]
+    return x
+
+
+def row_norms_linalg(x):
+    """Row norms by ``np.linalg.norm`` along the row axis."""
+    return np.linalg.norm(x, axis=1)
+
+
+def _column_field(x):
+    x = np.asarray(x, dtype=float)
+    return x[:, None] if x.ndim == 1 else x
+
+
+def divergence_prescaled(mesh, p):
+    """``-(grad' (l p)) / A``: the lengths scaled into ``p`` before the
+    transposed gradient."""
+    p = _column_field(p)
+    return -(mesh.grad.T @ (mesh.edge_lengths[:, None] * p)) \
+        / mesh.face_areas[:, None]
+
+
+def solve_u_prescaled(mesh, z, lam_z, p, v, lam_p, systems):
+    """The label update with its edge term scaled before ``grad'``."""
+    edge_term = lam_p + systems.params.r_p * (p + v)
+    rhs = mesh.face_areas[:, None] * (systems.params.r_z * z + lam_z) \
+        + mesh.grad.T @ (mesh.edge_lengths[:, None] * edge_term)
+    return systems.u_solve(rhs)
+
+
+def solve_v_prescaled(mesh, u, p, lam_p, q, lam_q, systems):
+    """The slope update with its face right-hand side scaled before
+    ``grad'``."""
+    r_p, r_q = systems.params.r_p, systems.params.r_q
+    y = -(mesh.grad @ (lam_q + r_q * q)) - lam_p \
+        + r_p * (mesh.grad @ u - p)
+    w = systems.v_solve(mesh.grad.T @ (mesh.edge_lengths[:, None] * y))
+    return (y - mesh.grad @ w) / r_p
+
+
+def tv_energy_prescaled(mesh, u):
+    """``sum |grad u| * l`` with the lengths broadcast over the channels."""
+    g = mesh.grad @ _column_field(u)
+    return float(np.sum(mesh.edge_lengths[:, None] * np.abs(g)))
+
+
+def vectorial_rtgv_prescaled(mesh, u, v, alpha0):
+    """``sum ||grad u - v|| * l + alpha0 * sum ||div v|| * A`` with
+    ``np.linalg.norm`` row norms and the weights broadcast."""
+    g = mesh.grad @ _column_field(u)
+    dv = divergence_prescaled(mesh, v)
+    first = np.sum(mesh.edge_lengths[:, None]
+                   * np.linalg.norm(g - _column_field(v), axis=1,
+                                    keepdims=True))
+    second = np.sum(mesh.face_areas[:, None]
+                    * np.linalg.norm(dv, axis=1, keepdims=True))
+    return float(first + alpha0 * second)

@@ -15,6 +15,7 @@ from msseg.calculus import (
     laplace,
     norm_U,
     norm_V,
+    row_norms,
     rtgv_value,
     tv_energy,
     vectorial_rtgv,
@@ -307,6 +308,30 @@ def test_rtgv_parameter_and_shape_errors():
         rtgv_value(mesh, np.zeros(4), np.zeros(6), 0.0)
     with pytest.raises(DimensionError):
         rtgv_value(mesh, np.zeros((4, 2)), np.zeros((6, 1)), 1.0)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_row_norms_match_linalg_norm(n):
+    # fewer than 8 terms: numpy's pairwise sum adds in sequence, as the
+    # column-by-column sum does; from 8 on the two round differently
+    rng = np.random.default_rng(60 + n)
+    x = rng.normal(size=(2000, n))
+    x[0] = 0.0
+    want = np.linalg.norm(x, axis=1)
+    for layout in (x, np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]):
+        got = row_norms(layout)
+        if n < 8:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_array_max_ulp(got, want, maxulp=2)
+
+
+def test_edge_lengths_are_not_broadcast_in_solver_or_calculus():
+    # the length weights reach the transposed gradient through
+    # mesh.grad_tl, not through an (E, K) product formed on every call
+    src = Path(__file__).parents[1] / "src" / "msseg"
+    for name in ("solver.py", "calculus.py"):
+        assert "edge_lengths[:, None]" not in (src / name).read_text(), name
 
 
 def test_splu_is_called_only_in_direct_solve_init():

@@ -330,6 +330,28 @@ def test_ground_truth_at_output_path_is_read_before_overwrite(dumbbell_setup):
     assert report["rand_index"]["mean"] > 10.0
 
 
+def test_wrong_length_ground_truth_fails_before_any_output(
+        dumbbell_setup, tmp_path, capsys, monkeypatch):
+    base, mesh_path, _ = dumbbell_setup
+    short = tmp_path / "short.seg"
+    short.write_text("0\n1\n0\n")
+    out = tmp_path / "out"
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("features built for a run that must fail")
+
+    monkeypatch.setattr(msseg.cli, "feature_field", unreached)
+    code = main(["--mesh", str(mesh_path), "--k", "2", "--gt", str(short),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    kind, msg = err[0].split("\t")[1:3]
+    assert kind == "DimensionError"
+    assert str(short) in msg and "3 labels" in msg
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
 def test_k1_rejected_with_error_record(dumbbell_setup, capsys):
     base, mesh_path, _ = dumbbell_setup
     code = main(["--mesh", str(mesh_path), "--k", "1"])

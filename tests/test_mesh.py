@@ -32,9 +32,10 @@ from _meshes import (
     folded_pair,
     mobius_strip,
     random_closed,
+    random_patch,
     write_off,
 )
-from _reference import orient_loop
+from _reference import dense_operators, orient_loop
 
 
 # -- loading -----------------------------------------------------------------
@@ -395,6 +396,23 @@ def test_arrays_are_immutable():
         for arr in (matrix.data, matrix.indices, matrix.indptr):
             with pytest.raises(ValueError):
                 arr[0] = 9
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: random_closed(60, 7),
+                                       lambda: random_patch(90, 8)],
+                         ids=["closed", "open"])
+def test_grad_tl_is_the_frozen_weighted_transpose(make_mesh):
+    mesh = make_mesh()
+    gtl = mesh.grad_tl
+    assert gtl.format == "csr" and gtl.shape == (mesh.n_faces, mesh.n_edges)
+    for lo, hi in zip(gtl.indptr[:-1], gtl.indptr[1:]):
+        assert (np.diff(gtl.indices[lo:hi]) > 0).all()
+    # grad holds +-1, so each entry is +-l_e exactly
+    assert set(np.abs(mesh.grad.data)) == {1.0}
+    _, lengths, _, Gb, _ = dense_operators(mesh)
+    assert np.array_equal(gtl.toarray(), Gb.T * lengths)
+    for arr in (gtl.data, gtl.indices, gtl.indptr):
+        assert not arr.flags.writeable
 
 
 # -- smoothed normals --------------------------------------------------------

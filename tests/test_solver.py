@@ -50,8 +50,11 @@ from _meshes import (
     strip10,
     unit_area_pair,
 )
-from _reference import (biharmonic_b, dense_operators, fd_gradient,
-                        interior_edge_v, one_admm_sweep, simplex_bisect)
+from _reference import (biharmonic_b, dense_operators, divergence_prescaled,
+                        fd_gradient, interior_edge_v, one_admm_sweep,
+                        project_simplex_sort, row_norms_linalg,
+                        simplex_bisect, solve_u_prescaled, solve_v_prescaled,
+                        tv_energy_prescaled, vectorial_rtgv_prescaled)
 
 
 # -- parameter validation ------------------------------------------------------
@@ -128,6 +131,29 @@ def test_simplex_matches_bisection_oracle():
 
 def test_simplex_single_row_shape():
     assert project_simplex(np.array([0.2, 0.2])).shape == (2,)
+
+
+@pytest.mark.parametrize("K", range(1, 21))
+def test_simplex_is_bitwise_the_row_wise_sort(K):
+    # the sorting network and running column sums against np.sort,
+    # np.cumsum and argmax along each row
+    rng = np.random.default_rng(40 + K)
+    T = 300
+    rows = rng.normal(size=(T, K))
+    cases = {
+        "normal": rows,
+        "ties": 0.5 * rng.integers(-2, 3, size=(T, K)),
+        "repeated columns": rows[:, rng.integers(0, K, size=K)],
+        "constant rows": np.repeat(rows[:, :1], K, axis=1),
+        "scaled": rows * 10.0 ** rng.choice([-12.0, 12.0], size=(T, 1)),
+        "on the simplex": project_simplex_sort(rng.normal(size=(T, K))),
+        "vertices": np.eye(K)[rng.integers(0, K, size=T)],
+        "barycenters": np.full((T, K), 1.0 / K),
+    }
+    for name, case in cases.items():
+        want = project_simplex_sort(case)
+        assert np.array_equal(project_simplex(case), want), name
+        assert np.array_equal(project_simplex(case[7]), want[7]), name
 
 
 # -- shrinkage prox maps -------------------------------------------------------
@@ -538,7 +564,7 @@ def test_b_gate_checks_the_real_system():
     b_solve(rhs)
     c = 1.01 * (params.eta + params.alpha)
     off = _DirectSolve(np.sqrt(params.beta) * b_solve.S
-                       - 1j * np.sqrt(c) * b_solve.W)
+                       - 1j * np.sqrt(c) * sp.diags(mesh.face_areas))
     off(rhs)
     b_solve._lu = off._lu
     with pytest.raises(NumericError, match="residual"):
@@ -783,6 +809,38 @@ def test_segment_deterministic_across_runs():
     assert np.array_equal(a.u, b.u)
     assert a.error_trace == b.error_trace
     assert a.energy_trace == b.energy_trace
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("make_mesh", [lambda: random_closed(60, 31),
+                                       lambda: random_patch(90, 32)],
+                         ids=["closed", "open"])
+def test_segment_replays_bitwise_with_row_wise_pieces(make_mesh, mode, k,
+                                                      monkeypatch):
+    # the column-wise sweep against its row-wise forms: sort-based simplex
+    # projection, np.linalg.norm row norms and lengths broadcast over the
+    # channels before the transposed gradient
+    mesh = make_mesh()
+    f = feature_field(mesh, k).values
+    params = SolverParams(k=k, mode=mode, max_outer=8, seed=1)
+    got = segment(mesh, f, params)
+    for module, name, old in (
+            (msseg.solver, "project_simplex", project_simplex_sort),
+            (msseg.calculus, "row_norms", row_norms_linalg),
+            (msseg.calculus, "divergence", divergence_prescaled),
+            (msseg.solver, "divergence", divergence_prescaled),
+            (msseg.solver, "solve_u", solve_u_prescaled),
+            (msseg.solver, "solve_v", solve_v_prescaled),
+            (msseg.calculus, "tv_energy", tv_energy_prescaled),
+            (msseg.calculus, "vectorial_rtgv", vectorial_rtgv_prescaled)):
+        assert hasattr(module, name)
+        monkeypatch.setattr(module, name, old)
+    want = segment(mesh, f, params)
+    assert got.alpha == want.alpha
+    for name in ("u", "b", "mu", "labels", "error_trace", "energy_trace"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.kkt == want.kkt
 
 
 def test_segment_non_convergence_is_flagged_not_raised():
