@@ -200,12 +200,12 @@ def run(config):
     config = _complete(config)
     params = _solver_params(config).validate()
     mesh_path, out_dir = Path(config["mesh"]), Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = mesh_path.stem
 
     t0 = time.perf_counter()
-    # read the ground truth before any output is written: a truth file may
-    # sit where an output goes
+    # read and check the ground truth and the mesh before the output
+    # directory exists: a truth file may sit where an output goes, and a
+    # run that fails on its input leaves nothing behind
     gt_files = config.get("gt", [])
     truths = [parse_seg(Path(p).read_bytes()) for p in gt_files]
     mesh = load_mesh_file(mesh_path)
@@ -213,6 +213,7 @@ def run(config):
         if len(truth) != mesh.n_faces:
             raise DimensionError(f"{path}: {len(truth)} labels for "
                                  f"{mesh.n_faces} faces")
+    out_dir.mkdir(parents=True, exist_ok=True)
     features = feature_field(mesh, params.k, ring=config["ring"])
     result = segment(mesh, features.values, params)
 

@@ -19,6 +19,7 @@ area-weighted squared change of ``u`` drops below the tolerance.
 import numbers
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -142,6 +143,12 @@ class Systems:
 
     All three factors share the face pattern of ``S``.  ``params`` carries
     a resolved alpha; the right-hand sides read their coefficients from it.
+    Every factor is built on the thread that builds the ``Systems``,
+    which also drops the last reference to it: the b system is solved on
+    the one-worker lane of :func:`segment` (sweep order z, b↗, u, v, p,
+    λp, q, λq, λz, b↙; see :func:`admm_inner`), but never factored there,
+    since a SuperLU factor freed on another thread than its own is never
+    freed.
     """
 
     def __init__(self, mesh, params):
@@ -163,15 +170,19 @@ class Systems:
 
 
 def s_field(f, b, mu):
-    """Per-face, per-class squared misfit ||f - b - mu_k||^2; ``b`` may be 0."""
-    g = f - b
-    # one class at a time: no (T, K, n) temporary, and the same roundings
-    # as subtracting f - b - mu_k in one broadcast
-    out = np.empty((g.shape[0], mu.shape[0]))
-    for k in range(mu.shape[0]):
-        d = g - mu[k]
+    """Per-face, per-class squared misfit ||f - b - mu_k||^2; ``b`` may be 0.
+
+    One class at a time and channel by channel, each step over all faces
+    at once: no (T, K, n) temporary, and the channel sums add in numpy's
+    pairwise order (:func:`msseg.calculus._pairwise_sum`), so the result
+    is bitwise that of summing ``(f - b - mu_k) ** 2`` along the rows.
+    """
+    g = np.ascontiguousarray((f - b).T)  # one contiguous row per channel
+    out = np.empty((g.shape[1], mu.shape[0]))
+    for k, m in enumerate(mu):
+        d = g - m[:, None]
         d *= d
-        out[:, k] = d.sum(axis=1)
+        out[:, k] = calc._pairwise_sum(d)
     return out
 
 
@@ -291,10 +302,22 @@ def solve_v(mesh, u, p, lam_p, q, lam_q, systems):
     return (y - mesh.grad @ w) / r_p
 
 
-def solve_b(mesh, f, z, mu, systems):
+def solve_b(mesh, f, z, mu, systems, lane):
     """Smooth-part update: (beta L'L + (eta + alpha) I) b = alpha (f - z mu)
-    in the weighted inner products, with L the face Laplacian."""
-    rhs = mesh.face_areas[:, None] * (systems.params.alpha * (f - z @ mu))
+    in the weighted inner products, with L the face Laplacian.
+
+    Hands the update to ``lane``, an executor, and returns its future: the
+    right side ``alpha W (f - z mu)``, the complex solve and its residual
+    gate run there, and ``result()`` gives ``b`` or raises the gate's
+    ``NumericError``.  In the sweep (z, b↗, u, v, p, λp, q, λq, λz, b↙)
+    this call is b↗ and the ``result()`` of :func:`admm_inner` is b↙;
+    until then the caller must not change ``f``, ``z`` or ``mu``.
+    """
+    return lane.submit(_solve_b, mesh.face_areas, f, z, mu, systems)
+
+
+def _solve_b(areas, f, z, mu, systems):
+    rhs = areas[:, None] * (systems.params.alpha * (f - z @ mu))
     return systems.b_solve(rhs)
 
 
@@ -378,28 +401,34 @@ def estimate_alpha(mesh, f, u0, mu0, params):
 # -- ADMM inner loop and AMM outer loop ---------------------------------------
 
 
-def admm_inner(mesh, f, state, systems):
+def admm_inner(mesh, f, state, systems, lane):
     """Run ``inner_iters`` ADMM sweeps in place and return the state.
 
-    Sweep order: z, u, v, b, p, lam_p, q, lam_q, lam_z.  A block runs
+    Sweep order: z, b↗, u, v, p, λp, q, λq, λz, b↙.  The smooth
+    part ``b`` reads only ``z`` and ``mu``, and no later step of the sweep
+    reads ``b``, so :func:`solve_b` hands its update to ``lane``, a
+    one-worker executor, after the z-step (b↗), and the sweep takes the
+    result as its last step (b↙).  b's solve thus runs beside the u and
+    v solves, and every array is the one the serial order z, u, v, b, p,
+    ... gives.  All other steps run on the calling thread.  A block runs
     exactly when :class:`Systems` built its system: without ``v_solve``
     (TV modes) ``v``, ``q`` and ``lam_q`` stay zero, and without
-    ``b_solve`` (the piecewise-constant mode) ``b`` does.  Every
-    coefficient, the data weight included, comes from ``systems.params``,
-    which carries a resolved alpha.
+    ``b_solve`` (the piecewise-constant mode) ``b`` does and nothing is
+    handed to ``lane``.  Every coefficient, the data weight included,
+    comes from ``systems.params``, which carries a resolved alpha.
     """
     params = systems.params
     r_p, r_q, r_z = params.r_p, params.r_q, params.r_z
     for _ in range(params.inner_iters):
         s = s_field(f, state.b, state.mu)
         state.z = update_z(state.u, state.lam_z, s, params.alpha, r_z)
+        if systems.b_solve is not None:
+            b_next = solve_b(mesh, f, state.z, state.mu, systems, lane)
         state.u = solve_u(mesh, state.z, state.lam_z, state.p, state.v,
                           state.lam_p, systems)
         if systems.v_solve is not None:
             state.v = solve_v(mesh, state.u, state.p, state.lam_p,
                               state.q, state.lam_q, systems)
-        if systems.b_solve is not None:
-            state.b = solve_b(mesh, f, state.z, state.mu, systems)
         gu = gradient(mesh, state.u)
         state.p = prox_p(gu - state.v - state.lam_p / r_p, r_p)
         state.lam_p = state.lam_p + r_p * (state.p + state.v - gu)
@@ -408,6 +437,8 @@ def admm_inner(mesh, f, state, systems):
             state.q = prox_q(dv - state.lam_q / r_q, r_q, params.alpha0)
             state.lam_q = state.lam_q + r_q * (state.q - dv)
         state.lam_z = state.lam_z + r_z * (state.z - state.u)
+        if systems.b_solve is not None:
+            state.b = b_next.result()
     return state
 
 
@@ -484,6 +515,10 @@ def segment(mesh, f, params):
 
     Hitting ``max_outer`` without reaching the tolerance is reported via
     ``converged=False``, not an error.
+
+    The run owns one worker thread, the lane on which :func:`admm_inner`
+    solves for ``b``; it starts with the first such solve (never in pcms)
+    and is joined before ``segment`` returns or raises.
     """
     params.validate()
     f2 = np.atleast_2d(np.asarray(f, dtype=float).T).T
@@ -508,18 +543,20 @@ def segment(mesh, f, params):
     error_trace = []
     energy_trace = []
     converged = False
-    for _ in range(params.max_outer):
-        u_prev = state.u.copy()
-        admm_inner(mesh, f2, state, systems)
-        state.mu = update_mu(mesh, state.u, state.b, f2, prev_mu=state.mu)
-        err = inner_U(mesh, state.u - u_prev, state.u - u_prev)
-        error_trace.append(err)
-        energy_trace.append(
-            energy(mesh, state.z, state.v, state.b, state.mu, f2, params)
-        )
-        if err < params.outer_tol:
-            converged = True
-            break
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        for _ in range(params.max_outer):
+            u_prev = state.u.copy()
+            admm_inner(mesh, f2, state, systems, lane)
+            state.mu = update_mu(mesh, state.u, state.b, f2,
+                                 prev_mu=state.mu)
+            err = inner_U(mesh, state.u - u_prev, state.u - u_prev)
+            error_trace.append(err)
+            energy_trace.append(
+                energy(mesh, state.z, state.v, state.b, state.mu, f2, params)
+            )
+            if err < params.outer_tol:
+                converged = True
+                break
     labels = np.argmax(state.u, axis=1)
     return SegmentationResult(
         labels=labels,

@@ -148,7 +148,7 @@ def test_fd_gradient_of_a_quadratic_at_a_fortran_ordered_point():
     assert np.abs(g - (c * x + d)).max() <= 1e-8
 
 
-def test_criterion_04_subproblem_stationarity():
+def test_criterion_04_subproblem_stationarity(lane):
     r_p, r_q, r_z = 1.0, 1.0, 100.0
     alpha, beta, eta = 2.0, 1.5, 1e-5
     K = 3
@@ -190,7 +190,7 @@ def test_criterion_04_subproblem_stationarity():
                                alpha=alpha, beta_ratio=beta / alpha))
         u_sol = solve_u(mesh, z, lam_z, p, v, lam_p, systems)
         v_sol = solve_v(mesh, u_sol, p, lam_p, q, lam_q, systems)
-        b_sol = solve_b(mesh, f, z, mu, systems)
+        b_sol = solve_b(mesh, f, z, mu, systems, lane).result()
         for fun, x in ((obj_u, u_sol), (obj_v, v_sol), (obj_b, b_sol)):
             g = fd_gradient(fun, x)
             bound = 1e-4 * (1.0 + abs(fun(x)))
@@ -200,7 +200,7 @@ def test_criterion_04_subproblem_stationarity():
     ok(4, f"u/v/b stationarity on 20 instances, worst {worst:.2e} of bound")
 
 
-def test_criterion_05_transliteration_oracle():
+def test_criterion_05_transliteration_oracle(lane):
     mesh = square_axis_pair()
     rng = np.random.default_rng(23)
     T, E, K = mesh.n_faces, mesh.n_edges, 2
@@ -222,7 +222,7 @@ def test_criterion_05_transliteration_oracle():
     state = SolverState(**{k: v.copy() for k, v in arrays.items()})
     params = SolverParams(k=K, mode="gpsms", alpha=alpha,
                           beta_ratio=beta / alpha, inner_iters=1)
-    admm_inner(mesh, f, state, Systems(mesh, params))
+    admm_inner(mesh, f, state, Systems(mesh, params), lane)
     worst = 0.0
     for name, want in expected.items():
         err = np.abs(getattr(state, name) - want).max()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from msseg.calculus import (
+    _pairwise_sum,
     divergence,
     gradient,
     inner_U,
@@ -312,18 +313,25 @@ def test_rtgv_parameter_and_shape_errors():
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_row_norms_match_linalg_norm(n):
-    # fewer than 8 terms: numpy's pairwise sum adds in sequence, as the
-    # column-by-column sum does; from 8 on the two round differently
+    # the column-by-column sum adds the squares in the order of numpy's
+    # pairwise summation, in sequence below 8 terms and in 8 running sums
+    # from 8 on, so the two agree bitwise at every width and layout
     rng = np.random.default_rng(60 + n)
     x = rng.normal(size=(2000, n))
     x[0] = 0.0
     want = np.linalg.norm(x, axis=1)
     for layout in (x, np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]):
-        got = row_norms(layout)
-        if n < 8:
-            assert np.array_equal(got, want)
-        else:
-            np.testing.assert_array_max_ulp(got, want, maxulp=2)
+        assert np.array_equal(row_norms(layout), want)
+
+
+@pytest.mark.parametrize("n", list(range(1, 21)) + [128, 129, 300])
+def test_pairwise_sum_matches_row_sum(n):
+    # numpy sums a contiguous row pairwise: in sequence below 8 terms, in 8
+    # running sums up to 128, and in halves above
+    rng = np.random.default_rng(80 + n)
+    x = rng.normal(size=(500, n)) * rng.lognormal(size=n) * 1e3
+    got = _pairwise_sum(x.T.copy())
+    assert np.array_equal(got, x.sum(axis=1))
 
 
 def test_edge_lengths_are_not_broadcast_in_solver_or_calculus():

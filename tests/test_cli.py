@@ -349,7 +349,36 @@ def test_wrong_length_ground_truth_fails_before_any_output(
     kind, msg = err[0].split("\t")[1:3]
     assert kind == "DimensionError"
     assert str(short) in msg and "3 labels" in msg
-    assert not [p for p in out.rglob("*") if p.is_file()]
+    assert not out.exists()
+
+
+def test_missing_ground_truth_fails_before_any_output(
+        dumbbell_setup, tmp_path, capsys):
+    base, mesh_path, _ = dumbbell_setup
+    missing = tmp_path / "missing.seg"
+    out = tmp_path / "out"
+    code = main(["--mesh", str(mesh_path), "--k", "2", "--gt", str(missing),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    kind, msg = err[0].split("\t")[1:3]
+    assert kind == "IOError" and str(missing) in msg
+    assert not out.exists()
+
+
+def test_bad_mesh_fails_before_any_output(dumbbell_setup, tmp_path, capsys):
+    _, _, gt_path = dumbbell_setup
+    bad = tmp_path / "bad.off"
+    bad.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n")
+    out = tmp_path / "out"
+    code = main(["--mesh", str(bad), "--k", "2", "--gt", str(gt_path),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].split("\t")[1] == "MeshFormatError"
+    assert not out.exists()
 
 
 def test_k1_rejected_with_error_record(dumbbell_setup, capsys):

@@ -1,6 +1,9 @@
 """Solver unit tests: projections, prox maps, subproblem solves, the
 inner sweep, initialization, the outer loop and diagnostics."""
 
+import threading
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +11,8 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import minimize_scalar
 
 import msseg.solver
-from msseg.calculus import (_SOLVE_RTOL, _DirectSolve, divergence, gradient,
+from msseg.calculus import (_SOLVE_RTOL, _BiharmonicSolve, _DirectSolve,
+                            divergence, gradient,
                             inner_U, tv_energy)
 from msseg.errors import (DimensionError, InitializationError, NumericError,
                           ParameterError)
@@ -449,7 +453,7 @@ def test_solve_v_matches_interior_edge_oracle(make):
     lambda: random_patch(15, 2), strip10, square_axis_pair,
 ], ids=["flat_patch3", "random_patch12", "random_patch15", "strip10",
         "square_axis_pair"])
-def test_subproblem_solves_are_stationary_on_open_meshes(make):
+def test_subproblem_solves_are_stationary_on_open_meshes(make, lane):
     # criterion 04 on open meshes, with edge inputs that are non-zero on
     # boundary edges and objectives written with the dense operators
     mesh = make()
@@ -488,14 +492,14 @@ def test_subproblem_solves_are_stationary_on_open_meshes(make):
                            alpha=alpha, beta_ratio=beta / alpha))
     u_sol = solve_u(mesh, z, lam_z, p, v, lam_p, systems)
     v_sol = solve_v(mesh, u_sol, p, lam_p, q, lam_q, systems)
-    b_sol = solve_b(mesh, f, z, mu, systems)
+    b_sol = solve_b(mesh, f, z, mu, systems, lane).result()
     for name, fun, x in (("u", obj_u, u_sol), ("v", obj_v, v_sol),
                          ("b", obj_b, b_sol)):
         g = fd_gradient(fun, x)
         assert np.linalg.norm(g) <= 1e-4 * (1.0 + abs(fun(x))), name
 
 
-def test_solve_b_zero_right_side():
+def test_solve_b_zero_right_side(lane):
     mesh = load_off(TETRA_OFF)
     z = np.zeros((4, 2))
     z[:, 0] = 1.0
@@ -503,11 +507,11 @@ def test_solve_b_zero_right_side():
     f = z @ mu  # exact piecewise fit
     systems = Systems(mesh, SolverParams(k=2, mode="psms", eta=1e-5,
                                          alpha=5.0, beta_ratio=3.0 / 5.0))
-    b = solve_b(mesh, f, z, mu, systems)
+    b = solve_b(mesh, f, z, mu, systems, lane).result()
     assert np.allclose(b, 0.0, atol=1e-12)
 
 
-def test_solve_b_constant_right_side_closed_mesh():
+def test_solve_b_constant_right_side_closed_mesh(lane):
     # on a closed mesh the laplacian annihilates constants, so a constant
     # right side yields b = alpha * c / (eta + alpha) exactly, at any beta
     mesh = load_off(TETRA_OFF)
@@ -521,14 +525,14 @@ def test_solve_b_constant_right_side_closed_mesh():
         systems = Systems(mesh, SolverParams(k=2, mode="psms", eta=eta,
                                              alpha=alpha,
                                              beta_ratio=beta / alpha))
-        b = solve_b(mesh, f, z, mu, systems)
+        b = solve_b(mesh, f, z, mu, systems, lane).result()
         assert np.allclose(b, alpha * c / (eta + alpha), atol=1e-8)
 
 
 @ORACLE_MESHES
 @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
 @pytest.mark.parametrize("alpha", [1.0, 1e4, 1e28])
-def test_solve_b_matches_biharmonic_oracle(make, scale, alpha):
+def test_solve_b_matches_biharmonic_oracle(make, scale, alpha, lane):
     # alpha = 1e28 is the data weight of the collapsed bumpy35k features;
     # on random_patch at scale 0.01 a sliver face (area ratio 750) makes
     # |B| |b| 1e9 |rhs| there, so even the exactly rounded b has a residual
@@ -541,7 +545,7 @@ def test_solve_b_matches_biharmonic_oracle(make, scale, alpha):
     f = rng.normal(size=(T, K - 1))
     mu = rng.normal(size=(K, K - 1))
     params = SolverParams(k=K, mode="psms", alpha=alpha)
-    b = solve_b(mesh, f, z, mu, Systems(mesh, params))
+    b = solve_b(mesh, f, z, mu, Systems(mesh, params), lane).result()
     want = biharmonic_b(mesh, f, z, mu, alpha, params.beta, params.eta)
     assert np.abs(b - want).max() <= 1e-10 * (1.0 + np.abs(want).max())
     # the residual of the real system, with the dense operators
@@ -571,7 +575,7 @@ def test_b_gate_checks_the_real_system():
         b_solve(rhs)
 
 
-def test_solves_return_c_ordered_float_arrays():
+def test_solves_return_c_ordered_float_arrays(lane):
     # SuperLU returns Fortran order; the solves hand back C order
     mesh = random_patch(200, 5)
     rng = np.random.default_rng(17)
@@ -585,7 +589,8 @@ def test_solves_return_c_ordered_float_arrays():
         "solve_u": u,
         "solve_v": solve_v(mesh, u, edge, edge, face, face, systems),
         "solve_b": solve_b(mesh, rng.normal(size=(T, K - 1)), z,
-                           rng.normal(size=(K, K - 1)), systems),
+                           rng.normal(size=(K, K - 1)), systems,
+                           lane).result(),
         "_DirectSolve": systems.u_solve(face),
         "_BiharmonicSolve": systems.b_solve(face),
     }
@@ -654,19 +659,19 @@ def make_fixed_point_state(mesh):
     )
 
 
-def test_admm_inner_fixed_point_unchanged():
+def test_admm_inner_fixed_point_unchanged(lane):
     mesh = square_axis_pair()
     state = make_fixed_point_state(mesh)
     before = state.copy()
     f = np.zeros((2, 1))  # f = z @ mu exactly
     params = SolverParams(k=2, mode="gpsms", alpha=1.0)
-    admm_inner(mesh, f, state, Systems(mesh, params))
+    admm_inner(mesh, f, state, Systems(mesh, params), lane)
     for name in ("u", "z", "b", "v", "p", "q", "lam_p", "lam_q", "lam_z"):
         assert np.allclose(getattr(state, name), getattr(before, name),
                            atol=1e-8), name
 
 
-def test_admm_inner_matches_transliteration_reference():
+def test_admm_inner_matches_transliteration_reference(lane):
     mesh = square_axis_pair()
     rng = np.random.default_rng(13)
     T, E, K = mesh.n_faces, mesh.n_edges, 2
@@ -688,18 +693,18 @@ def test_admm_inner_matches_transliteration_reference():
     state = SolverState(**{k: v.copy() for k, v in arrays.items()})
     params = SolverParams(k=K, mode="gpsms", alpha=alpha,
                           beta_ratio=beta / alpha, inner_iters=1)
-    admm_inner(mesh, f, state, Systems(mesh, params))
+    admm_inner(mesh, f, state, Systems(mesh, params), lane)
     for name, want in expected.items():
         assert np.allclose(getattr(state, name), want, atol=1e-12), name
 
 
-def test_multiplier_update_identities_exact():
+def test_multiplier_update_identities_exact(lane):
     mesh = flat_patch(2)
     params = SolverParams(k=2, mode="gpsms", alpha=2.0, inner_iters=1)
     f = np.random.default_rng(14).normal(size=(mesh.n_faces, 1))
     state = initial_state(mesh, f, params)
     before = state.copy()
-    admm_inner(mesh, f, state, Systems(mesh, params))
+    admm_inner(mesh, f, state, Systems(mesh, params), lane)
     gu = gradient(mesh, state.u)
     dv = divergence(mesh, state.v)
     assert np.array_equal(
@@ -811,11 +816,21 @@ def test_segment_deterministic_across_runs():
     assert a.energy_trace == b.energy_trace
 
 
-@pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("make_mesh", [lambda: random_closed(60, 31),
-                                       lambda: random_patch(90, 32)],
-                         ids=["closed", "open"])
+def replay_cases(test):
+    """The 12 runs a replay test compares: both modes' K, every mode, a
+    closed and an open mesh."""
+    for mark in (
+            pytest.mark.parametrize("k", [2, 3]),
+            pytest.mark.parametrize("mode", MODES),
+            pytest.mark.parametrize("make_mesh",
+                                    [lambda: random_closed(60, 31),
+                                     lambda: random_patch(90, 32)],
+                                    ids=["closed", "open"])):
+        test = mark(test)
+    return test
+
+
+@replay_cases
 def test_segment_replays_bitwise_with_row_wise_pieces(make_mesh, mode, k,
                                                       monkeypatch):
     # the column-wise sweep against its row-wise forms: sort-based simplex
@@ -836,10 +851,100 @@ def test_segment_replays_bitwise_with_row_wise_pieces(make_mesh, mode, k,
             (msseg.calculus, "vectorial_rtgv", vectorial_rtgv_prescaled)):
         monkeypatch.setattr(module, name, old)  # raises if name is gone
     want = segment(mesh, f, params)
+    assert_same_run(got, want)
+
+
+def assert_same_run(got, want):
     assert got.alpha == want.alpha
     for name in ("u", "b", "mu", "labels", "error_trace", "energy_trace"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.kkt == want.kkt
+
+
+class InlineLane:
+    """An executor that runs each submitted call at once, on the caller's
+    thread: the serial sweep order z, u, v, b, ..."""
+
+    def __init__(self, max_workers):
+        assert max_workers == 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@replay_cases
+def test_segment_replays_bitwise_with_b_solved_inline(make_mesh, mode, k,
+                                                      monkeypatch):
+    # b's solve on the lane, beside u and v, against the serial order
+    mesh = make_mesh()
+    f = feature_field(mesh, k).values
+    params = SolverParams(k=k, mode=mode, max_outer=8, seed=1)
+    got = segment(mesh, f, params)
+    monkeypatch.setattr(msseg.solver, "ThreadPoolExecutor", InlineLane)
+    assert_same_run(got, segment(mesh, f, params))
+
+
+def off_b_factor(monkeypatch):
+    """Make every b factor solve the system of a 1 % larger ``c``, which
+    the residual gate of the stored coefficients rejects."""
+    build = _BiharmonicSolve.__init__
+
+    def off(self, S, areas, beta, c):
+        build(self, S, areas, beta, c)
+        self._lu = _DirectSolve(np.sqrt(beta) * S - 1j * np.sqrt(1.01 * c)
+                                * sp.diags(areas))._lu
+
+    monkeypatch.setattr(_BiharmonicSolve, "__init__", off)
+
+
+def test_segment_joins_its_lane_on_return_and_on_error(monkeypatch):
+    mesh = random_patch(200, 5)
+    f = feature_field(mesh, 3).values
+    params = SolverParams(k=3, mode="gpsms", max_outer=3, seed=1)
+    before = threading.enumerate()
+    segment(mesh, f, params)
+    assert threading.enumerate() == before
+    off_b_factor(monkeypatch)
+    # the gate fails on the lane and its error reaches the caller
+    with pytest.raises(NumericError, match="residual"):
+        segment(mesh, f, params)
+    assert threading.enumerate() == before
+
+
+def test_segment_factors_on_the_calling_thread_and_solves_b_beside_it(
+        monkeypatch):
+    factored, b_solved = [], []
+    build, solve = _DirectSolve.__init__, _BiharmonicSolve.__call__
+
+    def recording_build(self, *args, **kwargs):
+        factored.append(threading.get_ident())
+        build(self, *args, **kwargs)
+
+    def recording_solve(self, rhs):
+        b_solved.append(threading.get_ident())
+        return solve(self, rhs)
+
+    mesh = random_patch(200, 5)
+    f = feature_field(mesh, 3).values
+    params = SolverParams(k=3, mode="gpsms", max_outer=3, seed=1)
+    monkeypatch.setattr(_DirectSolve, "__init__", recording_build)
+    monkeypatch.setattr(_BiharmonicSolve, "__call__", recording_solve)
+    result = segment(mesh, f, params)
+    main = threading.get_ident()
+    assert factored == [main] * 3  # the u, v and b factors
+    assert len(b_solved) == len(result.error_trace) * params.inner_iters
+    assert len(set(b_solved)) == 1 and b_solved[0] != main
 
 
 def test_segment_non_convergence_is_flagged_not_raised():
