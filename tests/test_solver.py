@@ -1,6 +1,7 @@
 """Solver unit tests: projections, prox maps, subproblem solves, the
 inner sweep, initialization, the outer loop and diagnostics."""
 
+import sys
 import threading
 from concurrent.futures import Future
 
@@ -886,11 +887,17 @@ class InlineLane:
 @replay_cases
 def test_segment_replays_bitwise_with_b_solved_inline(make_mesh, mode, k,
                                                       monkeypatch):
-    # b's solve on the lane, beside u and v, against the serial order
+    # b's solve on the lane, beside u and v, against the serial order; a
+    # short switch interval makes the two threads interleave more finely
     mesh = make_mesh()
     f = feature_field(mesh, k).values
     params = SolverParams(k=k, mode=mode, max_outer=8, seed=1)
-    got = segment(mesh, f, params)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = segment(mesh, f, params)
+    finally:
+        sys.setswitchinterval(interval)
     monkeypatch.setattr(msseg.solver, "ThreadPoolExecutor", InlineLane)
     assert_same_run(got, segment(mesh, f, params))
 
