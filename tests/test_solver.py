@@ -821,12 +821,12 @@ def replay_cases(test):
     """The 12 runs a replay test compares: both modes' K, every mode, a
     closed and an open mesh."""
     for mark in (
-            pytest.mark.parametrize("k", [2, 3]),
-            pytest.mark.parametrize("mode", MODES),
             pytest.mark.parametrize("make_mesh",
                                     [lambda: random_closed(60, 31),
                                      lambda: random_patch(90, 32)],
-                                    ids=["closed", "open"])):
+                                    ids=["closed", "open"]),
+            pytest.mark.parametrize("mode", MODES),
+            pytest.mark.parametrize("k", [2, 3])):
         test = mark(test)
     return test
 
