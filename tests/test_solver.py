@@ -818,7 +818,7 @@ def test_segment_deterministic_across_runs():
 
 
 def replay_cases(test):
-    """The 12 runs a replay test compares: both modes' K, every mode, a
+    """The 12 runs a replay test compares: K = 2 and 3, every mode, a
     closed and an open mesh."""
     for mark in (
             pytest.mark.parametrize("make_mesh",
@@ -877,10 +877,7 @@ class InlineLane:
 
     def submit(self, fn, *args):
         future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
+        future.set_result(fn(*args))
         return future
 
 
@@ -902,9 +899,16 @@ def test_segment_replays_bitwise_with_b_solved_inline(make_mesh, mode, k,
     assert_same_run(got, segment(mesh, f, params))
 
 
-def off_b_factor(monkeypatch):
-    """Make every b factor solve the system of a 1 % larger ``c``, which
-    the residual gate of the stored coefficients rejects."""
+def test_segment_joins_its_lane_on_return_and_on_error(monkeypatch):
+    mesh = random_patch(200, 5)
+    f = feature_field(mesh, 3).values
+    params = SolverParams(k=3, mode="gpsms", max_outer=3, seed=1)
+    before = threading.enumerate()
+    segment(mesh, f, params)
+    assert threading.enumerate() == before
+    # every b factor solves the system of a 1 % larger c, which the gate
+    # of the stored coefficients rejects on the lane; the error reaches
+    # the caller
     build = _BiharmonicSolve.__init__
 
     def off(self, S, areas, beta, c):
@@ -913,17 +917,6 @@ def off_b_factor(monkeypatch):
                                 * sp.diags(areas))._lu
 
     monkeypatch.setattr(_BiharmonicSolve, "__init__", off)
-
-
-def test_segment_joins_its_lane_on_return_and_on_error(monkeypatch):
-    mesh = random_patch(200, 5)
-    f = feature_field(mesh, 3).values
-    params = SolverParams(k=3, mode="gpsms", max_outer=3, seed=1)
-    before = threading.enumerate()
-    segment(mesh, f, params)
-    assert threading.enumerate() == before
-    off_b_factor(monkeypatch)
-    # the gate fails on the lane and its error reaches the caller
     with pytest.raises(NumericError, match="residual"):
         segment(mesh, f, params)
     assert threading.enumerate() == before
