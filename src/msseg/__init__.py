@@ -12,7 +12,6 @@ _EXPORTS = {
     "inner_U": "calculus",
     "inner_V": "calculus",
     "tv_energy": "calculus",
-    "rtgv_value": "calculus",
     "vectorial_rtgv": "calculus",
     "build_laplacian": "features",
     "feature_field": "features",

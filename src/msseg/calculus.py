@@ -27,7 +27,7 @@ class _DirectSolve:
     the pattern of ``A' + A``, diagonal pivots) serves every later solve.
     Diagonal pivots are safe for an SPD matrix, and for a complex one that
     a unit multiple gives a positive definite Hermitian part (the b
-    system's factor, :class:`_BiharmonicSolve`).
+    system's factor, :class:`BiharmonicPrior`), all built on ``mesh.S``.
 
     Every matrix factored here lives on the face graph, of degree 3, so
     its supernodes are a few columns wide.  ``relax=1`` and
@@ -70,33 +70,47 @@ class _DirectSolve:
         return x
 
 
-class _BiharmonicSolve(_DirectSolve):
-    """Solve ``(beta S W^-1 S + c W) b = r`` for a real ``r`` through one
-    complex factor on the pattern of ``S``.
+class BiharmonicPrior(_DirectSolve):
+    """The smooth part's prior ``(beta / 2) |Delta b|_U^2``, with the face
+    Laplacian ``Delta = -W^-1 S``, ``S = mesh.S`` and ``W`` the areas: its
+    operator ``P = beta S W^-1 S``, value and norm bound, and with a
+    coefficient ``c`` the gated solve of ``(P + c W) b = r``.
 
-    With ``A = sqrt(beta) S`` and ``s = sqrt(c)`` the matrix is
-    ``(A - i s W) W^-1 (A + i s W)``, so ``b = Im((A - i s W)^-1 r) / s``.
-    Times ``i``, the factored matrix has the positive definite Hermitian
-    part ``s W``.  The residual gate checks the real system, by matvecs
-    with ``S`` and row scalings by the areas that apply ``W`` and
-    ``W^-1``: ``S W^-1 S`` is never formed, and its norm is bounded by
-    ``beta |S| |W^-1 S| + c |W|`` (infinity norms).
+    With ``A = sqrt(beta) S`` and ``s = sqrt(c)``, ``P + c W = (A - i s W)
+    W^-1 (A + i s W)``, so ``b = Im((A - i s W)^-1 r) / s`` through one
+    complex factor on the pattern of ``S``, which times ``i`` has the
+    positive definite Hermitian part ``s W``.  The gate checks ``P b +
+    c W b``.  ``S W^-1 S`` is never formed: ``W`` and ``W^-1`` are row
+    scalings by the areas.
     """
 
-    def __init__(self, S, areas, beta, c):
-        rows = np.asarray(abs(S).sum(axis=1)).ravel()  # |S| = max(rows)
-        norm = beta * rows.max() * (rows / areas).max() + c * areas.max()
-        super().__init__(np.sqrt(beta) * S - 1j * np.sqrt(c) * sp.diags(areas),
-                         norm)
-        self.S, self.areas = S, areas[:, None]
-        self.beta, self.c = beta, c
+    def __init__(self, mesh, beta, c=None):
+        self.S, self.beta = mesh.S, beta
+        self.areas = mesh.face_areas[:, None]
+        if c is not None:
+            self.c = c
+            W = sp.diags(mesh.face_areas)
+            super().__init__(np.sqrt(beta) * self.S - 1j * np.sqrt(c) * W,
+                             self.norm_bound() + c * mesh.face_areas.max())
+
+    def apply(self, b):
+        """``P b = beta S W^-1 S b``."""
+        return self.beta * (self.S @ ((self.S @ b) / self.areas))
+
+    def energy(self, b):
+        """``(beta / 2) <S b, W^-1 S b>``, the prior's value."""
+        Sb = self.S @ b
+        return 0.5 * self.beta * float(np.sum(Sb * (Sb / self.areas)))
+
+    def norm_bound(self):
+        """``beta |S| |W^-1 S|``, a bound of ``|P|`` (infinity norms)."""
+        rows = np.asarray(abs(self.S).sum(axis=1)).ravel()  # |S| = max(rows)
+        return self.beta * rows.max() * (rows / self.areas[:, 0]).max()
 
     def __call__(self, rhs):
         # divide into a C-ordered array: one pass over the strided Im(x)
         b = np.divide(self._lu.solve(rhs).imag, np.sqrt(self.c), order="C")
-        image = self.beta * (self.S @ ((self.S @ b) / self.areas)) \
-            + self.c * (self.areas * b)
-        return self._checked(b, image, rhs)
+        return self._checked(b, self.apply(b) + self.c * (self.areas * b), rhs)
 
 
 def _field(x, rows, kind, name):
@@ -132,11 +146,6 @@ def divergence(mesh, p):
     return -(mesh.grad_tl @ p) / mesh.face_areas[:, None]
 
 
-def laplace(mesh, u):
-    """Face-based Laplacian: divergence of the gradient."""
-    return divergence(mesh, gradient(mesh, u))
-
-
 def inner_U(mesh, a, b):
     """Area-weighted inner product of two face fields."""
     return _inner(mesh.face_areas, "face", a, b)
@@ -169,24 +178,25 @@ def tv_energy(mesh, u):
     return inner_V(mesh, g, np.ones_like(g))
 
 
-def rtgv_value(mesh, u, v, alpha0):
-    """Relaxed second-order TGV objective evaluated at a given edge field.
-
-    Returns ``sum |grad u - v| * l  +  alpha0 * sum |div v| * A``.  The
-    minimum over ``v`` is realized by the solver; this is the evaluator.
-    """
-    return _rtgv(mesh, u, v, alpha0, np.abs)
-
-
 def vectorial_rtgv(mesh, u, v, alpha0):
     """Relaxed TGV with the Euclidean norm of each row across channels:
     ``sum ||grad u - v||_2 * l  +  alpha0 * sum ||div v||_2 * A``.
 
     The vectorial (channel-isotropic) form that the solver's row-wise
-    shrinkages ``prox_p`` and ``prox_q`` minimize; ``rtgv_value`` sums
-    the absolute values of the entries instead.
+    shrinkages ``prox_p`` and ``prox_q`` minimize.
     """
-    return _rtgv(mesh, u, v, alpha0, row_norms)
+    if alpha0 <= 0:
+        raise ParameterError(f"alpha0 must be positive, got {alpha0}")
+    u = _field(u, mesh.n_faces, "face", "u")
+    v = _field(v, mesh.n_edges, "edge", "v")
+    g = gradient(mesh, u)
+    if g.shape != v.shape:
+        raise DimensionError(f"shape mismatch: grad u {g.shape} vs v {v.shape}")
+    # each part is <|x|, 1>, with |x| the row norm of a field
+    first = row_norms(g - v)
+    second = row_norms(divergence(mesh, v))
+    return inner_V(mesh, first, np.ones_like(first)) \
+        + alpha0 * inner_U(mesh, second, np.ones_like(second))
 
 
 def row_norms(x):
@@ -229,18 +239,3 @@ def _pairwise_sum(terms):
     for j in range(whole, n):
         terms[0] += terms[j]
     return terms[0]
-
-
-def _rtgv(mesh, u, v, alpha0, norm):
-    if alpha0 <= 0:
-        raise ParameterError(f"alpha0 must be positive, got {alpha0}")
-    u = _field(u, mesh.n_faces, "face", "u")
-    v = _field(v, mesh.n_edges, "edge", "v")
-    g = gradient(mesh, u)
-    if g.shape != v.shape:
-        raise DimensionError(f"shape mismatch: grad u {g.shape} vs v {v.shape}")
-    # each part is <|x|, 1>, with |x| the entry or row norm of a field
-    first = norm(g - v)
-    second = norm(divergence(mesh, v))
-    return inner_V(mesh, first, np.ones_like(first)) \
-        + alpha0 * inner_U(mesh, second, np.ones_like(second))

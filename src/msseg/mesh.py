@@ -67,6 +67,10 @@ class TriMesh:
         ``grad.T @ diag(edge_lengths)``, indices sorted: the length-weighted
         transpose that the divergence and the solver's right-hand sides
         apply, each entry ``+-l_e``.
+    S : (T, T) csr matrix
+        ``grad_tl @ grad``, canonical: the length-weighted face Laplacian
+        times ``-A``, on which the u and v systems and the smooth prior
+        (:class:`msseg.calculus.BiharmonicPrior`) are built.
     components : (T,) int array
         Connected component of each face (edge adjacency), numbered
         0, 1, ... in order of each component's lowest-index face.
@@ -106,15 +110,16 @@ class TriMesh:
         self._build_geometry()
         self.grad_tl = (self.grad.T @ sp.diags(self.edge_lengths)).tocsr()
         self.grad_tl.sort_indices()
+        self.S = self.grad_tl @ self.grad
+        self.S.sum_duplicates()  # canonical: also sorts the indices
         self._patterns = {}
         for arr in (self.vertices, self.faces, self.edges, self.face_edges,
                     self.face_edge_signs, self.edge_faces, self.boundary_edge,
                     self.face_areas, self.edge_lengths, self.face_normals,
                     self.components):
             arr.setflags(write=False)
-        _freeze(self.incidence)
-        _freeze(self.grad)
-        _freeze(self.grad_tl)
+        for matrix in (self.incidence, self.grad, self.grad_tl, self.S):
+            _freeze(matrix)
 
     # -- construction ------------------------------------------------------
 

@@ -130,16 +130,15 @@ class Systems:
     the others are ``None``.  This is the one reader of ``params.mode``:
     :func:`admm_inner` runs a block exactly when its system is built.  The
     systems are the weighted-inner-product normal equations written in
-    plain coordinates, with ``G`` the gradient and ``S = G' D G``:
+    plain coordinates, with ``G`` the gradient and ``S = G' D G``, which
+    the mesh holds as ``mesh.S``:
 
     * ``u_solve``:  (r_p * S + r_z * W) u = W * rhs,
     * ``v_solve``:  (S + (r_p / r_q) * W) w = G' D y, the face form of the
       edge system (r_p * D + r_q * DG W^-1 (DG)') v = D y (see solve_v),
-    * ``b_solve``:  (beta * S W^-1 S + c * W) b = W * rhs, c = eta + alpha,
-      solved as ``b = Im(x) / sqrt(c)`` with one complex factor of
-      ``sqrt(beta) S - i sqrt(c) W`` (``calculus._BiharmonicSolve``); its
-      residual gate checks the real system by matvecs, so ``S W^-1 S`` is
-      never assembled.
+    * ``b_solve``:  (P + c * W) b = W * rhs, c = eta + alpha, with ``P``
+      the operator of the smooth prior: a
+      :class:`msseg.calculus.BiharmonicPrior` factored at ``c``.
 
     All three factors share the face pattern of ``S``.  ``params`` carries
     a resolved alpha; the right-hand sides read their coefficients from it.
@@ -155,15 +154,14 @@ class Systems:
         if params.alpha is None:
             raise ParameterError("Systems needs a resolved alpha, got None")
         self.params = params
-        W = sp.diags(mesh.face_areas)
-        S = mesh.grad.T @ sp.diags(mesh.edge_lengths) @ mesh.grad
+        S, W = mesh.S, sp.diags(mesh.face_areas)
         self.u_solve = calc._DirectSolve(params.r_p * S + params.r_z * W)
         self.v_solve = self.b_solve = None
         if params.mode == "gpsms":
             self.v_solve = calc._DirectSolve(S + (params.r_p / params.r_q) * W)
         if params.mode != "pcms":
-            self.b_solve = calc._BiharmonicSolve(
-                S, mesh.face_areas, params.beta, params.eta + params.alpha)
+            self.b_solve = calc.BiharmonicPrior(
+                mesh, params.beta, params.eta + params.alpha)
 
 
 # -- closed-form pieces ------------------------------------------------------
@@ -304,7 +302,8 @@ def solve_v(mesh, u, p, lam_p, q, lam_q, systems):
 
 def solve_b(mesh, f, z, mu, systems, lane):
     """Smooth-part update: (beta L'L + (eta + alpha) I) b = alpha (f - z mu)
-    in the weighted inner products, with L the face Laplacian.
+    in the weighted inner products, with L the face Laplacian, solved by
+    ``systems.b_solve``, a factored :class:`msseg.calculus.BiharmonicPrior`.
 
     Hands the update to ``lane``, an executor, and returns its future: the
     right side ``alpha W (f - z mu)``, the complex solve and its residual
@@ -470,12 +469,11 @@ def energy(mesh, u, v, b, mu, f, params):
     this is the objective the iterations minimize.  :func:`segment`
     evaluates it at the simplex iterate ``z``, a feasible point, where
     every term is non-negative; ``u`` is off the simplex until ADMM
-    converges, so its data term can be negative.
-    """
-    lap = calc.laplace(mesh, b)
+    converges, so its data term can be negative.  The prior of ``b`` is
+    an unfactored :class:`msseg.calculus.BiharmonicPrior`."""
     return (
         calc.vectorial_rtgv(mesh, u, v, params.alpha0)
-        + 0.5 * params.beta * inner_U(mesh, lap, lap)
+        + calc.BiharmonicPrior(mesh, params.beta).energy(b)
         + 0.5 * params.eta * inner_U(mesh, b, b)
         + 0.5 * params.alpha * inner_U(mesh, u, s_field(f, b, mu))
     )
@@ -484,7 +482,8 @@ def energy(mesh, u, v, b, mu, f, params):
 def kkt_residuals(mesh, f, state, params):
     """Named KKT residual norms (primal feasibility, multiplier
     identities and the stationarity of the smooth part and means), with
-    the weights of ``params``, which carries a resolved alpha."""
+    the weights of ``params``, which carries a resolved alpha.  The prior
+    of ``b`` is an unfactored :class:`msseg.calculus.BiharmonicPrior`."""
     u, v, b, p, q, z = state.u, state.v, state.b, state.p, state.q, state.z
     lam_p, lam_q, lam_z, mu = state.lam_p, state.lam_q, state.lam_z, state.mu
     gu = gradient(mesh, u)
@@ -496,11 +495,11 @@ def kkt_residuals(mesh, f, state, params):
         "dual_pz": norm_U(mesh, -lam_z + divergence(mesh, lam_p)),
         "dual_pq": norm_V(mesh, lam_p + gradient(mesh, lam_q)),
     }
-    lap2 = calc.laplace(mesh, calc.laplace(mesh, b))
-    b_res = params.beta * lap2 + (params.eta + params.alpha) * b \
+    A = mesh.face_areas
+    prior = calc.BiharmonicPrior(mesh, params.beta)
+    b_res = prior.apply(b) / A[:, None] + (params.eta + params.alpha) * b \
         - params.alpha * (f - z @ mu)
     res["b_stationarity"] = norm_U(mesh, b_res)
-    A = mesh.face_areas
     mass = (u * A[:, None]).sum(axis=0)
     mu_res = mu * mass[:, None] - (u * A[:, None]).T @ (f - b)
     res["mu_stationarity"] = float(np.linalg.norm(params.alpha * mu_res))

@@ -159,6 +159,23 @@ def biharmonic_b(mesh, f, z, mu, alpha, beta, eta):
     return b
 
 
+def dense_prior(mesh, beta):
+    """The smooth prior ``(beta / 2) |Delta b|_U^2`` in dense form, with
+    ``Delta = div grad`` the face Laplacian and ``W`` the areas.
+
+    Returns its operator ``beta Delta' W Delta``, the gradient of the
+    prior in plain coordinates, and a function giving its value.
+    """
+    A, _, _, Gb, Dmat = dense_operators(mesh)
+    Delta = Dmat @ Gb
+
+    def value(b):
+        lap = Delta @ b
+        return 0.5 * beta * float(np.sum(A[:, None] * lap * lap))
+
+    return beta * (Delta.T * A) @ Delta, value
+
+
 def interior_edge_v(mesh, u, p, lam_p, q, lam_q, r_p, r_q):
     """Slope update by a direct solve on the interior edges alone.
 

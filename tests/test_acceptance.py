@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import msseg.solver
-from msseg.calculus import divergence, gradient, inner_U, inner_V, laplace
+from msseg.calculus import divergence, gradient, inner_U, inner_V
 from msseg.evaluation import rand_index_dissimilarity
 from msseg.features import build_laplacian, feature_field
 from msseg.mesh import load_off
@@ -180,7 +180,7 @@ def test_criterion_04_subproblem_stationarity(lane):
                 + 0.5 * r_q * inner_U(mesh, d, d)
 
         def obj_b(bb):
-            lap = laplace(mesh, bb)
+            lap = divergence(mesh, gradient(mesh, bb))
             return 0.5 * beta * inner_U(mesh, lap, lap) \
                 + 0.5 * eta * inner_U(mesh, bb, bb) \
                 + 0.5 * alpha * inner_U(mesh, z, s_field(f, bb, mu))

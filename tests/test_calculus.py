@@ -2,6 +2,7 @@
 and the one sparse factorization site."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,9 @@ from msseg.calculus import (
     gradient,
     inner_U,
     inner_V,
-    laplace,
     norm_U,
     norm_V,
     row_norms,
-    rtgv_value,
     tv_energy,
     vectorial_rtgv,
 )
@@ -150,14 +149,6 @@ def test_adjointness_spot_case():
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
-def test_laplace_is_div_of_grad():
-    mesh = random_meshes(1, seed=13, max_faces=80)[0]
-    u = np.random.default_rng(2).normal(size=(mesh.n_faces, 2))
-    assert np.allclose(
-        laplace(mesh, u), divergence(mesh, gradient(mesh, u)), atol=1e-14
-    )
-
-
 # -- inner products ---------------------------------------------------------
 
 
@@ -231,32 +222,34 @@ def test_tv_one_homogeneous():
 
 
 def test_rtgv_at_v_zero_equals_tv():
+    # one channel, where the row norm is the absolute value
     mesh = random_meshes(1, seed=17, max_faces=60)[0]
-    u = np.random.default_rng(6).normal(size=(mesh.n_faces, 2))
-    v = np.zeros((mesh.n_edges, 2))
-    assert rtgv_value(mesh, u, v, 2.0) == pytest.approx(
+    u = np.random.default_rng(6).normal(size=(mesh.n_faces, 1))
+    v = np.zeros((mesh.n_edges, 1))
+    assert vectorial_rtgv(mesh, u, v, 2.0) == pytest.approx(
         tv_energy(mesh, u), rel=1e-12
     )
 
 
 def test_rtgv_zero_fields():
     mesh = load_off(TETRA_OFF)
-    assert rtgv_value(mesh, np.zeros(4), np.zeros(6), 1.0) == 0.0
+    assert vectorial_rtgv(mesh, np.zeros(4), np.zeros(6), 1.0) == 0.0
 
 
 def test_rtgv_brute_force_oracle():
-    # a closed mesh and an open one
+    # a closed mesh and an open one, at one channel, where the row norm is
+    # the absolute value
     for mesh in (random_meshes(1, seed=30, max_faces=50)[0],
                  random_patch(20, 4)):
         rng = np.random.default_rng(7)
-        u = np.zeros((mesh.n_faces, 2))
-        v = rng.normal(size=(mesh.n_edges, 2))
+        u = rng.normal(size=(mesh.n_faces, 1))
+        v = rng.normal(size=(mesh.n_edges, 1))
         alpha0 = 1.7
         # independent summation straight from the incidence arrays; the
         # gradient and the divergence both skip boundary edges
         first = 0.0
         for e in range(mesh.n_edges):
-            g = np.zeros(2)
+            g = np.zeros(1)
             if not mesh.boundary_edge[e]:
                 for t in mesh.edge_faces[e]:
                     s = mesh.face_edge_signs[t][mesh.face_edges[t] == e][0]
@@ -264,7 +257,7 @@ def test_rtgv_brute_force_oracle():
             first += mesh.edge_lengths[e] * np.abs(g - v[e]).sum()
         second = 0.0
         for t in range(mesh.n_faces):
-            d = np.zeros(2)
+            d = np.zeros(1)
             for s in range(3):
                 e = mesh.face_edges[t, s]
                 if not mesh.boundary_edge[e]:
@@ -273,8 +266,8 @@ def test_rtgv_brute_force_oracle():
             d /= mesh.face_areas[t]
             second += mesh.face_areas[t] * np.abs(d).sum()
         expected = first + alpha0 * second
-        assert rtgv_value(mesh, u, v, alpha0) == pytest.approx(expected,
-                                                               rel=1e-10)
+        assert vectorial_rtgv(mesh, u, v, alpha0) == pytest.approx(
+            expected, rel=1e-10)
 
 
 def test_vectorial_rtgv_takes_row_norms():
@@ -288,9 +281,6 @@ def test_vectorial_rtgv_takes_row_norms():
     second = mesh.face_areas @ np.sqrt((divergence(mesh, v) ** 2).sum(axis=1))
     assert vectorial_rtgv(mesh, u, v, alpha0) == pytest.approx(
         first + alpha0 * second, rel=1e-12)
-    # one channel: the row norm is the absolute value
-    assert vectorial_rtgv(mesh, u[:, :1], v[:, :1], alpha0) == pytest.approx(
-        rtgv_value(mesh, u[:, :1], v[:, :1], alpha0), rel=1e-14)
     with pytest.raises(ParameterError):
         vectorial_rtgv(mesh, u, v, 0.0)
 
@@ -300,15 +290,15 @@ def test_rtgv_nonnegative():
     rng = np.random.default_rng(8)
     u = rng.normal(size=(mesh.n_faces, 2))
     v = rng.normal(size=(mesh.n_edges, 2))
-    assert rtgv_value(mesh, u, v, 0.5) >= 0.0
+    assert vectorial_rtgv(mesh, u, v, 0.5) >= 0.0
 
 
 def test_rtgv_parameter_and_shape_errors():
     mesh = load_off(TETRA_OFF)
     with pytest.raises(ParameterError):
-        rtgv_value(mesh, np.zeros(4), np.zeros(6), 0.0)
+        vectorial_rtgv(mesh, np.zeros(4), np.zeros(6), 0.0)
     with pytest.raises(DimensionError):
-        rtgv_value(mesh, np.zeros((4, 2)), np.zeros((6, 1)), 1.0)
+        vectorial_rtgv(mesh, np.zeros((4, 2)), np.zeros((6, 1)), 1.0)
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -358,3 +348,17 @@ def test_splu_is_called_only_in_direct_solve_init():
                 where = [name for name, lo, hi in scopes if lo <= lineno <= hi]
                 sites.append((path.name, where))
     assert sites == [("calculus.py", ["_DirectSolve.__init__"])]
+
+
+def test_S_is_formed_only_by_the_mesh_and_laplace_is_gone():
+    # the u, v and b systems and the smooth prior read the mesh's frozen
+    # S = grad_tl @ grad; no other module weights grad by the lengths to
+    # form it again, and the face Laplacian is applied only by the prior
+    src = Path(__file__).parents[1] / "src" / "msseg"
+    forms = re.compile(r"diags\((mesh\.|self\.)?edge_lengths\)"
+                       r"|grad_tl\s*@\s*(mesh\.|self\.)?grad\b")
+    sites = [path.name for path in sorted(src.glob("*.py"))
+             if forms.search(path.read_text())]
+    assert sites == ["mesh.py"]
+    assert not [path.name for path in sorted(src.glob("*.py"))
+                if "laplace(" in path.read_text()]

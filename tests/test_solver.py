@@ -12,9 +12,9 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import minimize_scalar
 
 import msseg.solver
-from msseg.calculus import (_SOLVE_RTOL, _BiharmonicSolve, _DirectSolve,
-                            divergence, gradient,
-                            inner_U, tv_energy)
+from msseg.calculus import (_SOLVE_RTOL, BiharmonicPrior, _DirectSolve,
+                            divergence, gradient, inner_U, norm_U,
+                            tv_energy)
 from msseg.errors import (DimensionError, InitializationError, NumericError,
                           ParameterError)
 from msseg.features import feature_field
@@ -55,11 +55,12 @@ from _meshes import (
     strip10,
     unit_area_pair,
 )
-from _reference import (biharmonic_b, dense_operators, divergence_prescaled,
-                        fd_gradient, interior_edge_v, one_admm_sweep,
-                        project_simplex_sort, row_norms_linalg,
-                        simplex_bisect, solve_u_prescaled, solve_v_prescaled,
-                        tv_energy_prescaled, vectorial_rtgv_prescaled)
+from _reference import (biharmonic_b, dense_operators, dense_prior,
+                        divergence_prescaled, fd_gradient, interior_edge_v,
+                        one_admm_sweep, project_simplex_sort,
+                        row_norms_linalg, simplex_bisect, solve_u_prescaled,
+                        solve_v_prescaled, tv_energy_prescaled,
+                        vectorial_rtgv_prescaled)
 
 
 # -- parameter validation ------------------------------------------------------
@@ -559,6 +560,32 @@ def test_solve_b_matches_biharmonic_oracle(make, scale, alpha, lane):
         np.linalg.norm(B, np.inf) * np.linalg.norm(b) + np.linalg.norm(rhs))
 
 
+@ORACLE_MESHES
+def test_prior_matches_dense_oracle(make):
+    # apply, energy and the KKT block of b against the dense Delta' W Delta
+    mesh = make()
+    rng = np.random.default_rng(19)
+    T, E, K = mesh.n_faces, mesh.n_edges, 3
+    params = SolverParams(k=K, mode="psms", alpha=2.0, beta_ratio=0.7)
+    P, value = dense_prior(mesh, params.beta)
+    prior = BiharmonicPrior(mesh, params.beta)
+    b = rng.normal(size=(T, K - 1))
+    got, want = prior.apply(b), P @ b
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert abs(prior.energy(b) - value(b)) <= 1e-12 * value(b)
+    face, edge = rng.normal(size=(5, T, K)), rng.normal(size=(3, E, K))
+    state = SolverState(u=face[0], z=face[1], b=b, v=edge[0], p=edge[1],
+                        q=face[2], lam_p=edge[2], lam_q=face[3],
+                        lam_z=face[4], mu=rng.normal(size=(K, K - 1)))
+    f = rng.normal(size=(T, K - 1))
+    c = params.eta + params.alpha
+    res = (P @ b) / mesh.face_areas[:, None] + c * b \
+        - params.alpha * (f - state.z @ state.mu)
+    want = norm_U(mesh, res)
+    got = kkt_residuals(mesh, f, state, params)["b_stationarity"]
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_b_gate_checks_the_real_system():
     # a factor taken at 1.01 c solves its own complex system, but not the
     # real system of the stored coefficients, and the gate checks the latter
@@ -593,7 +620,7 @@ def test_solves_return_c_ordered_float_arrays(lane):
                            rng.normal(size=(K, K - 1)), systems,
                            lane).result(),
         "_DirectSolve": systems.u_solve(face),
-        "_BiharmonicSolve": systems.b_solve(face),
+        "BiharmonicPrior": systems.b_solve(face),
     }
     for name, x in out.items():
         assert x.dtype == np.float64 and x.shape[1] > 1, name
@@ -620,10 +647,31 @@ def test_factor_settings_keep_fill_and_solutions(system):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_systems_and_segment_leave_the_mesh_matrices_unchanged(mode):
+    # the factors are built from the mesh's frozen, canonical S, which no
+    # factorization can sort or change, nor grad and grad_tl
+    mesh = random_patch(200, 5)
+    assert mesh.S.has_canonical_format
+    matrices = {name: getattr(mesh, name) for name in ("S", "grad", "grad_tl")}
+    before = {}
+    for name, m in matrices.items():
+        arrays = (m.data, m.indices, m.indptr)
+        assert not any(arr.flags.writeable for arr in arrays), name
+        before[name] = [arr.tobytes() for arr in arrays]
+    params = SolverParams(k=3, mode=mode, alpha=2.0, max_outer=2, seed=1)
+    Systems(mesh, params)
+    segment(mesh, feature_field(mesh, 3).values, params)
+    for name, m in matrices.items():
+        assert getattr(mesh, name) is m, name
+        assert [arr.tobytes() for arr in (m.data, m.indices, m.indptr)] \
+            == before[name], name
+
+
 def test_systems_b_factor_is_on_the_laplacian_pattern():
     mesh = random_patch(200, 5)
     systems = Systems(mesh, SolverParams(k=3, mode="gpsms", alpha=2.0))
-    S = mesh.grad.T @ sp.diags(mesh.edge_lengths) @ mesh.grad
+    S = mesh.S
     face_pattern = abs(S) + sp.identity(mesh.n_faces)
 
     def off_pattern(m):
@@ -909,14 +957,16 @@ def test_segment_joins_its_lane_on_return_and_on_error(monkeypatch):
     # every b factor solves the system of a 1 % larger c, which the gate
     # of the stored coefficients rejects on the lane; the error reaches
     # the caller
-    build = _BiharmonicSolve.__init__
+    build = BiharmonicPrior.__init__
 
-    def off(self, S, areas, beta, c):
-        build(self, S, areas, beta, c)
-        self._lu = _DirectSolve(np.sqrt(beta) * S - 1j * np.sqrt(1.01 * c)
-                                * sp.diags(areas))._lu
+    def off(self, mesh, beta, c=None):
+        build(self, mesh, beta, c)
+        if c is not None:
+            self._lu = _DirectSolve(
+                np.sqrt(beta) * mesh.S
+                - 1j * np.sqrt(1.01 * c) * sp.diags(mesh.face_areas))._lu
 
-    monkeypatch.setattr(_BiharmonicSolve, "__init__", off)
+    monkeypatch.setattr(BiharmonicPrior, "__init__", off)
     with pytest.raises(NumericError, match="residual"):
         segment(mesh, f, params)
     assert threading.enumerate() == before
@@ -925,7 +975,7 @@ def test_segment_joins_its_lane_on_return_and_on_error(monkeypatch):
 def test_segment_factors_on_the_calling_thread_and_solves_b_beside_it(
         monkeypatch):
     factored, b_solved = [], []
-    build, solve = _DirectSolve.__init__, _BiharmonicSolve.__call__
+    build, solve = _DirectSolve.__init__, BiharmonicPrior.__call__
 
     def recording_build(self, *args, **kwargs):
         factored.append(threading.get_ident())
@@ -939,7 +989,7 @@ def test_segment_factors_on_the_calling_thread_and_solves_b_beside_it(
     f = feature_field(mesh, 3).values
     params = SolverParams(k=3, mode="gpsms", max_outer=3, seed=1)
     monkeypatch.setattr(_DirectSolve, "__init__", recording_build)
-    monkeypatch.setattr(_BiharmonicSolve, "__call__", recording_solve)
+    monkeypatch.setattr(BiharmonicPrior, "__call__", recording_solve)
     result = segment(mesh, f, params)
     main = threading.get_ident()
     assert factored == [main] * 3  # the u, v and b factors
