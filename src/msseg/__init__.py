@@ -2,38 +2,24 @@
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "TriMesh": "mesh",
-    "load_mesh": "mesh",
-    "load_mesh_file": "mesh",
-    "smoothed_normals": "mesh",
-    "gradient": "calculus",
-    "divergence": "calculus",
-    "inner_U": "calculus",
-    "inner_V": "calculus",
-    "tv_energy": "calculus",
-    "vectorial_rtgv": "calculus",
-    "build_laplacian": "features",
-    "feature_field": "features",
-    "FeatureField": "features",
-    "SolverParams": "solver",
-    "SolverState": "solver",
-    "SegmentationResult": "solver",
-    "segment": "solver",
-    "parse_seg": "evaluation",
-    "rand_index_dissimilarity": "evaluation",
-}
+from .calculus import (
+    divergence,
+    gradient,
+    inner_U,
+    inner_V,
+    tv_energy,
+    vectorial_rtgv,
+)
+from .evaluation import parse_seg, rand_index_dissimilarity
+from .features import FeatureField, build_laplacian, feature_field
+from .mesh import TriMesh, load_mesh, load_mesh_file, smoothed_normals
+from .solver import SegmentationResult, SolverParams, SolverState, segment
 
-
-def __getattr__(name):
-    # lazy re-exports keep `import msseg` light for the CLI entry point
-    if name in _EXPORTS:
-        import importlib
-
-        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_EXPORTS))
+__all__ = [
+    "TriMesh", "load_mesh", "load_mesh_file", "smoothed_normals",
+    "gradient", "divergence", "inner_U", "inner_V", "tv_energy",
+    "vectorial_rtgv",
+    "build_laplacian", "feature_field", "FeatureField",
+    "SolverParams", "SolverState", "SegmentationResult", "segment",
+    "parse_seg", "rand_index_dissimilarity",
+]

@@ -7,24 +7,20 @@ score 0.
 
 import numpy as np
 
-from .errors import DimensionError, MeshFormatError
+from .errors import DimensionError
+from .mesh import _table
 
 
 def parse_seg(source):
     """Parse a .seg byte stream: one integer label per line, line i is
-    the label of face i."""
+    the label of face i; blank lines are skipped.  A line that is not one
+    int64 integer raises ``MeshFormatError`` naming it."""
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
-    labels = []
-    for n, line in enumerate(source.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            labels.append(int(line))
-        except ValueError:
-            raise MeshFormatError(f"not an integer label: {line!r}", line=n)
-    return np.array(labels, dtype=np.int64)
+    records = [(n, [line])
+               for n, line in enumerate(source.splitlines(), start=1)
+               if line.strip()]  # int() ignores the surrounding blanks
+    return _table(records, 1, np.int64, "label")[:, 0]
 
 
 def rand_index_dissimilarity(a, b):

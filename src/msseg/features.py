@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .calculus import _DirectSolve
+from .calculus import _SOLVE_RTOL, _DirectSolve
 from .errors import FeatureError, NumericError, check_integer
 from .mesh import DEFAULT_RING, smoothed_normals
 
@@ -137,14 +137,17 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
     values = np.column_stack(channels)
     eigvals = np.array(eigvals)
 
-    # residual contract
+    # residual contract: the normwise backward error of the solves' gate,
+    # with |L|_inf = 2 max_diag exact (zero row sums, off-diagonals <= 0)
     for j in range(values.shape[1]):
         x = values[:, j]
         res = np.linalg.norm(L @ x - eigvals[j] * x)
-        if res > 1e-8 * np.linalg.norm(x):
+        bound = (_SOLVE_RTOL * (2 * max_diag + abs(eigvals[j]))
+                 * np.linalg.norm(x))
+        if res > bound:
             raise NumericError(
-                f"eigen residual {res:.3e} exceeds tolerance for channel {j} "
-                f"(eigenvalue {eigvals[j]:.6e})"
+                f"eigen residual {res:.3e} exceeds {bound:.3e} for channel "
+                f"{j} (eigenvalue {eigvals[j]:.6e})"
             )
 
     # unit area-weighted variance; sign: first sizable entry positive

@@ -4,11 +4,13 @@ A :class:`TriMesh` stores, besides vertices and faces, one fixed direction
 per edge (from the lower to the higher vertex index), the signed
 face/edge incidence sgn(face, edge) and the gradient, face areas, edge
 lengths, unit face normals and boundary flags.  Its faces are wound
-consistently on each connected component.  All arrays are frozen after
-construction; instances are safe to share between threads.
+consistently on each connected component.  Every attribute is a frozen
+array or sparse matrix set at construction and nothing is cached, so
+instances are safe to share between threads.
 """
 
 import warnings
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +28,9 @@ DEFAULT_RING = "n2"
 
 
 class TriMesh:
-    """Immutable triangle mesh with oriented edge/face incidence.
+    """Immutable triangle mesh with oriented edge/face incidence: the
+    attributes below, each a read-only array or a sparse matrix whose
+    arrays are read-only, and nothing else.
 
     Parameters
     ----------
@@ -112,7 +116,6 @@ class TriMesh:
         self.grad_tl.sort_indices()
         self.S = self.grad_tl @ self.grad
         self.S.sum_duplicates()  # canonical: also sorts the indices
-        self._patterns = {}
         for arr in (self.vertices, self.faces, self.edges, self.face_edges,
                     self.face_edge_signs, self.edge_faces, self.boundary_edge,
                     self.face_areas, self.edge_lengths, self.face_normals,
@@ -228,8 +231,8 @@ class TriMesh:
 
     def neighborhoods(self, ring):
         """(T, T) CSR matrix of ones whose row tau holds the neighborhood of
-        face tau in ascending column order; built on first use and kept
-        with the mesh.
+        face tau in ascending column order; built and frozen on every call,
+        and not kept with the mesh.
 
         ``"raw"`` is just ``{tau}``, ``"n1"`` adds the edge-adjacent faces
         and ``"n2"`` the vertex-adjacent ones.  The face itself is always
@@ -237,28 +240,25 @@ class TriMesh:
         """
         if ring not in RINGS:
             raise ParameterError(f"ring must be one of {RINGS}, got {ring!r}")
-        pattern = self._patterns.get(ring)
-        if pattern is None:
-            T = self.n_faces
-            if ring == "raw":
-                pattern = sp.identity(T, format="csr")
-            elif ring == "n1":
-                # consistent winding: adjacent faces meet with opposite
-                # signs on every shared edge, so nothing cancels
-                pattern = self.incidence.T @ self.incidence
-            else:
-                # faces sharing a vertex: the pattern of F F^T, with F the
-                # face-vertex incidence
-                incidence = sp.csr_matrix(
-                    (np.ones(3 * T), self.faces.ravel(),
-                     np.arange(0, 3 * T + 1, 3)),
-                    shape=(T, self.n_vertices))
-                pattern = incidence @ incidence.T
-            pattern.sum_duplicates()
-            pattern.sort_indices()
-            pattern.data[:] = 1.0
-            self._patterns[ring] = _freeze(pattern)
-        return pattern
+        T = self.n_faces
+        if ring == "raw":
+            pattern = sp.identity(T, format="csr")
+        elif ring == "n1":
+            # consistent winding: adjacent faces meet with opposite signs on
+            # every shared edge, so nothing cancels
+            pattern = self.incidence.T @ self.incidence
+        else:
+            # faces sharing a vertex: the pattern of F F^T, with F the
+            # face-vertex incidence
+            incidence = sp.csr_matrix(
+                (np.ones(3 * T), self.faces.ravel(),
+                 np.arange(0, 3 * T + 1, 3)),
+                shape=(T, self.n_vertices))
+            pattern = incidence @ incidence.T
+        pattern.sum_duplicates()
+        pattern.sort_indices()
+        pattern.data[:] = 1.0
+        return _freeze(pattern)
 
 
 def _freeze(matrix):
@@ -305,36 +305,64 @@ def _as_text(source):
     return data
 
 
-def _strip(line):
-    return line.split("#", 1)[0].strip()
+def _records(text):
+    """``(line number, tokens)`` of each line left with a token once its
+    ``#`` comment is cut."""
+    lines = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    return [(n, tokens) for n, tokens in enumerate(lines, start=1) if tokens]
+
+
+def _table(records, width, dtype, what):
+    """The first ``width`` tokens of each record as one (n, width) array,
+    converted in one call.  Only if that fails is the block walked to name
+    the first record that is short or has a token that does not convert:
+    one beyond int64, or a finite number beyond float64 (a spelled-out
+    ``inf`` converts)."""
+    try:
+        table = np.fromiter(
+            chain.from_iterable(tokens[:width] for _, tokens in records),
+            dtype, count=len(records) * width).reshape(-1, width)
+        if not np.isinf(table).any():
+            return table
+    except (ValueError, OverflowError):
+        pass
+    for n, tokens in records:
+        try:
+            row = np.array(tokens[:width], dtype=dtype)
+        except (ValueError, OverflowError):
+            row = ()
+        if len(row) < width or any(np.isinf(x) and "inf" not in t.lower()
+                                   for x, t in zip(row, tokens)):
+            raise MeshFormatError(f"bad {what} line", line=n)
+    return table
 
 
 def load_off(source):
-    """Parse an OFF byte stream into a :class:`TriMesh`."""
-    lines = _as_text(source).splitlines()
-    rows = [(i + 1, _strip(ln)) for i, ln in enumerate(lines)]
-    rows = [(n, ln) for n, ln in rows if ln]
-    if not rows:
+    """Parse an OFF byte stream into a :class:`TriMesh`.
+
+    ``#`` starts a comment; blank lines are skipped.  A vertex line is read
+    for three numbers and a face line for its count and three indices, so
+    trailing colours are ignored.  The first short or unconvertible line of
+    the vertex block, then of the face block, raises ``MeshFormatError``;
+    then the first face whose count is not 3 raises ``TopologyError``.
+    """
+    records = _records(_as_text(source))
+    if not records:
         raise MeshFormatError("empty OFF file")
-    n, header = rows[0]
-    body = rows[1:]
+    (n, header), body = records[0], records[1:]
     # "OFF", or "OFF" and the counts on one line: "OFF 8 6 0", "OFF8 6 0"
-    if header[:3] != "OFF" or not (header[3:4].strip() or "0").isdigit():
+    head = header[0]
+    if head[:3] != "OFF" or not (head[3:4] or "0").isdigit():
         raise MeshFormatError("missing OFF header", line=n)
-    if header != "OFF":
-        body = [(n, header[3:].strip())] + body
+    if head != "OFF":
+        header = ["OFF", head[3:]] + header[1:]
+    if len(header) > 1:
+        body = [(n, header[1:])] + body
     if not body:
         raise MeshFormatError("missing counts line")
-    n, counts = body[0]
-    parts = counts.split()
-    if len(parts) < 2:
-        raise MeshFormatError("expected vertex/face counts", line=n)
-    try:
-        nv, nf = int(parts[0]), int(parts[1])
-        if nv < 0 or nf < 0:
-            raise ValueError
-    except ValueError:
-        raise MeshFormatError("bad counts line", line=n) from None
+    nv, nf = _table(body[:1], 2, np.int64, "counts")[0].tolist()
+    if nv < 0 or nf < 0:
+        raise MeshFormatError("bad counts line", line=body[0][0])
 
     body = body[1:]
     if len(body) < nv + nf:
@@ -342,67 +370,43 @@ def load_off(source):
     if len(body) > nv + nf:
         raise MeshFormatError("more lines than the counts declare",
                               line=body[nv + nf][0])
-    verts = np.empty((nv, 3))
-    for i in range(nv):
-        n, ln = body[i]
-        parts = ln.split()
-        try:
-            verts[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
-        except (ValueError, IndexError):
-            raise MeshFormatError("bad vertex line", line=n) from None
-    faces = np.empty((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        n, ln = body[nv + i]
-        parts = ln.split()
-        try:
-            cnt = int(parts[0])
-            idx = [int(x) for x in parts[1 : 1 + cnt]]
-        except (ValueError, IndexError):
-            raise MeshFormatError("bad face line", line=n) from None
-        if cnt != 3 or len(idx) != 3:
-            raise TopologyError(f"line {n}: only triangle faces are supported")
-        faces[i] = idx
-    return TriMesh(verts, faces)
+    verts = _table(body[:nv], 3, float, "vertex")
+    faces = _table(body[nv:], 4, np.int64, "face")
+    other = np.flatnonzero(faces[:, 0] != 3)
+    if other.size:
+        raise TopologyError(f"line {body[nv + other[0]][0]}: only triangle "
+                            "faces are supported")
+    return TriMesh(verts, faces[:, 1:])
 
 
 def load_obj(source):
-    """Parse a Wavefront OBJ byte stream (v/f records only, 1-based)."""
-    verts = []
-    faces = []
-    for n, raw in enumerate(_as_text(source).splitlines(), start=1):
-        ln = _strip(raw)
-        if not ln:
-            continue
-        parts = ln.split()
-        tag = parts[0]
-        if tag == "v":
-            try:
-                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            except (ValueError, IndexError):
-                raise MeshFormatError("bad vertex line", line=n) from None
-        elif tag == "f":
-            refs = parts[1:]
-            if len(refs) != 3:
-                raise TopologyError(
-                    f"line {n}: only triangle faces are supported"
-                )
-            idx = []
-            for ref in refs:
-                head = ref.split("/", 1)[0]
-                try:
-                    i = int(head)
-                except ValueError:
-                    raise MeshFormatError("bad face line", line=n) from None
-                if i < 1:
-                    raise MeshFormatError(
-                        "only positive 1-based indices supported", line=n
-                    )
-                idx.append(i - 1)
-            faces.append(idx)
-        # normals, texcoords, materials and groups are ignored
-    if not verts:
+    """Parse a Wavefront OBJ byte stream (v/f records only, 1-based).
+
+    Comments and vertices are read as by :func:`load_off`; an ``f`` record
+    takes the head of each ``a/b/c`` reference.  The first bad vertex, then
+    the first face of other than three references (``TopologyError``),
+    then the first unconvertible face and the first index below 1 are
+    reported, each naming its line.
+    """
+    verts, faces = [], []
+    for n, tokens in _records(_as_text(source)):
+        if tokens[0] == "v":
+            verts.append((n, tokens[1:]))
+        elif tokens[0] == "f":
+            faces.append((n, [ref.split("/", 1)[0] for ref in tokens[1:]]))
+    verts = _table(verts, 3, float, "vertex")
+    other = [n for n, refs in faces if len(refs) != 3]
+    if other:
+        raise TopologyError(f"line {other[0]}: only triangle faces are "
+                            "supported")
+    index = _table(faces, 3, np.int64, "face")
+    low = np.flatnonzero((index < 1).any(axis=1))
+    if low.size:
+        raise MeshFormatError("only positive 1-based indices supported",
+                              line=faces[low[0]][0])
+    if not len(verts):
         raise MeshFormatError("no vertices in OBJ input")
-    return TriMesh(np.array(verts), np.array(faces, dtype=np.int64).reshape(-1, 3))
+    return TriMesh(verts, index - 1)
 
 
 def load_mesh(source, fmt):

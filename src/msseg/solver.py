@@ -352,8 +352,6 @@ def init_labels(f, areas, k, seed):
                 centers[c] = (weights[m, None] * f[m]).sum(axis=0) / wsum
             if not ok:
                 break
-        if assign is None:
-            continue
         counts = np.bincount(assign, minlength=k)
         if (counts > 0).all():
             u0 = np.zeros((T, k))

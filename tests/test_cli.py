@@ -381,6 +381,45 @@ def test_bad_mesh_fails_before_any_output(dumbbell_setup, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("vertex.off", "OFF\n3 1 0\n0 0 0\n1 0 1e400\n0 1 0\n3 0 1 2\n",
+     "line 4: bad vertex line"),
+    ("face.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
+                 "3 0 1 99999999999999999999\n", "line 6: bad face line"),
+    ("face.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+                 "f 1 2 99999999999999999999\n", "line 4: bad face line"),
+], ids=["off-vertex", "off-face", "obj-face"])
+def test_overflowing_mesh_token_fails_before_any_output(
+        tmp_path, capsys, name, text, message):
+    bad = tmp_path / name
+    bad.write_text(text)
+    out = tmp_path / "out"
+    code = main(["--mesh", str(bad), "--k", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].split("\t")[1:3] == ["MeshFormatError", message]
+    assert not out.exists()
+
+
+def test_overflowing_ground_truth_label_fails_before_any_output(
+        dumbbell_setup, tmp_path, capsys):
+    _, mesh_path, gt_path = dumbbell_setup
+    labels = gt_path.read_text().splitlines()
+    labels[4] = "9" * 20
+    bad = tmp_path / "overflow.seg"
+    bad.write_text("\n".join(labels) + "\n")
+    out = tmp_path / "out"
+    code = main(["--mesh", str(mesh_path), "--k", "2", "--gt", str(bad),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].split("\t")[1:3] == ["MeshFormatError",
+                                       "line 5: bad label line"]
+    assert not out.exists()
+
+
 def test_k1_rejected_with_error_record(dumbbell_setup, capsys):
     base, mesh_path, _ = dumbbell_setup
     code = main(["--mesh", str(mesh_path), "--k", "1"])

@@ -45,6 +45,15 @@ def test_parse_seg_bad_line_reports_number():
         parse_seg("0\nseven\n1\n")
 
 
+@pytest.mark.parametrize("label", ["9223372036854775808",
+                                   "-9223372036854775809", "9" * 30])
+def test_parse_seg_label_beyond_int64_names_its_line(label):
+    with pytest.raises(MeshFormatError, match="^line 3: bad label line$"):
+        parse_seg(f"0\n1\n{label}\n1\n")
+    bounds = ["9223372036854775807", "-9223372036854775808"]
+    assert parse_seg("\n".join(bounds)).tolist() == [2**63 - 1, -2**63]
+
+
 # -- rand index ----------------------------------------------------------------
 
 

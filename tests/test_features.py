@@ -184,6 +184,18 @@ def test_eigen_residual_contract():
             assert res <= 1e-8 * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+def test_eigen_residual_gate_is_relative_to_the_laplacian(scale):
+    # L grows with the edge lengths, so only a gate relative to |L| passes
+    # these converged solves (residual 7.5e-8 at 1e9)
+    mesh = dumbbell()
+    base = feature_field(mesh, 2)
+    field = feature_field(TriMesh(mesh.vertices * scale, mesh.faces), 2)
+    assert np.abs(field.values - base.values).max() <= 1e-8
+    assert field.eigenvalues[0] == pytest.approx(
+        base.eigenvalues[0] * scale, rel=1e-6)
+
+
 def test_channels_mutually_orthogonal():
     field = feature_field(random_closed(80, seed=11), 5)
     v = field.values / np.linalg.norm(field.values, axis=0)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from msseg.errors import (
     DegenerateGeometryError,
@@ -286,6 +287,51 @@ def test_loader_accepted_forms(load, text):
     assert np.array_equal(mesh.faces, [[0, 1, 2]])
 
 
+_BIG = "99999999999999999999"  # beyond int64
+
+
+# A token that does not fit its array (an integer beyond int64, a finite
+# number beyond float64) is a format error on its line, not an
+# OverflowError or an infinite coordinate.
+@pytest.mark.parametrize("load, text, line, what", [
+    (load_off, "OFF\n3 1 0\n0 0 0\n1 0 1e400\n0 1 0\n3 0 1 2\n", 4,
+     "vertex"),
+    (load_off, "OFF\n3 1 0\n" + _TRI + f"3 0 1 {_BIG}\n", 6, "face"),
+    (load_off, "OFF\n3 1 0\n" + _TRI + f"{_BIG} 0 1 2\n", 6, "face"),
+    (load_off, f"OFF\n{_BIG} 1 0\n" + _TRI + "3 0 1 2\n", 2, "counts"),
+    (load_obj, _OBJ_TRI + f"f 1 2 {_BIG}\n", 4, "face"),
+    (load_obj, "v 0 0 0\nv 1 -1e400 0\nv 0 1 0\nf 1 2 3\n", 2, "vertex"),
+], ids=["off-vertex", "off-face-index", "off-face-count", "off-counts",
+        "obj-face", "obj-vertex"])
+def test_overflowing_token_names_its_line(load, text, line, what):
+    with pytest.raises(MeshFormatError,
+                       match=f"^line {line}: bad {what} line$") as info:
+        load(text)
+    assert info.value.line == line
+
+
+# Each block is converted whole and then checked, so in a file with several
+# faults the first failing line of the first failing check is named.
+@pytest.mark.parametrize("load, text, error, line", [
+    # a face line short of four tokens does not convert
+    (load_off, "OFF\n3 1 0\n" + _TRI + "3 0 1\n", MeshFormatError, 6),
+    # only the count and three indices are converted, then the count checked
+    (load_off, "OFF\n3 1 0\n" + _TRI + "4 0 1 2 x\n", TopologyError, 6),
+    # every face line is converted before any count is checked
+    (load_off, "OFF\n4 2 0\n" + _TRI + "1 1 0\n4 0 1 2 3\n3 0 x 2\n",
+     MeshFormatError, 8),
+    # OBJ: vertices, then references per face, face tokens, index range
+    (load_obj, _OBJ_TRI + "v 1 1 0\nf 1 x 3\nf 1 2 3 4\n", TopologyError, 6),
+    (load_obj, _OBJ_TRI + "f 0 2 3\nf 1 x 3\n", MeshFormatError, 5),
+    (load_obj, _OBJ_TRI + "f 1 2 3 4\nv 1 x 0\n", MeshFormatError, 5),
+], ids=["off-short-face", "off-quad-then-x", "off-quad-before-x",
+        "obj-x-before-quad", "obj-0-before-x", "obj-quad-before-bad-v"])
+def test_loader_reports_each_check_in_turn(load, text, error, line):
+    with pytest.raises(MeshSegError, match=f"^line {line}: ") as info:
+        load(text)
+    assert type(info.value) is error
+
+
 def test_load_mesh_format_dispatch():
     assert load_mesh(RIGHT_TRIANGLE_OFF, "off").n_faces == 1
     with pytest.raises(MeshFormatError):
@@ -396,6 +442,21 @@ def test_arrays_are_immutable():
         for arr in (matrix.data, matrix.indices, matrix.indptr):
             with pytest.raises(ValueError):
                 arr[0] = 9
+
+
+def test_mesh_holds_only_frozen_arrays_and_matrices():
+    mesh = random_patch(90, 8)
+    for ring in ("raw", "n1", "n2"):
+        smoothed_normals(mesh, ring)
+    assert mesh.neighborhoods("n2") is not mesh.neighborhoods("n2")
+    assert {"vertices", "faces", "S", "components"} <= set(vars(mesh))
+    for name, value in vars(mesh).items():
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, name
+        else:
+            assert sp.issparse(value), name
+            for arr in (value.data, value.indices, value.indptr):
+                assert not arr.flags.writeable, name
 
 
 @pytest.mark.parametrize("make_mesh", [lambda: random_closed(60, 7),
