@@ -15,62 +15,63 @@ import scipy.sparse.linalg as spla
 from .errors import DimensionError, NumericError, ParameterError
 
 
-_SOLVE_RTOL = 1e-8  # normwise backward error bound of every direct solve
+_SOLVE_RTOL = 1e-8  # backward error bound of every solve and eigenpair
+
+
+def _factor(matrix):
+    """The package's one sparse factorization (see :class:`_DirectSolve`)."""
+    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                     options={"SymmetricMode": True})
+
+
+def _gate(x, image, rhs, norm):
+    """``x`` if its normwise backward error in ``B x = rhs``, with ``image
+    = B x`` and ``norm`` a bound of ``|B|``, is within ``_SOLVE_RTOL`` (see
+    :class:`_DirectSolve`); else ``NumericError``."""
+    res = np.linalg.norm(image - rhs)
+    bound = norm * np.linalg.norm(x) + np.linalg.norm(rhs)
+    if res > _SOLVE_RTOL * bound:
+        raise NumericError(f"residual {res:.3e} above tolerance "
+                           f"({_SOLVE_RTOL:.0e} of {bound:.3e})")
+    return x
 
 
 class _DirectSolve:
-    """Direct solve of a sparse system, with a backward-error check.
+    """Gated direct solve of a sparse real system ``B x = r``: the u and v
+    systems and the features' shifted Laplacian.
 
-    The one sparse factorization of the package: the solver's u, v and b
-    systems and the features' shift-invert eigensolve all use it.  One
-    SuperLU factorization in symmetric mode (minimum degree ordering on
-    the pattern of ``A' + A``, diagonal pivots) serves every later solve.
-    Diagonal pivots are safe for an SPD matrix, and for a complex one that
-    a unit multiple gives a positive definite Hermitian part (the b
-    system's factor, :class:`BiharmonicPrior`), all built on ``mesh.S``.
-
-    Every matrix factored here lives on the face graph, of degree 3, so
-    its supernodes are a few columns wide.  ``relax=1`` and
-    ``panel_size=1`` skip SuperLU's relaxed supernodes and shrink its
-    panel workspace of ``panel_size * n`` entries from 20 n to n, which
-    such supernodes never fill: the fill is the same, and the factor
-    takes less time and memory.
-
-    Solutions are C-ordered arrays (SuperLU returns Fortran order), so
+    Every factor, these and :class:`BiharmonicPrior`'s, comes from
+    :func:`_factor`: SuperLU in symmetric mode (minimum degree ordering on
+    the pattern of ``A' + A``, diagonal pivots), safe for an SPD matrix and
+    for a complex one that a unit multiple gives a positive definite
+    Hermitian part (the prior's), all built on ``mesh.S``.  On the face
+    graph, of degree 3, supernodes are a few columns wide: ``relax=1`` and
+    ``panel_size=1`` skip SuperLU's relaxed supernodes and shrink its panel
+    workspace from 20 n entries to n, for the same fill in less time and
+    memory.  Solutions are C-ordered (SuperLU returns Fortran order), so
     the products and row-wise steps that read them do not copy or stride.
 
-    A solution ``x`` passes when its normwise backward error is within
-    ``_SOLVE_RTOL`` (Rigal & Gaches): ``|B x - r| <= _SOLVE_RTOL * (|B|
-    |x| + |r|)``, with ``|B|`` the infinity norm of the checked system,
-    a bound of its 2-norm for the symmetric matrices factored here, and
-    Frobenius norms of ``x`` and ``r``.  A backward-stable solve meets it
-    however ill-conditioned ``B`` is; a wrong factor does not.
+    Every solution and eigenpair passes :func:`_gate`, a normwise backward
+    error within ``_SOLVE_RTOL`` (Rigal & Gaches): ``|B x - r| <=
+    _SOLVE_RTOL * (|B| |x| + |r|)``, with ``|B|`` the infinity norm of the
+    checked system (here of ``matrix``), a bound of its 2-norm for the
+    symmetric matrices factored here, and Frobenius norms of ``x`` and
+    ``r``.  A backward-stable solve meets it however ill-conditioned ``B``
+    is; a wrong factor does not.
     """
 
-    def __init__(self, matrix, norm=None):
+    def __init__(self, matrix):
         self.matrix = matrix.tocsc()
-        self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
-                             diag_pivot_thresh=0.0, relax=1, panel_size=1,
-                             options={"SymmetricMode": True})
-        self.norm = spla.norm(self.matrix, np.inf) if norm is None else norm
+        self._lu = _factor(self.matrix)
+        self.norm = spla.norm(self.matrix, np.inf)
 
     def __call__(self, rhs):
         x = np.ascontiguousarray(self._lu.solve(rhs))
-        return self._checked(x, self.matrix @ x, rhs)
-
-    def _checked(self, x, image, rhs):
-        """``x`` if the residual ``image - rhs`` is within the gate."""
-        res = np.linalg.norm(image - rhs)
-        bound = self.norm * np.linalg.norm(x) + np.linalg.norm(rhs)
-        if res > _SOLVE_RTOL * bound:
-            raise NumericError(
-                f"linear solve residual {res:.3e} above tolerance "
-                f"({_SOLVE_RTOL:.0e} of {bound:.3e})"
-            )
-        return x
+        return _gate(x, self.matrix @ x, rhs, self.norm)
 
 
-class BiharmonicPrior(_DirectSolve):
+class BiharmonicPrior:
     """The smooth part's prior ``(beta / 2) |Delta b|_U^2``, with the face
     Laplacian ``Delta = -W^-1 S``, ``S = mesh.S`` and ``W`` the areas: its
     operator ``P = beta S W^-1 S``, value and norm bound, and with a
@@ -79,9 +80,9 @@ class BiharmonicPrior(_DirectSolve):
     With ``A = sqrt(beta) S`` and ``s = sqrt(c)``, ``P + c W = (A - i s W)
     W^-1 (A + i s W)``, so ``b = Im((A - i s W)^-1 r) / s`` through one
     complex factor on the pattern of ``S``, which times ``i`` has the
-    positive definite Hermitian part ``s W``.  The gate checks ``P b +
-    c W b``.  ``S W^-1 S`` is never formed: ``W`` and ``W^-1`` are row
-    scalings by the areas.
+    positive definite Hermitian part ``s W``.  Only the factor is kept: the
+    gate checks the real system ``P b + c W b``.  ``S W^-1 S`` is never
+    formed: ``W`` and ``W^-1`` are row scalings by the areas.
     """
 
     def __init__(self, mesh, beta, c=None):
@@ -90,8 +91,8 @@ class BiharmonicPrior(_DirectSolve):
         if c is not None:
             self.c = c
             W = sp.diags(mesh.face_areas)
-            super().__init__(np.sqrt(beta) * self.S - 1j * np.sqrt(c) * W,
-                             self.norm_bound() + c * mesh.face_areas.max())
+            self._lu = _factor(np.sqrt(beta) * self.S - 1j * np.sqrt(c) * W)
+            self.norm = self.norm_bound() + c * mesh.face_areas.max()
 
     def apply(self, b):
         """``P b = beta S W^-1 S b``."""
@@ -110,7 +111,8 @@ class BiharmonicPrior(_DirectSolve):
     def __call__(self, rhs):
         # divide into a C-ordered array: one pass over the strided Im(x)
         b = np.divide(self._lu.solve(rhs).imag, np.sqrt(self.c), order="C")
-        return self._checked(b, self.apply(b) + self.c * (self.areas * b), rhs)
+        return _gate(b, self.apply(b) + self.c * (self.areas * b), rhs,
+                     self.norm)
 
 
 def _field(x, rows, kind, name):

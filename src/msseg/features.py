@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .calculus import _SOLVE_RTOL, _DirectSolve
+from .calculus import _DirectSolve, _gate
 from .errors import FeatureError, NumericError, check_integer
 from .mesh import DEFAULT_RING, smoothed_normals
 
@@ -67,7 +67,8 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
     deterministic sign (first entry of magnitude above tolerance is
     positive).  The eigenpairs come from a shift-invert ARPACK solve
     through ``_DirectSolve`` at every size; a dense ``eigh`` serves only a
-    request that covers the whole spectrum.
+    request that covers the whole spectrum.  Every eigenpair passes the
+    solves' gate, ``calculus._gate``, or ``NumericError`` names its channel.
     """
     check_integer("n_segments", n_segments)
     if n_segments < 2:
@@ -137,18 +138,15 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
     values = np.column_stack(channels)
     eigvals = np.array(eigvals)
 
-    # residual contract: the normwise backward error of the solves' gate,
-    # with |L|_inf = 2 max_diag exact (zero row sums, off-diagonals <= 0)
-    for j in range(values.shape[1]):
+    # the solves' gate, with |L|_inf = 2 max_diag exact (zero row sums,
+    # off-diagonals <= 0)
+    for j, lam in enumerate(eigvals):
         x = values[:, j]
-        res = np.linalg.norm(L @ x - eigvals[j] * x)
-        bound = (_SOLVE_RTOL * (2 * max_diag + abs(eigvals[j]))
-                 * np.linalg.norm(x))
-        if res > bound:
-            raise NumericError(
-                f"eigen residual {res:.3e} exceeds {bound:.3e} for channel "
-                f"{j} (eigenvalue {eigvals[j]:.6e})"
-            )
+        try:
+            _gate(x, L @ x - lam * x, 0.0, 2 * max_diag + abs(lam))
+        except NumericError as exc:
+            raise NumericError(f"eigenpair of channel {j} (eigenvalue "
+                               f"{lam:.6e}): {exc}") from None
 
     # unit area-weighted variance; sign: first sizable entry positive
     areas = mesh.face_areas

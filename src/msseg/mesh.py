@@ -1,9 +1,9 @@
 """Triangle mesh loading and oriented incidence structure.
 
 A :class:`TriMesh` stores, besides vertices and faces, one fixed direction
-per edge (from the lower to the higher vertex index), the signed
-face/edge incidence sgn(face, edge) and the gradient, face areas, edge
-lengths, unit face normals and boundary flags.  Its faces are wound
+per edge (from the lower to the higher vertex index), the gradient (the
+signed face/edge incidence sgn(face, edge) on interior edges), face areas,
+edge lengths, unit face normals and boundary flags.  Its faces are wound
 consistently on each connected component.  Every attribute is a frozen
 array or sparse matrix set at construction and nothing is cached, so
 instances are safe to share between threads.
@@ -63,10 +63,9 @@ class TriMesh:
     edge_lengths : (E,) float array
     face_normals : (T, 3) float array
         Unit normals following winding order.
-    incidence : (E, T) csr matrix
-        Signed incidence: row e holds sgn(tau, e) for each face tau.
     grad : (E, T) csr matrix
-        The gradient: ``incidence`` with the boundary-edge rows empty.
+        The gradient, the signed incidence on interior edges: row e holds
+        sgn(tau, e) for each face tau, and is empty on a boundary edge.
     grad_tl : (T, E) csr matrix
         ``grad.T @ diag(edge_lengths)``, indices sorted: the length-weighted
         transpose that the divergence and the solver's right-hand sides
@@ -109,8 +108,6 @@ class TriMesh:
             warnings.warn(f"reversed the winding of {flip.size} face(s) to "
                           "orient every connected component like its "
                           "lowest-index face", RuntimeWarning)
-        self.grad = (sp.diags((~self.boundary_edge).astype(float))
-                     @ self.incidence).tocsr()
         self._build_geometry()
         self.grad_tl = (self.grad.T @ sp.diags(self.edge_lengths)).tocsr()
         self.grad_tl.sort_indices()
@@ -121,7 +118,7 @@ class TriMesh:
                     self.face_areas, self.edge_lengths, self.face_normals,
                     self.components):
             arr.setflags(write=False)
-        for matrix in (self.incidence, self.grad, self.grad_tl, self.S):
+        for matrix in (self.grad, self.grad_tl, self.S):
             _freeze(matrix)
 
     # -- construction ------------------------------------------------------
@@ -165,10 +162,12 @@ class TriMesh:
         ef[interior, 1] = by_edge[start[interior] + 1] // 3
         self.edge_faces = ef
         self.boundary_edge = ef[:, 1] < 0
-        self.incidence = sp.csr_matrix(
+        incidence = sp.csr_matrix(
             (self.face_edge_signs.ravel().astype(float),
              (self.face_edges.ravel(), np.repeat(np.arange(T), 3))),
             shape=(len(counts), T))
+        self.grad = (sp.diags((~self.boundary_edge).astype(float))
+                     @ incidence).tocsr()
 
     def _orient(self):
         """Component labels, numbered by lowest face, and the faces wound
@@ -181,8 +180,8 @@ class TriMesh:
         T = self.n_faces
         interior = ~self.boundary_edge
         f0, f1 = self.edge_faces[interior].T
-        # the incidence row of such an edge sums to +-2
-        cross = T * (np.abs(self.incidence @ np.ones(T))[interior] == 2)
+        # the gradient row of such an edge sums to +-2
+        cross = T * (np.abs(self.grad @ np.ones(T))[interior] == 2)
         cover = sp.csr_matrix(
             (np.ones(2 * len(f0)), (np.r_[f0, f0 + T],
                                     np.r_[f1 + cross, f1 + T - cross])),
@@ -230,7 +229,7 @@ class TriMesh:
     # -- neighborhoods -----------------------------------------------------
 
     def neighborhoods(self, ring):
-        """(T, T) CSR matrix of ones whose row tau holds the neighborhood of
+        """(T, T) sparse matrix of ones whose row tau holds the neighborhood of
         face tau in ascending column order; built and frozen on every call,
         and not kept with the mesh.
 
@@ -244,9 +243,9 @@ class TriMesh:
         if ring == "raw":
             pattern = sp.identity(T, format="csr")
         elif ring == "n1":
-            # consistent winding: adjacent faces meet with opposite signs on
-            # every shared edge, so nothing cancels
-            pattern = self.incidence.T @ self.incidence
+            # adjacent faces meet with opposite signs on each shared edge
+            # (consistent winding), and I keeps a face with no interior edge
+            pattern = self.grad.T @ self.grad + sp.identity(T)
         else:
             # faces sharing a vertex: the pattern of F F^T, with F the
             # face-vertex incidence

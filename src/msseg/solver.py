@@ -125,13 +125,13 @@ class Systems:
 
     The one place the u, v and b systems are assembled and factored.  All
     coefficients are constant along a run, so each system is factorized
-    once by :class:`msseg.calculus._DirectSolve`, and only the systems the
-    mode solves with are built: ``v`` for gpsms, ``b`` for psms and gpsms;
-    the others are ``None``.  This is the one reader of ``params.mode``:
-    :func:`admm_inner` runs a block exactly when its system is built.  The
-    systems are the weighted-inner-product normal equations written in
-    plain coordinates, with ``G`` the gradient and ``S = G' D G``, which
-    the mesh holds as ``mesh.S``:
+    once (``calculus._factor``; every solve passes ``calculus._gate``),
+    and only the systems the mode solves with are built: ``v`` for gpsms,
+    ``b`` for psms and gpsms; the others are ``None``.  This is the one
+    reader of ``params.mode``: :func:`admm_inner` runs a block exactly when
+    its system is built.  The systems are the weighted-inner-product normal
+    equations written in plain coordinates, with ``G`` the gradient and
+    ``S = G' D G``, which the mesh holds as ``mesh.S``:
 
     * ``u_solve``:  (r_p * S + r_z * W) u = W * rhs,
     * ``v_solve``:  (S + (r_p / r_q) * W) w = G' D y, the face form of the

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from msseg.calculus import (
+    BiharmonicPrior,
+    _DirectSolve,
     _pairwise_sum,
     divergence,
     gradient,
@@ -332,22 +335,57 @@ def test_edge_lengths_are_not_broadcast_in_solver_or_calculus():
         assert "edge_lengths[:, None]" not in (src / name).read_text(), name
 
 
-def test_splu_is_called_only_in_direct_solve_init():
-    # every factor goes through _DirectSolve, so none escapes its SuperLU
-    # settings or its backward-error gate
+def _modules():
+    """(file name, text, scope of a line) of each module of src/msseg;
+    the scope is the module-level function or the ``Class.method`` the
+    line is in, or None."""
     src = Path(__file__).parents[1] / "src" / "msseg"
-    sites = []
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
-        tree = ast.parse(text)
-        scopes = [(f"{cls.name}.{fn.name}", fn.lineno, fn.end_lineno)
-                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                  for fn in cls.body if isinstance(fn, ast.FunctionDef)]
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if "splu(" in line:
-                where = [name for name, lo, hi in scopes if lo <= lineno <= hi]
-                sites.append((path.name, where))
-    assert sites == [("calculus.py", ["_DirectSolve.__init__"])]
+        scopes = []
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.FunctionDef):
+                scopes.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                scopes += [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                           if isinstance(fn, ast.FunctionDef)]
+
+        def scope(lineno, scopes=scopes):
+            return next((name for name, fn in scopes
+                         if fn.lineno <= lineno <= fn.end_lineno), None)
+
+        yield path.name, text, scope
+
+
+def test_splu_is_called_only_in_factor():
+    # every factor goes through calculus._factor, so none escapes its
+    # SuperLU settings
+    sites = [(name, scope(lineno)) for name, text, scope in _modules()
+             for lineno, line in enumerate(text.splitlines(), 1)
+             if "splu(" in line]
+    assert sites == [("calculus.py", "_factor")]
+
+
+def test_one_gate_and_a_prior_that_keeps_no_complex_matrix():
+    # the backward-error bound is read (or imported) only by the gate,
+    # which the solves and the eigenpair check call; the factored prior
+    # keeps its factor and the mesh's S, and no matrix that nothing reads
+    reads = []
+    for name, text, scope in _modules():
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Name) and node.id == "_SOLVE_RTOL"
+                    and isinstance(node.ctx, ast.Load)) \
+                    or (isinstance(node, ast.alias)
+                        and node.name == "_SOLVE_RTOL"):
+                reads.append((name, scope(node.lineno)))
+    assert reads and set(reads) == {("calculus.py", "_gate")}
+    assert not issubclass(BiharmonicPrior, _DirectSolve)
+    mesh = random_patch(200, 5)
+    prior = BiharmonicPrior(mesh, 0.5, 3.0)
+    assert hasattr(prior, "_lu")
+    for attr, value in vars(prior).items():
+        assert not np.iscomplexobj(value), attr
+        assert not sp.issparse(value) or value is mesh.S, attr
 
 
 def test_S_is_formed_only_by_the_mesh_and_laplace_is_gone():

@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import connected_components
 
 from msseg import features
 from msseg.calculus import tv_energy
-from msseg.errors import FeatureError, ParameterError
+from msseg.errors import FeatureError, NumericError, ParameterError
 from msseg.features import (
     build_laplacian,
     feature_field,
@@ -291,6 +291,28 @@ def _record_arpack_calls(monkeypatch):
 
     monkeypatch.setattr(features.spla, "eigsh", recording)
     return calls
+
+
+def test_eigen_gate_names_the_channel_of_a_perturbed_eigenvector(
+        monkeypatch):
+    # the eigenvector of the third smallest eigenvalue is the second
+    # channel of a connected mesh (the constant one is skipped); moved off
+    # its eigenspace, it fails the solves' gate
+    eigsh = features.spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        w, V = eigsh(*args, **kwargs)
+        j = np.argsort(w)[2]
+        x = V[:, j] + 1e-4 * np.random.default_rng(5).normal(size=len(V))
+        V[:, j] = x / np.linalg.norm(x)
+        return w, V
+
+    mesh = random_closed(800, seed=3)
+    feature_field(mesh, 4)  # unperturbed, every channel passes
+    monkeypatch.setattr(features.spla, "eigsh", perturbed)
+    with pytest.raises(NumericError, match=r"channel 1 \(eigenvalue") as exc:
+        feature_field(mesh, 4)
+    assert "residual" in str(exc.value)
 
 
 def _assert_matches_dense_oracle(mesh, field):

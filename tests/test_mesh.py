@@ -1,6 +1,7 @@
 """Mesh loading, incidence structure, geometry and smoothed normals."""
 
 import io
+import re
 import warnings
 from pathlib import Path
 
@@ -438,10 +439,9 @@ def test_arrays_are_immutable():
         mesh.face_areas[0] = 9.0
     with pytest.raises(ValueError):
         mesh.neighborhoods("n1").data[0] = 9.0
-    for matrix in (mesh.incidence, mesh.grad):
-        for arr in (matrix.data, matrix.indices, matrix.indptr):
-            with pytest.raises(ValueError):
-                arr[0] = 9
+    for arr in (mesh.grad.data, mesh.grad.indices, mesh.grad.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 9
 
 
 def test_mesh_holds_only_frozen_arrays_and_matrices():
@@ -457,6 +457,14 @@ def test_mesh_holds_only_frozen_arrays_and_matrices():
             assert sp.issparse(value), name
             for arr in (value.data, value.indices, value.indptr):
                 assert not arr.flags.writeable, name
+
+
+def test_docstring_attributes_are_the_mesh_attributes():
+    # a removed attribute cannot linger in the docs, nor a new one be
+    # left out of them
+    doc = TriMesh.__doc__.split("Attributes\n    ----------\n", 1)[1]
+    named = re.findall(r"^    (\w+) : ", doc, flags=re.M)
+    assert sorted(named) == sorted(vars(random_patch(90, 8)))
 
 
 @pytest.mark.parametrize("make_mesh", [lambda: random_closed(60, 7),

@@ -41,8 +41,7 @@ def test_construction_matches_loop_oracle(mesh):
         assert got.shape == ref[name].shape
         assert np.array_equal(got, ref[name]), name
     assert np.array_equal(mesh.boundary_edge, ref["edge_faces"][:, 1] < 0)
-    _, _, Ginc, Gb, _ = dense_operators(mesh)
-    assert np.array_equal(mesh.incidence.toarray(), Ginc)
+    _, _, _, Gb, _ = dense_operators(mesh)
     assert np.array_equal(mesh.grad.toarray(), Gb)
     # boundary rows of the gradient store nothing
     assert not np.diff(mesh.grad.indptr)[mesh.boundary_edge].any()
@@ -146,8 +145,7 @@ def test_winding_repair_count_and_faces():
     assert np.array_equal(mesh.faces, base.faces)
     for name in INCIDENCE:
         assert np.array_equal(getattr(mesh, name), getattr(base, name)), name
-    for name in ("incidence", "grad"):
-        assert (getattr(mesh, name) != getattr(base, name)).nnz == 0, name
+    assert (mesh.grad != base.grad).nnz == 0
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import minimize_scalar
 
+import msseg.calculus
 import msseg.solver
 from msseg.calculus import (_SOLVE_RTOL, BiharmonicPrior, _DirectSolve,
                             divergence, gradient, inner_U, norm_U,
@@ -631,9 +632,16 @@ def test_solves_return_c_ordered_float_arrays(lane):
 def test_factor_settings_keep_fill_and_solutions(system):
     # relax=1, panel_size=1 against SuperLU's default supernode settings
     mesh = random_patch(200, 5)
-    systems = Systems(mesh, SolverParams(k=3, mode="psms", alpha=2.0))
-    solve = {"u": systems.u_solve, "b": systems.b_solve}[system]
-    default = spla.splu(solve.matrix, permc_spec="MMD_AT_PLUS_A",
+    params = SolverParams(k=3, mode="psms", alpha=2.0)
+    systems = Systems(mesh, params)
+    if system == "u":
+        solve, matrix = systems.u_solve, systems.u_solve.matrix
+    else:
+        # the complex matrix of the b factor, which the prior does not keep
+        solve = systems.b_solve
+        matrix = (np.sqrt(params.beta) * mesh.S - 1j * np.sqrt(solve.c)
+                  * sp.diags(mesh.face_areas)).tocsc()
+    default = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.0,
                         options={"SymmetricMode": True})
 
@@ -975,11 +983,11 @@ def test_segment_joins_its_lane_on_return_and_on_error(monkeypatch):
 def test_segment_factors_on_the_calling_thread_and_solves_b_beside_it(
         monkeypatch):
     factored, b_solved = [], []
-    build, solve = _DirectSolve.__init__, BiharmonicPrior.__call__
+    build, solve = msseg.calculus._factor, BiharmonicPrior.__call__
 
-    def recording_build(self, *args, **kwargs):
+    def recording_build(matrix):
         factored.append(threading.get_ident())
-        build(self, *args, **kwargs)
+        return build(matrix)
 
     def recording_solve(self, rhs):
         b_solved.append(threading.get_ident())
@@ -988,7 +996,7 @@ def test_segment_factors_on_the_calling_thread_and_solves_b_beside_it(
     mesh = random_patch(200, 5)
     f = feature_field(mesh, 3).values
     params = SolverParams(k=3, mode="gpsms", max_outer=3, seed=1)
-    monkeypatch.setattr(_DirectSolve, "__init__", recording_build)
+    monkeypatch.setattr(msseg.calculus, "_factor", recording_build)
     monkeypatch.setattr(BiharmonicPrior, "__call__", recording_solve)
     result = segment(mesh, f, params)
     main = threading.get_ident()
