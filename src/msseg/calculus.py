@@ -28,8 +28,10 @@ def _factor(matrix):
 def _gate(x, image, rhs, norm):
     """``x`` if its normwise backward error in ``B x = rhs``, with ``image
     = B x`` and ``norm`` a bound of ``|B|``, is within ``_SOLVE_RTOL`` (see
-    :class:`_DirectSolve`); else ``NumericError``."""
-    res = np.linalg.norm(image - rhs)
+    :class:`_DirectSolve`); else ``NumericError``.  ``image``, a fresh
+    array of the caller's, is overwritten by the residual."""
+    image -= rhs
+    res = np.linalg.norm(image)
     bound = norm * np.linalg.norm(x) + np.linalg.norm(rhs)
     if res > _SOLVE_RTOL * bound:
         raise NumericError(f"residual {res:.3e} above tolerance "
@@ -59,16 +61,22 @@ class _DirectSolve:
     symmetric matrices factored here, and Frobenius norms of ``x`` and
     ``r``.  A backward-stable solve meets it however ill-conditioned ``B``
     is; a wrong factor does not.
+
+    Only the factor, the norm and ``image`` are kept, not ``matrix``:
+    ``image(x)`` is the gate's ``B x``, formed from matrices the caller
+    keeps anyway (``mesh.S`` and the areas, or the features' Laplacian), so
+    it equals ``matrix @ x`` up to rounding.
     """
 
-    def __init__(self, matrix):
-        self.matrix = matrix.tocsc()
-        self._lu = _factor(self.matrix)
-        self.norm = spla.norm(self.matrix, np.inf)
+    def __init__(self, matrix, image):
+        matrix = matrix.tocsc()
+        self._lu = _factor(matrix)
+        self.norm = spla.norm(matrix, np.inf)
+        self.image = image
 
     def __call__(self, rhs):
         x = np.ascontiguousarray(self._lu.solve(rhs))
-        return _gate(x, self.matrix @ x, rhs, self.norm)
+        return _gate(x, self.image(x), rhs, self.norm)
 
 
 class BiharmonicPrior:
@@ -111,8 +119,11 @@ class BiharmonicPrior:
     def __call__(self, rhs):
         # divide into a C-ordered array: one pass over the strided Im(x)
         b = np.divide(self._lu.solve(rhs).imag, np.sqrt(self.c), order="C")
-        return _gate(b, self.apply(b) + self.c * (self.areas * b), rhs,
-                     self.norm)
+        image = self.apply(b)
+        shift = self.areas * b
+        shift *= self.c
+        image += shift  # P b + c (W b)
+        return _gate(b, image, rhs, self.norm)
 
 
 def _field(x, rows, kind, name):

@@ -44,13 +44,18 @@ def label_color(label):
 
 
 def export_colored_mesh(mesh, labels, path):
-    """Write an ASCII PLY with one flat color per face."""
+    """Write an ASCII PLY with one flat color per face.
+
+    Each block is one ``%`` format of all its rows: ``%.9g`` per vertex
+    coordinate, ``%d`` per face index and color channel, the text a
+    per-row f-string writer gives.
+    """
     labels = np.asarray(labels)
     if len(labels) != mesh.n_faces:
         raise ParameterError(
             f"{len(labels)} labels for {mesh.n_faces} faces"
         )
-    lines = [
+    header = [
         "ply",
         "format ascii 1.0",
         f"element vertex {mesh.n_vertices}",
@@ -64,15 +69,17 @@ def export_colored_mesh(mesh, labels, path):
         "property uchar blue",
         "end_header",
     ]
-    lines.extend(f"{x:.9g} {y:.9g} {z:.9g}"
-                 for x, y, z in mesh.vertices.tolist())
     uniq, inverse = np.unique(labels, return_inverse=True)
-    colors = ["{} {} {}".format(*label_color(int(lab)))
-              for lab in uniq.tolist()]
-    lines.extend(f"3 {a} {b} {c} {colors[i]}"
-                 for (a, b, c), i in zip(mesh.faces.tolist(), inverse.tolist()))
+    colors = np.array([label_color(int(lab)) for lab in uniq.tolist()],
+                      dtype=np.int64).reshape(-1, 3)
+    faces = np.hstack([mesh.faces, colors[inverse]])
+    vertex_rows = "%.9g %.9g %.9g\n" * mesh.n_vertices
+    face_rows = "3 %d %d %d %d %d %d\n" * mesh.n_faces
+    text = ("\n".join(header) + "\n"
+            + vertex_rows % tuple(mesh.vertices.ravel().tolist())
+            + face_rows % tuple(faces.ravel().tolist()))
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text(text)
     except OSError as exc:
         raise MeshSegError(f"cannot write {path}: {exc}") from exc
 
@@ -218,7 +225,8 @@ def run(config):
     result = segment(mesh, features.values, params)
 
     seg_path = out_dir / f"{stem}.seg"
-    seg_path.write_text("\n".join(str(int(l)) for l in result.labels) + "\n")
+    seg_path.write_text("%d\n" * len(result.labels)
+                        % tuple(result.labels.tolist()))
     ply_path = out_dir / f"{stem}_colored.ply"
     export_colored_mesh(mesh, result.labels, ply_path)
 

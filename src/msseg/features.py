@@ -104,7 +104,8 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
             w, V = np.linalg.eigh(L.toarray())
         else:
             sigma = -1e-6 * max(max_diag, 1.0)
-            shifted = _DirectSolve(L - sigma * sp.identity(T))
+            shifted = _DirectSolve(L - sigma * sp.identity(T),
+                                   lambda x: L @ x - sigma * x)
             try:
                 w, V = spla.eigsh(
                     L, k=k_solve, sigma=sigma, which="LM",

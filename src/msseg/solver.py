@@ -140,8 +140,11 @@ class Systems:
       the operator of the smooth prior: a
       :class:`msseg.calculus.BiharmonicPrior` factored at ``c``.
 
-    All three factors share the face pattern of ``S``.  ``params`` carries
-    a resolved alpha; the right-hand sides read their coefficients from it.
+    All three factors share the face pattern of ``S``, and no solve keeps
+    an assembled matrix: each holds its factor, and its gate forms ``B x``
+    from ``mesh.S`` and the face areas (``a (S x) + c (W x)`` for u and v;
+    the prior's ``P b + c W b`` for b).  ``params`` carries a resolved
+    alpha; the right-hand sides read their coefficients from it.
     Every factor is built on the thread that builds the ``Systems``,
     which also drops the last reference to it: the b system is solved on
     the one-worker lane of :func:`segment` (sweep order z, b↗, u, v, p,
@@ -154,14 +157,24 @@ class Systems:
         if params.alpha is None:
             raise ParameterError("Systems needs a resolved alpha, got None")
         self.params = params
-        S, W = mesh.S, sp.diags(mesh.face_areas)
-        self.u_solve = calc._DirectSolve(params.r_p * S + params.r_z * W)
+        self.u_solve = _face_solve(mesh, params.r_p, params.r_z)
         self.v_solve = self.b_solve = None
         if params.mode == "gpsms":
-            self.v_solve = calc._DirectSolve(S + (params.r_p / params.r_q) * W)
+            self.v_solve = _face_solve(mesh, 1.0, params.r_p / params.r_q)
         if params.mode != "pcms":
             self.b_solve = calc.BiharmonicPrior(
                 mesh, params.beta, params.eta + params.alpha)
+
+
+def _face_solve(mesh, a, c):
+    """Gated solve of ``(a S + c W) x = r`` that keeps only its factor: the
+    gate forms ``a (S x) + c (W x)`` from ``mesh.S`` and the areas."""
+    S, areas = mesh.S, mesh.face_areas[:, None]
+
+    def image(x):
+        return a * (S @ x) + c * (areas * x)
+
+    return calc._DirectSolve(a * S + c * sp.diags(mesh.face_areas), image)
 
 
 # -- closed-form pieces ------------------------------------------------------
@@ -275,15 +288,29 @@ def update_mu(mesh, u, b, f, prev_mu=None):
 
 def solve_u(mesh, z, lam_z, p, v, lam_p, systems):
     """Quadratic label update: (r_p S + r_z W) u = W rhs with
-    rhs = r_z z + lam_z - div(lam_p + r_p (p + v))."""
-    edge_term = lam_p + systems.params.r_p * (p + v)
-    rhs = mesh.face_areas[:, None] * (systems.params.r_z * z + lam_z) \
-        + mesh.grad_tl @ edge_term
+    rhs = r_z z + lam_z - div(lam_p + r_p (p + v)).
+
+    The right side ``W (r_z z + lam_z) + G' D (lam_p + r_p (p + v))`` is
+    formed in place in two buffers, the edge term's dropped before the
+    face term's is made.  Each step is an operation of the plain
+    expression, its operands of ``+`` or ``*`` swapped at most, so the
+    result is bitwise that of the plain expression.
+    """
+    r_p, r_z = systems.params.r_p, systems.params.r_z
+    term = p + v
+    term *= r_p
+    term += lam_p
+    rhs = mesh.grad_tl @ term
+    term = z * r_z
+    term += lam_z
+    term *= mesh.face_areas[:, None]
+    rhs += term
     return systems.u_solve(rhs)
 
 
-def solve_v(mesh, u, p, lam_p, q, lam_q, systems):
-    """Quadratic update of the slope field.
+def solve_v(mesh, gu, p, lam_p, q, lam_q, systems):
+    """Quadratic update of the slope field, given ``gu``, the gradient of
+    the label field ``u``.
 
     Solves the edge system ``M v = D y``, ``M = r_p D + r_q DG W^-1 (DG)'``,
     with ``y = -grad(lam_q + r_q q) - lam_p + r_p(grad u - p)``.  By the
@@ -292,12 +319,22 @@ def solve_v(mesh, u, p, lam_p, q, lam_q, systems):
     boundary rows, so there ``v = -lam_p / r_p - p``.  If ``e`` is the
     residual of the face solve, ``M v - D y = -(r_q / r_p) D G W^-1 e``, so
     the residual gate of the face solve bounds that of the edge system.
+    ``y`` is formed in place and becomes ``v``, with the operations of the
+    expressions above, so bitwise their value.
     """
     r_p, r_q = systems.params.r_p, systems.params.r_q
-    y = -gradient(mesh, lam_q + r_q * q) - lam_p \
-        + r_p * (gradient(mesh, u) - p)
+    y = q * r_q
+    y += lam_q
+    y = gradient(mesh, y)
+    np.negative(y, out=y)
+    y -= lam_p
+    step = gu - p
+    step *= r_p
+    y += step
     w = systems.v_solve(mesh.grad_tl @ y)
-    return (y - mesh.grad @ w) / r_p
+    y -= mesh.grad @ w
+    y /= r_p
+    return y
 
 
 def solve_b(mesh, f, z, mu, systems, lane):
@@ -316,7 +353,11 @@ def solve_b(mesh, f, z, mu, systems, lane):
 
 
 def _solve_b(areas, f, z, mu, systems):
-    rhs = areas[:, None] * (systems.params.alpha * (f - z @ mu))
+    # alpha W (f - z mu), in one buffer that f, z and mu never share
+    rhs = z @ mu
+    np.subtract(f, rhs, out=rhs)
+    rhs *= systems.params.alpha
+    rhs *= areas[:, None]
     return systems.b_solve(rhs)
 
 
@@ -414,29 +455,50 @@ def admm_inner(mesh, f, state, systems, lane):
     handed to ``lane``.  Every coefficient, the data weight included,
     comes from ``systems.params``, which carries a resolved alpha.
     """
+    # without b_solve, b stays 0 and mu is fixed here: one misfit serves
+    # every sweep
+    fixed = s_field(f, state.b, state.mu) if systems.b_solve is None \
+        else None
+    for _ in range(systems.params.inner_iters):
+        _sweep(mesh, f, state, systems, lane, fixed)
+    return state
+
+
+def _sweep(mesh, f, state, systems, lane, fixed):
+    """One sweep of :func:`admm_inner`; ``fixed`` is the misfit when it
+    does not change, else ``None``.  The sweep's temporaries end with it,
+    so none is held through the next sweep's solves.  Each update is
+    formed in as few buffers as its plain expression allows, with that
+    expression's operations, so bitwise its value."""
     params = systems.params
     r_p, r_q, r_z = params.r_p, params.r_q, params.r_z
-    for _ in range(params.inner_iters):
-        s = s_field(f, state.b, state.mu)
-        state.z = update_z(state.u, state.lam_z, s, params.alpha, r_z)
-        if systems.b_solve is not None:
-            b_next = solve_b(mesh, f, state.z, state.mu, systems, lane)
-        state.u = solve_u(mesh, state.z, state.lam_z, state.p, state.v,
-                          state.lam_p, systems)
-        if systems.v_solve is not None:
-            state.v = solve_v(mesh, state.u, state.p, state.lam_p,
-                              state.q, state.lam_q, systems)
-        gu = gradient(mesh, state.u)
-        state.p = prox_p(gu - state.v - state.lam_p / r_p, r_p)
-        state.lam_p = state.lam_p + r_p * (state.p + state.v - gu)
-        if systems.v_solve is not None:
-            dv = divergence(mesh, state.v)
-            state.q = prox_q(dv - state.lam_q / r_q, r_q, params.alpha0)
-            state.lam_q = state.lam_q + r_q * (state.q - dv)
-        state.lam_z = state.lam_z + r_z * (state.z - state.u)
-        if systems.b_solve is not None:
-            state.b = b_next.result()
-    return state
+    s = s_field(f, state.b, state.mu) if fixed is None else fixed
+    state.z = update_z(state.u, state.lam_z, s, params.alpha, r_z)
+    if systems.b_solve is not None:
+        b_next = solve_b(mesh, f, state.z, state.mu, systems, lane)
+    state.u = solve_u(mesh, state.z, state.lam_z, state.p, state.v,
+                      state.lam_p, systems)
+    gu = gradient(mesh, state.u)
+    if systems.v_solve is not None:
+        state.v = solve_v(mesh, gu, state.p, state.lam_p, state.q,
+                          state.lam_q, systems)
+    # the p-step's argument gu - v - lam_p / r_p, then in the same buffer
+    # lam_p + r_p (p + v - gu)
+    step = gu - state.v
+    step -= state.lam_p / r_p
+    state.p = prox_p(step, r_p)
+    np.add(state.p, state.v, out=step)
+    step -= gu
+    step *= r_p
+    step += state.lam_p
+    state.lam_p = step
+    if systems.v_solve is not None:
+        dv = divergence(mesh, state.v)
+        state.q = prox_q(dv - state.lam_q / r_q, r_q, params.alpha0)
+        state.lam_q = state.lam_q + r_q * (state.q - dv)
+    state.lam_z = state.lam_z + r_z * (state.z - state.u)
+    if systems.b_solve is not None:
+        state.b = b_next.result()
 
 
 def initial_state(mesh, f, params):

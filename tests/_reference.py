@@ -386,6 +386,11 @@ def smoothed_normals_loop(mesh, ring):
     return out
 
 
+def seg_text_loop(labels):
+    """.seg text with one formatted row per face."""
+    return "".join(f"{int(lab)}\n" for lab in labels)
+
+
 def colored_ply_loop(mesh, labels, label_color):
     """ASCII PLY text with one flat color per face, a color call and a
     formatted row per face."""
@@ -462,12 +467,11 @@ def solve_u_prescaled(mesh, z, lam_z, p, v, lam_p, systems):
     return systems.u_solve(rhs)
 
 
-def solve_v_prescaled(mesh, u, p, lam_p, q, lam_q, systems):
+def solve_v_prescaled(mesh, gu, p, lam_p, q, lam_q, systems):
     """The slope update with its face right-hand side scaled before
-    ``grad'``."""
+    ``grad'``, each update a plain expression."""
     r_p, r_q = systems.params.r_p, systems.params.r_q
-    y = -(mesh.grad @ (lam_q + r_q * q)) - lam_p \
-        + r_p * (mesh.grad @ u - p)
+    y = -(mesh.grad @ (lam_q + r_q * q)) - lam_p + r_p * (gu - p)
     w = systems.v_solve(mesh.grad.T @ (mesh.edge_lengths[:, None] * y))
     return (y - mesh.grad @ w) / r_p
 

@@ -189,7 +189,8 @@ def test_criterion_04_subproblem_stationarity(lane):
             mesh, SolverParams(k=K, r_p=r_p, r_q=r_q, r_z=r_z, eta=eta,
                                alpha=alpha, beta_ratio=beta / alpha))
         u_sol = solve_u(mesh, z, lam_z, p, v, lam_p, systems)
-        v_sol = solve_v(mesh, u_sol, p, lam_p, q, lam_q, systems)
+        v_sol = solve_v(mesh, gradient(mesh, u_sol), p, lam_p, q, lam_q,
+                        systems)
         b_sol = solve_b(mesh, f, z, mu, systems, lane).result()
         for fun, x in ((obj_u, u_sol), (obj_v, v_sol), (obj_b, b_sol)):
             g = fd_gradient(fun, x)

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from _meshes import (
     random_closed,
     write_off,
 )
-from _reference import colored_ply_loop
+from _reference import colored_ply_loop, seg_text_loop
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +96,29 @@ def test_export_matches_per_face_loop_beyond_palette(tmp_path):
     path = tmp_path / "m.ply"
     export_colored_mesh(mesh, labels, path)
     assert path.read_text() == colored_ply_loop(mesh, labels, label_color)
+
+
+def test_run_writes_the_bytes_of_the_per_row_writers(tmp_path, monkeypatch):
+    # the .seg and .ply blocks, each one format call, against a row at a
+    # time; the labels are replaced by 25 classes, six past the palette
+    mesh_path = tmp_path / "m.off"
+    mesh = random_closed(150, 4)
+    write_off(mesh, mesh_path)
+    labels = np.random.default_rng(5).integers(0, 25, size=mesh.n_faces)
+    real = msseg.cli.segment
+
+    def relabeled(mesh, f, params):
+        assert mesh.n_faces == len(labels)
+        return replace(real(mesh, f, params), labels=labels)
+
+    monkeypatch.setattr(msseg.cli, "segment", relabeled)
+    run({"mesh": str(mesh_path), "k": 2, "max_outer": 2,
+         "out": str(tmp_path / "out")})
+    assert labels.max() >= 19
+    assert (tmp_path / "out" / "m.seg").read_bytes() \
+        == seg_text_loop(labels).encode()
+    assert (tmp_path / "out" / "m_colored.ply").read_bytes() \
+        == colored_ply_loop(mesh, labels, label_color).encode()
 
 
 def test_cli_import_loads_no_unused_scipy_subpackages():

@@ -330,9 +330,9 @@ def test_arpack_matches_dense_eigh_on_small_mesh(monkeypatch):
     factored = []
     direct_solve = features._DirectSolve
 
-    def recording(matrix):
+    def recording(matrix, image):
         factored.append(matrix)
-        return direct_solve(matrix)
+        return direct_solve(matrix, image)
 
     monkeypatch.setattr(features, "_DirectSolve", recording)
     mesh = random_closed(800, seed=3)
