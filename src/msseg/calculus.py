@@ -28,10 +28,8 @@ def _factor(matrix):
 def _gate(x, image, rhs, norm):
     """``x`` if its normwise backward error in ``B x = rhs``, with ``image
     = B x`` and ``norm`` a bound of ``|B|``, is within ``_SOLVE_RTOL`` (see
-    :class:`_DirectSolve`); else ``NumericError``.  ``image``, a fresh
-    array of the caller's, is overwritten by the residual."""
-    image -= rhs
-    res = np.linalg.norm(image)
+    :class:`_DirectSolve`); else ``NumericError``."""
+    res = np.linalg.norm(image - rhs)
     bound = norm * np.linalg.norm(x) + np.linalg.norm(rhs)
     if res > _SOLVE_RTOL * bound:
         raise NumericError(f"residual {res:.3e} above tolerance "
@@ -119,11 +117,8 @@ class BiharmonicPrior:
     def __call__(self, rhs):
         # divide into a C-ordered array: one pass over the strided Im(x)
         b = np.divide(self._lu.solve(rhs).imag, np.sqrt(self.c), order="C")
-        image = self.apply(b)
-        shift = self.areas * b
-        shift *= self.c
-        image += shift  # P b + c (W b)
-        return _gate(b, image, rhs, self.norm)
+        return _gate(b, self.apply(b) + self.c * (self.areas * b), rhs,
+                     self.norm)
 
 
 def _field(x, rows, kind, name):

@@ -8,28 +8,17 @@ score 0.
 import numpy as np
 
 from .errors import DimensionError
-from .mesh import _block, _table
+from .mesh import _table
 
 
 def parse_seg(source):
     """Parse a .seg byte stream: one integer label per line, line i is
     the label of face i; blank lines are skipped.  A line that is not one
-    int64 integer raises ``MeshFormatError`` naming it.
-
-    The labels of ASCII text whose every line holds one token are read by
-    one C-level call (``mesh._block``).  Otherwise, or if that call does
-    not read them, the record walk of ``mesh._table`` does, and names the
-    line at fault.  ``int`` does not strip the unit separator ``\\x1f``,
-    which the call reads as a blank, so text holding one takes the walk.
-    """
+    int64 integer raises ``MeshFormatError`` naming it."""
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
-    lines = source.splitlines()
-    if source.isascii() and "\x1f" not in source:
-        table = _block(lines, np.int64)
-        if table is not None and table.shape[1] == 1:
-            return table[:, 0]
-    records = [(n, [line]) for n, line in enumerate(lines, start=1)
+    records = [(n, [line])
+               for n, line in enumerate(source.splitlines(), start=1)
                if line.strip()]  # int() ignores the surrounding blanks
     return _table(records, 1, np.int64, "label")[:, 0]
 

@@ -304,11 +304,11 @@ def _as_text(source):
     return data
 
 
-def _records(lines):
-    """``(line number, tokens)`` of each of ``lines`` left with a token once
-    its ``#`` comment is cut."""
-    split = [line.split("#", 1)[0].split() for line in lines]
-    return [(n, tokens) for n, tokens in enumerate(split, start=1) if tokens]
+def _records(text):
+    """``(line number, tokens)`` of each line left with a token once its
+    ``#`` comment is cut."""
+    lines = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    return [(n, tokens) for n, tokens in enumerate(lines, start=1) if tokens]
 
 
 def _table(records, width, dtype, what):
@@ -336,33 +336,16 @@ def _table(records, width, dtype, what):
     return table
 
 
-def _block(lines, dtype, width=None):
-    """``lines``, whole lines of ASCII text without comments, as one array
-    read by one C-level call (``np.loadtxt``): each row the first ``width``
-    tokens of its line, or all of them.  ``None`` where the reading could
-    differ from the record walk of :func:`_table`, which then reads the
-    block: no line holds a token, the call fails, a line is blank (the
-    call would skip it), or a value is infinite (the walk tells a
-    spelled-out ``inf`` from an overflow).  On ASCII text the call splits
-    on the whitespace of ``str.split`` and converts a token as ``float``
-    does, and leaves what it rejects (``1_0``, an integer beyond int64)
-    to the walk; it reads some non-ASCII characters as digits, so the
-    callers test ``str.isascii`` first."""
-    if not any(map(str.strip, lines)):
-        return None
-    try:
-        table = np.loadtxt(lines, dtype, comments=None, ndmin=2,
-                           usecols=None if width is None else range(width))
-    except (ValueError, OverflowError):
-        return None
-    if len(table) != len(lines) or np.isinf(table).any():
-        return None
-    return table
+def load_off(source):
+    """Parse an OFF byte stream into a :class:`TriMesh`.
 
-
-def _off_counts(records):
-    """The vertex and face counts of an OFF file's records, and the
-    records after the counts."""
+    ``#`` starts a comment; blank lines are skipped.  A vertex line is read
+    for three numbers and a face line for its count and three indices, so
+    trailing colours are ignored.  The first short or unconvertible line of
+    the vertex block, then of the face block, raises ``MeshFormatError``;
+    then the first face whose count is not 3 raises ``TopologyError``.
+    """
+    records = _records(_as_text(source))
     if not records:
         raise MeshFormatError("empty OFF file")
     (n, header), body = records[0], records[1:]
@@ -379,37 +362,8 @@ def _off_counts(records):
     nv, nf = _table(body[:1], 2, np.int64, "counts")[0].tolist()
     if nv < 0 or nf < 0:
         raise MeshFormatError("bad counts line", line=body[0][0])
-    return nv, nf, body[1:]
 
-
-def load_off(source):
-    """Parse an OFF byte stream into a :class:`TriMesh`.
-
-    ``#`` starts a comment; blank lines are skipped.  A vertex line is read
-    for three numbers and a face line for its count and three indices, so
-    trailing colours are ignored.  The first short or unconvertible line of
-    the vertex block, then of the face block, raises ``MeshFormatError``;
-    then the first face whose count is not 3 raises ``TopologyError``.
-
-    An ASCII file without comments whose every line holds a record, the
-    counts on its first or second line, has each block read by one call
-    of :func:`_block`.  Any other file, and any block that call does not
-    read as the record walk would, is read by the walk, which names the
-    line at fault.  Both give the same arrays.
-    """
-    text = _as_text(source)
-    lines = text.splitlines()
-    head = _records(lines[:2])
-    if text.isascii() and "#" not in text and len(head) == 2:
-        nv, nf, rest = _off_counts(head)
-        start = 2 - len(rest)  # the first vertex line
-        if len(lines) - start == nv + nf:
-            verts = _block(lines[start:start + nv], float, 3)
-            faces = _block(lines[start + nv:], np.int64, 4)
-            if verts is not None and faces is not None \
-                    and (faces[:, 0] == 3).all():
-                return TriMesh(verts, faces[:, 1:])
-    nv, nf, body = _off_counts(_records(lines))
+    body = body[1:]
     if len(body) < nv + nf:
         raise MeshFormatError(f"expected {nv} vertex and {nf} face lines")
     if len(body) > nv + nf:
@@ -434,7 +388,7 @@ def load_obj(source):
     reported, each naming its line.
     """
     verts, faces = [], []
-    for n, tokens in _records(_as_text(source).splitlines()):
+    for n, tokens in _records(_as_text(source)):
         if tokens[0] == "v":
             verts.append((n, tokens[1:]))
         elif tokens[0] == "f":

@@ -288,23 +288,10 @@ def update_mu(mesh, u, b, f, prev_mu=None):
 
 def solve_u(mesh, z, lam_z, p, v, lam_p, systems):
     """Quadratic label update: (r_p S + r_z W) u = W rhs with
-    rhs = r_z z + lam_z - div(lam_p + r_p (p + v)).
-
-    The right side ``W (r_z z + lam_z) + G' D (lam_p + r_p (p + v))`` is
-    formed in place in two buffers, the edge term's dropped before the
-    face term's is made.  Each step is an operation of the plain
-    expression, its operands of ``+`` or ``*`` swapped at most, so the
-    result is bitwise that of the plain expression.
-    """
-    r_p, r_z = systems.params.r_p, systems.params.r_z
-    term = p + v
-    term *= r_p
-    term += lam_p
-    rhs = mesh.grad_tl @ term
-    term = z * r_z
-    term += lam_z
-    term *= mesh.face_areas[:, None]
-    rhs += term
+    rhs = r_z z + lam_z - div(lam_p + r_p (p + v))."""
+    edge_term = lam_p + systems.params.r_p * (p + v)
+    rhs = mesh.face_areas[:, None] * (systems.params.r_z * z + lam_z) \
+        + mesh.grad_tl @ edge_term
     return systems.u_solve(rhs)
 
 
@@ -319,22 +306,11 @@ def solve_v(mesh, gu, p, lam_p, q, lam_q, systems):
     boundary rows, so there ``v = -lam_p / r_p - p``.  If ``e`` is the
     residual of the face solve, ``M v - D y = -(r_q / r_p) D G W^-1 e``, so
     the residual gate of the face solve bounds that of the edge system.
-    ``y`` is formed in place and becomes ``v``, with the operations of the
-    expressions above, so bitwise their value.
     """
     r_p, r_q = systems.params.r_p, systems.params.r_q
-    y = q * r_q
-    y += lam_q
-    y = gradient(mesh, y)
-    np.negative(y, out=y)
-    y -= lam_p
-    step = gu - p
-    step *= r_p
-    y += step
+    y = -gradient(mesh, lam_q + r_q * q) - lam_p + r_p * (gu - p)
     w = systems.v_solve(mesh.grad_tl @ y)
-    y -= mesh.grad @ w
-    y /= r_p
-    return y
+    return (y - mesh.grad @ w) / r_p
 
 
 def solve_b(mesh, f, z, mu, systems, lane):
@@ -353,11 +329,7 @@ def solve_b(mesh, f, z, mu, systems, lane):
 
 
 def _solve_b(areas, f, z, mu, systems):
-    # alpha W (f - z mu), in one buffer that f, z and mu never share
-    rhs = z @ mu
-    np.subtract(f, rhs, out=rhs)
-    rhs *= systems.params.alpha
-    rhs *= areas[:, None]
+    rhs = areas[:, None] * (systems.params.alpha * (f - z @ mu))
     return systems.b_solve(rhs)
 
 
@@ -466,10 +438,9 @@ def admm_inner(mesh, f, state, systems, lane):
 
 def _sweep(mesh, f, state, systems, lane, fixed):
     """One sweep of :func:`admm_inner`; ``fixed`` is the misfit when it
-    does not change, else ``None``.  The sweep's temporaries end with it,
-    so none is held through the next sweep's solves.  Each update is
-    formed in as few buffers as its plain expression allows, with that
-    expression's operations, so bitwise its value."""
+    does not change, else ``None``.  The sweep's temporaries (``grad u``,
+    ``div v``, the misfit) end with it, so none is held through the next
+    sweep's solves."""
     params = systems.params
     r_p, r_q, r_z = params.r_p, params.r_q, params.r_z
     s = s_field(f, state.b, state.mu) if fixed is None else fixed
@@ -482,16 +453,8 @@ def _sweep(mesh, f, state, systems, lane, fixed):
     if systems.v_solve is not None:
         state.v = solve_v(mesh, gu, state.p, state.lam_p, state.q,
                           state.lam_q, systems)
-    # the p-step's argument gu - v - lam_p / r_p, then in the same buffer
-    # lam_p + r_p (p + v - gu)
-    step = gu - state.v
-    step -= state.lam_p / r_p
-    state.p = prox_p(step, r_p)
-    np.add(state.p, state.v, out=step)
-    step -= gu
-    step *= r_p
-    step += state.lam_p
-    state.lam_p = step
+    state.p = prox_p(gu - state.v - state.lam_p / r_p, r_p)
+    state.lam_p = state.lam_p + r_p * (state.p + state.v - gu)
     if systems.v_solve is not None:
         dv = divergence(mesh, state.v)
         state.q = prox_q(dv - state.lam_q / r_q, r_q, params.alpha0)

@@ -469,7 +469,7 @@ def solve_u_prescaled(mesh, z, lam_z, p, v, lam_p, systems):
 
 def solve_v_prescaled(mesh, gu, p, lam_p, q, lam_q, systems):
     """The slope update with its face right-hand side scaled before
-    ``grad'``, each update a plain expression."""
+    ``grad'``."""
     r_p, r_q = systems.params.r_p, systems.params.r_q
     y = -(mesh.grad @ (lam_q + r_q * q)) - lam_p + r_p * (gu - p)
     w = systems.v_solve(mesh.grad.T @ (mesh.edge_lengths[:, None] * y))

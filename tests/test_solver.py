@@ -685,10 +685,6 @@ def test_systems_and_segment_leave_the_mesh_matrices_unchanged(mode):
 def test_systems_b_factor_is_on_the_laplacian_pattern():
     mesh = random_patch(200, 5)
     systems = Systems(mesh, SolverParams(k=3, mode="gpsms", alpha=2.0))
-    solves = (systems.u_solve, systems.v_solve, systems.b_solve)
-    stored = [m for obj in (systems,) + solves for m in vars(obj).values()
-              if sp.issparse(m)]
-    assert stored and all(m is mesh.S for m in stored)
 
     def fill(solve):
         return solve._lu.L.nnz + solve._lu.U.nnz
@@ -967,8 +963,8 @@ class InlineLane:
 
 
 def admm_inner_plain(mesh, f, state, systems, lane):
-    """The ADMM sweeps with every update one plain expression, b solved
-    serially (z, u, v, b, p, ...) and the misfit formed every sweep."""
+    """The ADMM sweeps through the reference steps, b solved serially (z,
+    u, v, b, p, ...) and the misfit formed every sweep."""
     params = systems.params
     r_p, r_q, r_z = params.r_p, params.r_q, params.r_z
     for _ in range(params.inner_iters):
@@ -998,8 +994,9 @@ def admm_inner_plain(mesh, f, state, systems, lane):
 @replay_cases
 def test_segment_replays_bitwise_with_the_plain_sweep(make_mesh, mode, k,
                                                       monkeypatch):
-    # the sweep's in-place right sides, p-step and multiplier update, and
-    # the misfit kept through the sweeps of pcms, against plain expressions
+    # the sweep as split into _sweep, with one grad u for the v- and
+    # p-steps and the misfit kept through the sweeps of pcms, against the
+    # reference steps with b solved serially and the misfit formed anew
     mesh = make_mesh()
     f = feature_field(mesh, k).values
     params = SolverParams(k=k, mode=mode, max_outer=8, seed=1)
