@@ -13,14 +13,22 @@ from .mesh import _table
 
 def parse_seg(source):
     """Parse a .seg byte stream: one integer label per line, line i is
-    the label of face i; blank lines are skipped.  A line that is not one
-    int64 integer raises ``MeshFormatError`` naming it."""
+    the label of face i; blank lines are skipped.  The non-blank lines go
+    whole into one conversion (``int()`` ignores the blanks around a
+    label and rejects a second token), and they are numbered only if it
+    fails: a line that is not one int64 integer raises
+    ``MeshFormatError`` naming it."""
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
-    records = [(n, [line])
-               for n, line in enumerate(source.splitlines(), start=1)
-               if line.strip()]  # int() ignores the surrounding blanks
-    return _table(records, 1, np.int64, "label")[:, 0]
+    lines = [line for line in source.splitlines()
+             if line and not line.isspace()]
+
+    def numbers():
+        for n, line in enumerate(source.splitlines(), start=1):
+            if line and not line.isspace():
+                yield n
+
+    return _table(lines, numbers(), None, np.int64, "label")[:, 0]
 
 
 def rand_index_dissimilarity(a, b):

@@ -9,6 +9,7 @@ array or sparse matrix set at construction and nothing is cached, so
 instances are safe to share between threads.
 """
 
+import re
 import warnings
 from itertools import chain
 
@@ -305,27 +306,39 @@ def _as_text(source):
 
 
 def _records(text):
-    """``(line number, tokens)`` of each line left with a token once its
-    ``#`` comment is cut."""
-    lines = [line.split("#", 1)[0].split() for line in text.splitlines()]
-    return [(n, tokens) for n, tokens in enumerate(lines, start=1) if tokens]
+    """Line numbers and text of the lines left with a token once their
+    ``#`` comment is cut, as two lists; nothing is split here.  A line is
+    blank by the whitespace test ``str.split`` uses."""
+    numbers, lines = [], []
+    for n, line in enumerate(text.splitlines(), start=1):
+        line = line.partition("#")[0]
+        if line and not line.isspace():
+            numbers.append(n)
+            lines.append(line)
+    return numbers, lines
 
 
-def _table(records, width, dtype, what):
-    """The first ``width`` tokens of each record as one (n, width) array,
-    converted in one call.  Only if that fails is the block walked to name
-    the first record that is short or has a token that does not convert:
-    one beyond int64, or a finite number beyond float64 (a spelled-out
-    ``inf`` converts)."""
+def _table(lines, numbers, width, dtype, what):
+    """The first ``width`` tokens of each line as one (n, width) array,
+    converted in one call that splits each line as it reads it, so no
+    line's tokens outlive that line; ``width=None`` converts each whole
+    line as one value.  Only if that fails are the lines split again, in
+    step with their ``numbers``, to name the first that is short or has a
+    token that does not convert: one beyond int64, or a finite number
+    beyond float64 (a spelled-out ``inf`` converts)."""
+    whole = width is None
+    width = width or 1
     try:
         table = np.fromiter(
-            chain.from_iterable(tokens[:width] for _, tokens in records),
-            dtype, count=len(records) * width).reshape(-1, width)
+            lines if whole else chain.from_iterable(
+                line.split()[:width] for line in lines),
+            dtype, count=len(lines) * width).reshape(-1, width)
         if not np.isinf(table).any():
             return table
     except (ValueError, OverflowError):
         pass
-    for n, tokens in records:
+    for n, line in zip(numbers, lines):
+        tokens = [line] if whole else line.split()
         try:
             row = np.array(tokens[:width], dtype=dtype)
         except (ValueError, OverflowError):
@@ -341,68 +354,81 @@ def load_off(source):
 
     ``#`` starts a comment; blank lines are skipped.  A vertex line is read
     for three numbers and a face line for its count and three indices, so
-    trailing colours are ignored.  The first short or unconvertible line of
-    the vertex block, then of the face block, raises ``MeshFormatError``;
-    then the first face whose count is not 3 raises ``TopologyError``.
+    trailing colours are ignored.  Each line is split only as its block is
+    converted.  The first short or unconvertible line of the vertex block,
+    then of the face block, raises ``MeshFormatError``; then the first face
+    whose count is not 3 raises ``TopologyError``.
     """
-    records = _records(_as_text(source))
-    if not records:
+    numbers, lines = _records(_as_text(source))
+    if not lines:
         raise MeshFormatError("empty OFF file")
-    (n, header), body = records[0], records[1:]
     # "OFF", or "OFF" and the counts on one line: "OFF 8 6 0", "OFF8 6 0"
-    head = header[0]
+    header = lines[0].lstrip()
+    head = header.split(None, 1)[0]
     if head[:3] != "OFF" or not (head[3:4] or "0").isdigit():
-        raise MeshFormatError("missing OFF header", line=n)
-    if head != "OFF":
-        header = ["OFF", head[3:]] + header[1:]
-    if len(header) > 1:
-        body = [(n, header[1:])] + body
-    if not body:
+        raise MeshFormatError("missing OFF header", line=numbers[0])
+    counts = header[3:]
+    if not counts or counts.isspace():
+        numbers, lines = numbers[1:], lines[1:]
+    else:
+        lines[0] = counts
+    if not lines:
         raise MeshFormatError("missing counts line")
-    nv, nf = _table(body[:1], 2, np.int64, "counts")[0].tolist()
+    nv, nf = _table(lines[:1], numbers, 2, np.int64, "counts")[0].tolist()
     if nv < 0 or nf < 0:
-        raise MeshFormatError("bad counts line", line=body[0][0])
+        raise MeshFormatError("bad counts line", line=numbers[0])
 
-    body = body[1:]
-    if len(body) < nv + nf:
+    numbers, lines = numbers[1:], lines[1:]
+    if len(lines) < nv + nf:
         raise MeshFormatError(f"expected {nv} vertex and {nf} face lines")
-    if len(body) > nv + nf:
+    if len(lines) > nv + nf:
         raise MeshFormatError("more lines than the counts declare",
-                              line=body[nv + nf][0])
-    verts = _table(body[:nv], 3, float, "vertex")
-    faces = _table(body[nv:], 4, np.int64, "face")
+                              line=numbers[nv + nf])
+    verts = _table(lines[:nv], numbers, 3, float, "vertex")
+    faces = _table(lines[nv:], numbers[nv:], 4, np.int64, "face")
     other = np.flatnonzero(faces[:, 0] != 3)
     if other.size:
-        raise TopologyError(f"line {body[nv + other[0]][0]}: only triangle "
+        raise TopologyError(f"line {numbers[nv + other[0]]}: only triangle "
                             "faces are supported")
     return TriMesh(verts, faces[:, 1:])
+
+
+# the tail of each a/b/c reference; a reference with no head keeps its
+# slash, so that it stays a token and does not convert
+_REF_TAIL = re.compile(r"(?<=\S)/\S*")
 
 
 def load_obj(source):
     """Parse a Wavefront OBJ byte stream (v/f records only, 1-based).
 
     Comments and vertices are read as by :func:`load_off`; an ``f`` record
-    takes the head of each ``a/b/c`` reference.  The first bad vertex, then
-    the first face of other than three references (``TopologyError``),
-    then the first unconvertible face and the first index below 1 are
-    reported, each naming its line.
+    takes the head of each ``a/b/c`` reference.  Each record is split for
+    its keyword, and again only as its block is converted.  The first bad
+    vertex, then the first face of other than three references
+    (``TopologyError``), then the first unconvertible face and the first
+    index below 1 are reported, each naming its line.
     """
-    verts, faces = [], []
-    for n, tokens in _records(_as_text(source)):
-        if tokens[0] == "v":
-            verts.append((n, tokens[1:]))
-        elif tokens[0] == "f":
-            faces.append((n, [ref.split("/", 1)[0] for ref in tokens[1:]]))
-    verts = _table(verts, 3, float, "vertex")
-    other = [n for n, refs in faces if len(refs) != 3]
+    vert_numbers, verts, face_numbers, faces = [], [], [], []
+    for n, line in zip(*_records(_as_text(source))):
+        key, *rest = line.split(None, 1)
+        rest = rest[0] if rest else ""
+        if key == "v":
+            vert_numbers.append(n)
+            verts.append(rest)
+        elif key == "f":
+            face_numbers.append(n)
+            faces.append(_REF_TAIL.sub("", rest))
+    verts = _table(verts, vert_numbers, 3, float, "vertex")
+    other = [n for n, refs in zip(face_numbers, faces)
+             if len(refs.split()) != 3]
     if other:
         raise TopologyError(f"line {other[0]}: only triangle faces are "
                             "supported")
-    index = _table(faces, 3, np.int64, "face")
+    index = _table(faces, face_numbers, 3, np.int64, "face")
     low = np.flatnonzero((index < 1).any(axis=1))
     if low.size:
         raise MeshFormatError("only positive 1-based indices supported",
-                              line=faces[low[0]][0])
+                              line=face_numbers[low[0]])
     if not len(verts):
         raise MeshFormatError("no vertices in OBJ input")
     return TriMesh(verts, index - 1)

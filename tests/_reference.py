@@ -2,11 +2,17 @@
 
 Everything here is built directly from the mesh incidence arrays with
 dense numpy linear algebra or plain per-face loops, deliberately sharing
-no code with the package's mesh construction, operators or solver.
+no code with the package's mesh construction, operators or solver.  The
+file readers here are the record walk that splits every line of a text
+into a kept token list, from which they share only the error types.
 """
+
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+
+from msseg.errors import MeshFormatError, TopologyError
 
 
 def dense_operators(mesh):
@@ -281,8 +287,6 @@ def incidence_loops(faces):
     that gives an edge a third face, and returns the interior edges whose
     two faces traverse them in the same direction (inconsistent winding).
     """
-    from msseg.errors import TopologyError
-
     faces = np.asarray(faces, dtype=np.int64)
     edge_index = {}
     edges = []
@@ -493,3 +497,101 @@ def vectorial_rtgv_prescaled(mesh, u, v, alpha0):
     second = np.sum(mesh.face_areas[:, None]
                     * np.linalg.norm(dv, axis=1, keepdims=True))
     return float(first + alpha0 * second)
+
+
+# -- the record walk: every line split into a kept token list ----------------
+
+
+def records_split(text):
+    """``(line number, tokens)`` of each line left with a token once its
+    ``#`` comment is cut: the token lists of the whole file at once."""
+    lines = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    return [(n, tokens) for n, tokens in enumerate(lines, start=1) if tokens]
+
+
+def table_split(records, width, dtype, what):
+    """The first ``width`` tokens of each record as one (n, width) array,
+    or ``MeshFormatError`` naming the first record that is short or has a
+    token that does not convert (beyond int64, or finite beyond float64)."""
+    try:
+        table = np.fromiter(
+            chain.from_iterable(tokens[:width] for _, tokens in records),
+            dtype, count=len(records) * width).reshape(-1, width)
+        if not np.isinf(table).any():
+            return table
+    except (ValueError, OverflowError):
+        pass
+    for n, tokens in records:
+        try:
+            row = np.array(tokens[:width], dtype=dtype)
+        except (ValueError, OverflowError):
+            row = ()
+        if len(row) < width or any(np.isinf(x) and "inf" not in t.lower()
+                                   for x, t in zip(row, tokens)):
+            raise MeshFormatError(f"bad {what} line", line=n)
+    return table
+
+
+def off_arrays_split(text):
+    """Vertices and faces of an OFF text by the record walk, before any
+    mesh is built."""
+    records = records_split(text)
+    if not records:
+        raise MeshFormatError("empty OFF file")
+    (n, header), body = records[0], records[1:]
+    head = header[0]
+    if head[:3] != "OFF" or not (head[3:4] or "0").isdigit():
+        raise MeshFormatError("missing OFF header", line=n)
+    if head != "OFF":
+        header = ["OFF", head[3:]] + header[1:]
+    if len(header) > 1:
+        body = [(n, header[1:])] + body
+    if not body:
+        raise MeshFormatError("missing counts line")
+    nv, nf = table_split(body[:1], 2, np.int64, "counts")[0].tolist()
+    if nv < 0 or nf < 0:
+        raise MeshFormatError("bad counts line", line=body[0][0])
+    body = body[1:]
+    if len(body) < nv + nf:
+        raise MeshFormatError(f"expected {nv} vertex and {nf} face lines")
+    if len(body) > nv + nf:
+        raise MeshFormatError("more lines than the counts declare",
+                              line=body[nv + nf][0])
+    verts = table_split(body[:nv], 3, float, "vertex")
+    faces = table_split(body[nv:], 4, np.int64, "face")
+    other = np.flatnonzero(faces[:, 0] != 3)
+    if other.size:
+        raise TopologyError(f"line {body[nv + other[0]][0]}: only triangle "
+                            "faces are supported")
+    return verts, faces[:, 1:]
+
+
+def obj_arrays_split(text):
+    """Vertices and 0-based faces of an OBJ text by the record walk."""
+    verts, faces = [], []
+    for n, tokens in records_split(text):
+        if tokens[0] == "v":
+            verts.append((n, tokens[1:]))
+        elif tokens[0] == "f":
+            faces.append((n, [ref.split("/", 1)[0] for ref in tokens[1:]]))
+    verts = table_split(verts, 3, float, "vertex")
+    other = [n for n, refs in faces if len(refs) != 3]
+    if other:
+        raise TopologyError(f"line {other[0]}: only triangle faces are "
+                            "supported")
+    index = table_split(faces, 3, np.int64, "face")
+    low = np.flatnonzero((index < 1).any(axis=1))
+    if low.size:
+        raise MeshFormatError("only positive 1-based indices supported",
+                              line=faces[low[0]][0])
+    if not len(verts):
+        raise MeshFormatError("no vertices in OBJ input")
+    return verts, index - 1
+
+
+def seg_labels_split(text):
+    """Labels of a .seg text, each non-blank line one whole-line record."""
+    records = [(n, [line])
+               for n, line in enumerate(text.splitlines(), start=1)
+               if line.strip()]
+    return table_split(records, 1, np.int64, "label")[:, 0]
