@@ -48,13 +48,18 @@ def export_colored_mesh(mesh, labels, path):
 
     Each block is one ``%`` format of all its rows: ``%.9g`` per vertex
     coordinate, ``%d`` per face index and color channel, the text a
-    per-row f-string writer gives.
+    per-row f-string writer gives.  The first face with a negative label
+    raises ``ParameterError`` before anything is written.
     """
     labels = np.asarray(labels)
     if len(labels) != mesh.n_faces:
         raise ParameterError(
             f"{len(labels)} labels for {mesh.n_faces} faces"
         )
+    negative = np.flatnonzero(labels < 0)
+    if negative.size:
+        raise ParameterError(f"face {negative[0]} has negative label "
+                             f"{labels[negative[0]]}")
     header = [
         "ply",
         "format ascii 1.0",

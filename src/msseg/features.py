@@ -103,7 +103,8 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
             # ARPACK needs k < T; the request covers the whole spectrum
             w, V = np.linalg.eigh(L.toarray())
         else:
-            sigma = -1e-6 * max(max_diag, 1.0)
+            # relative: build_laplacian needs an interior edge, so max_diag > 0
+            sigma = -1e-6 * max_diag
             shifted = _DirectSolve(L - sigma * sp.identity(T),
                                    lambda x: L @ x - sigma * x)
             try:

@@ -51,22 +51,19 @@ class TriMesh:
         The faces as repaired.
     edges : (E, 2) int array
         Endpoint indices; each row is (low, high), which fixes the edge
-        direction low -> high.
-    face_edges : (T, 3) int array
-        Edge index of each face side, ordered as (v0,v1), (v1,v2), (v2,v0).
-    face_edge_signs : (T, 3) int array
-        +1 where the stored edge direction agrees with the face's
-        counterclockwise boundary traversal, -1 otherwise.
-    edge_faces : (E, 2) int array
-        Incident face indices, -1 padding for boundary edges.
+        direction low -> high.  Numbered in order of first appearance
+        among the face sides (v0,v1), (v1,v2), (v2,v0), face by face.
     boundary_edge : (E,) bool array
+        True on an edge with one incident face.
     face_areas : (T,) float array
     edge_lengths : (E,) float array
     face_normals : (T, 3) float array
         Unit normals following winding order.
     grad : (E, T) csr matrix
         The gradient, the signed incidence on interior edges: row e holds
-        sgn(tau, e) for each face tau, and is empty on a boundary edge.
+        sgn(tau, e) for each of its two faces tau, +1 where the edge
+        direction agrees with the face's counterclockwise traversal and
+        -1 otherwise, and is empty on a boundary edge.
     grad_tl : (T, E) csr matrix
         ``grad.T @ diag(edge_lengths)``, indices sorted: the length-weighted
         transpose that the divergence and the solver's right-hand sides
@@ -101,8 +98,7 @@ class TriMesh:
 
         self.vertices = vertices
         self.faces = faces
-        self._build_incidence()
-        self.components, flip = self._orient()
+        self.components, flip = self._orient(self._build_incidence())
         if flip.size:
             faces[flip] = faces[flip][:, [0, 2, 1]]
             self._build_incidence()
@@ -114,8 +110,7 @@ class TriMesh:
         self.grad_tl.sort_indices()
         self.S = self.grad_tl @ self.grad
         self.S.sum_duplicates()  # canonical: also sorts the indices
-        for arr in (self.vertices, self.faces, self.edges, self.face_edges,
-                    self.face_edge_signs, self.edge_faces, self.boundary_edge,
+        for arr in (self.vertices, self.faces, self.edges, self.boundary_edge,
                     self.face_areas, self.edge_lengths, self.face_normals,
                     self.components):
             arr.setflags(write=False)
@@ -125,6 +120,9 @@ class TriMesh:
     # -- construction ------------------------------------------------------
 
     def _build_incidence(self):
+        """Set ``edges``, ``boundary_edge`` and ``grad``; return the two
+        faces of each interior edge, in edge order, as an (I, 2) array.
+        The side tables they are built from are not kept."""
         faces = self.faces
         T = len(faces)
         # the 3T face sides, face-major: (v0,v1), (v1,v2), (v2,v0)
@@ -155,34 +153,29 @@ class TriMesh:
             )
 
         self.edges = np.column_stack([lo[first], hi[first]])
-        self.face_edges = side_edge.reshape(T, 3)
-        self.face_edge_signs = np.where(tail < head, 1, -1).reshape(T, 3)
-        interior = np.flatnonzero(counts == 2)
-        ef = np.full((len(counts), 2), -1, dtype=np.int64)
-        ef[:, 0] = by_edge[start] // 3
-        ef[interior, 1] = by_edge[start[interior] + 1] // 3
-        self.edge_faces = ef
-        self.boundary_edge = ef[:, 1] < 0
+        self.boundary_edge = counts < 2
         incidence = sp.csr_matrix(
-            (self.face_edge_signs.ravel().astype(float),
-             (self.face_edges.ravel(), np.repeat(np.arange(T), 3))),
+            (np.where(tail < head, 1.0, -1.0),
+             (side_edge, np.repeat(np.arange(T), 3))),
             shape=(len(counts), T))
         self.grad = (sp.diags((~self.boundary_edge).astype(float))
                      @ incidence).tocsr()
+        interior = start[~self.boundary_edge]
+        return np.column_stack([by_edge[interior], by_edge[interior + 1]]) // 3
 
-    def _orient(self):
+    def _orient(self, pairs):
         """Component labels, numbered by lowest face, and the faces wound
-        against the lowest-index face of their component.
+        against the lowest-index face of their component, from the face
+        ``pairs`` of the interior edges.
 
         Node t of the double cover is face t, node t + T face t reversed;
         faces that traverse their shared edge in the same direction join
         t to t' + T.  A face joined to its own reversal is non-orientable.
         """
         T = self.n_faces
-        interior = ~self.boundary_edge
-        f0, f1 = self.edge_faces[interior].T
+        f0, f1 = pairs.T
         # the gradient row of such an edge sums to +-2
-        cross = T * (np.abs(self.grad @ np.ones(T))[interior] == 2)
+        cross = T * (np.abs(self.grad @ np.ones(T))[~self.boundary_edge] == 2)
         cover = sp.csr_matrix(
             (np.ones(2 * len(f0)), (np.r_[f0, f0 + T],
                                     np.r_[f1 + cross, f1 + T - cross])),

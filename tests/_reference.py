@@ -1,10 +1,11 @@
 """Independent straight-line reference implementations used as oracles.
 
-Everything here is built directly from the mesh incidence arrays with
-dense numpy linear algebra or plain per-face loops, deliberately sharing
-no code with the package's mesh construction, operators or solver.  The
-file readers here are the record walk that splits every line of a text
-into a kept token list, from which they share only the error types.
+Everything here is built from the mesh's faces and geometry, with the
+incidence taken from :func:`incidence_loops`, by dense numpy linear algebra
+or plain per-face loops, deliberately sharing no code with the package's
+mesh construction, operators or solver.  The file readers here are the
+record walk that splits every line of a text into a kept token list, from
+which they share only the error types.
 """
 
 from itertools import chain
@@ -20,16 +21,18 @@ def dense_operators(mesh):
 
     The gradient is the incidence with its boundary-edge rows zeroed; the
     divergence is built from the gradient, so boundary edges carry no
-    flux."""
-    T, E = mesh.n_faces, mesh.n_edges
+    flux.  The incidence comes from :func:`incidence_loops` of the mesh's
+    faces, not from the mesh."""
+    ref = incidence_loops(mesh.faces)
+    T, E = mesh.n_faces, len(ref["edges"])
     A = np.array(mesh.face_areas)
     l = np.array(mesh.edge_lengths)
     Ginc = np.zeros((E, T))
     for t in range(T):
         for s in range(3):
-            Ginc[mesh.face_edges[t, s], t] += mesh.face_edge_signs[t, s]
+            Ginc[ref["face_edges"][t, s], t] += ref["face_edge_signs"][t, s]
     Gb = Ginc.copy()
-    Gb[np.array(mesh.boundary_edge)] = 0.0
+    Gb[ref["edge_faces"][:, 1] < 0] = 0.0
     Dmat = -(Gb.T * l) / A[:, None]
     return A, l, Ginc, Gb, Dmat
 
@@ -220,7 +223,8 @@ def dense_spectral_channels(laplacian, areas, n_channels):
 def indicator_bases(mesh):
     """Component indicators and their contrasts by Gram-Schmidt.
 
-    Components come from the interior edges of ``mesh.edge_faces``.
+    Components come from the interior edges of the ``edge_faces`` table
+    that :func:`incidence_loops` builds from the mesh's faces.
     Returns the unit indicator columns, in component order, and the
     indicators 1..C-1 orthonormalized against the global constant and
     each other in that order (no columns for a connected mesh).
@@ -229,7 +233,8 @@ def indicator_bases(mesh):
     from scipy.sparse.csgraph import connected_components
 
     n_faces = mesh.n_faces
-    f0, f1 = mesh.edge_faces[~mesh.boundary_edge].T
+    edge_faces = incidence_loops(mesh.faces)["edge_faces"]
+    f0, f1 = edge_faces[edge_faces[:, 1] >= 0].T
     graph = coo_matrix((np.ones(len(f0)), (f0, f1)), shape=(n_faces, n_faces))
     n_comp, labels = connected_components(graph, directed=False)
     indicators = np.zeros((n_faces, n_comp))
@@ -362,10 +367,11 @@ def orient_loop(faces):
 
 def neighbor_lists(mesh, ring):
     """Per-face sorted ``n1`` (edge-adjacent) or ``n2`` (vertex-adjacent)
-    neighborhoods, the face itself included, built from Python sets."""
+    neighborhoods, the face itself included, built from Python sets; the
+    ``n1`` adjacency comes from :func:`incidence_loops`."""
     lists = [{t} for t in range(mesh.n_faces)]
     if ring == "n1":
-        for f0, f1 in mesh.edge_faces.tolist():
+        for f0, f1 in incidence_loops(mesh.faces)["edge_faces"].tolist():
             if f1 >= 0:
                 lists[f0].add(f1)
                 lists[f1].add(f0)

@@ -35,6 +35,7 @@ from _meshes import (
     random_patch,
     square_axis_pair,
 )
+from _reference import incidence_loops
 
 
 def interior_field(mesh, rng, n=1):
@@ -60,8 +61,9 @@ def test_gradient_two_face_jump():
     g = gradient(mesh, np.array([a, b]))
     interior = np.nonzero(~mesh.boundary_edge)[0]
     e = interior[0]
-    f0 = mesh.edge_faces[e, 0]
-    s0 = mesh.face_edge_signs[f0][mesh.face_edges[f0] == e][0]
+    ref = incidence_loops(mesh.faces)
+    f0 = ref["edge_faces"][e, 0]
+    s0 = ref["face_edge_signs"][f0][ref["face_edges"][f0] == e][0]
     expected = s0 * (a - b) if f0 == 0 else s0 * (b - a)
     assert g[e, 0] == pytest.approx(expected, abs=1e-15)
     assert np.allclose(g[mesh.boundary_edge], 0.0)
@@ -98,9 +100,10 @@ def test_divergence_equilateral_hand_value():
     # p aligned with every face-edge sign: all three edges are boundary
     # edges, outside the range of the gradient, so they carry no flux
     mesh = equilateral()
+    ref = incidence_loops(mesh.faces)
     p = np.zeros((3, 1))
     for s in range(3):
-        p[mesh.face_edges[0, s], 0] = mesh.face_edge_signs[0, s]
+        p[ref["face_edges"][0, s], 0] = ref["face_edge_signs"][0, s]
     assert divergence(mesh, p)[0, 0] == 0.0
 
 
@@ -248,24 +251,25 @@ def test_rtgv_brute_force_oracle():
         u = rng.normal(size=(mesh.n_faces, 1))
         v = rng.normal(size=(mesh.n_edges, 1))
         alpha0 = 1.7
-        # independent summation straight from the incidence arrays; the
-        # gradient and the divergence both skip boundary edges
+        # independent summation straight from the loop-built incidence
+        # arrays; the gradient and the divergence both skip boundary edges
+        ref = incidence_loops(mesh.faces)
+        face_edges, signs = ref["face_edges"], ref["face_edge_signs"]
         first = 0.0
         for e in range(mesh.n_edges):
             g = np.zeros(1)
             if not mesh.boundary_edge[e]:
-                for t in mesh.edge_faces[e]:
-                    s = mesh.face_edge_signs[t][mesh.face_edges[t] == e][0]
+                for t in ref["edge_faces"][e]:
+                    s = signs[t][face_edges[t] == e][0]
                     g += s * u[t]
             first += mesh.edge_lengths[e] * np.abs(g - v[e]).sum()
         second = 0.0
         for t in range(mesh.n_faces):
             d = np.zeros(1)
             for s in range(3):
-                e = mesh.face_edges[t, s]
+                e = face_edges[t, s]
                 if not mesh.boundary_edge[e]:
-                    d -= mesh.face_edge_signs[t, s] * mesh.edge_lengths[e] \
-                        * v[e]
+                    d -= signs[t, s] * mesh.edge_lengths[e] * v[e]
             d /= mesh.face_areas[t]
             second += mesh.face_areas[t] * np.abs(d).sum()
         expected = first + alpha0 * second

@@ -76,6 +76,19 @@ def test_export_colored_mesh_label_count_mismatch(tmp_path):
         export_colored_mesh(mesh, [0, 1], tmp_path / "x.ply")
 
 
+@pytest.mark.parametrize("bad", [-1, -19, -20])
+def test_export_colored_mesh_rejects_negative_labels(tmp_path, bad):
+    # -1 and -19 would index the palette from its end, -20 past it
+    mesh = dumbbell(n_sphere=4, n_around=6)
+    labels = np.zeros(mesh.n_faces, dtype=np.int64)
+    labels[3], labels[5] = bad, -2
+    path = tmp_path / "x.ply"
+    with pytest.raises(ParameterError,
+                       match=f"^face 3 has negative label {bad}$"):
+        export_colored_mesh(mesh, labels, path)
+    assert not path.exists()
+
+
 def test_export_distinct_colors_per_label(tmp_path):
     mesh = dumbbell(n_sphere=4, n_around=6)
     labels = np.arange(mesh.n_faces) % 3

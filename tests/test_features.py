@@ -33,8 +33,16 @@ from _meshes import (
 from _reference import (
     dense_feature_field,
     dense_spectral_channels,
+    incidence_loops,
     indicator_bases,
 )
+
+
+def _interior_pairs(mesh):
+    """The two faces of each interior edge, in edge order, from the loop
+    oracle's incidence."""
+    edge_faces = incidence_loops(mesh.faces)["edge_faces"]
+    return edge_faces[edge_faces[:, 1] >= 0]
 
 
 # -- normal distance, read off the Laplacian weights --------------------------
@@ -56,7 +64,8 @@ def _laplacian_distance_check(i, j, d):
     # faces i and j share
     mesh = _known_distance_mesh()
     L = build_laplacian(mesh, "raw")
-    shared = np.intersect1d(mesh.face_edges[i], mesh.face_edges[j])
+    face_edges = incidence_loops(mesh.faces)["face_edges"]
+    shared = np.intersect1d(face_edges[i], face_edges[j])
     length = mesh.edge_lengths[shared].sum()
     assert -L[i, j] == pytest.approx(length * np.exp(-d / 2.8), rel=1e-12)
     assert L[i, j] == L[j, i]
@@ -77,7 +86,7 @@ def test_normal_distance_antipodal_is_four():
 def test_normal_distance_range():
     mesh = random_closed(40, seed=2)
     normals = smoothed_normals(mesh, "n2")
-    fi, fj = mesh.edge_faces[~mesh.boundary_edge].T
+    fi, fj = _interior_pairs(mesh).T
     d = np.array([np.sum((normals[a] - normals[b]) ** 2)
                   for a, b in zip(fi, fj)])
     assert ((0.0 <= d) & (d <= 4.0)).all()
@@ -194,6 +203,24 @@ def test_eigen_residual_gate_is_relative_to_the_laplacian(scale):
     assert np.abs(field.values - base.values).max() <= 1e-8
     assert field.eigenvalues[0] == pytest.approx(
         base.eigenvalues[0] * scale, rel=1e-6)
+
+
+def test_eigensolve_shift_is_relative_to_the_laplacian(monkeypatch):
+    # a shift that scales with L keeps ARPACK's shift-invert iteration,
+    # and so its number of solves, the same at every scale
+    calls = []
+    solve = features._DirectSolve.__call__
+    monkeypatch.setattr(features._DirectSolve, "__call__",
+                        lambda self, rhs: calls.append(1) or solve(self, rhs))
+    mesh = dumbbell()
+    base = feature_field(mesh, 2)
+    base_calls = len(calls)
+    assert base_calls > 0
+    for scale in (1e-6, 1e-3, 1e3, 1e6):
+        calls.clear()
+        field = feature_field(TriMesh(mesh.vertices * scale, mesh.faces), 2)
+        assert len(calls) <= 2 * base_calls, scale
+        assert np.abs(field.values - base.values).max() <= 1e-8, scale
 
 
 def test_channels_mutually_orthogonal():
@@ -387,7 +414,7 @@ def test_feature_field_rejects_an_unknown_ring():
 def test_laplacian_matches_edge_loop():
     mesh = random_patch(200, seed=5)  # dbar is taken over interior edges
     normals = smoothed_normals(mesh)
-    pairs = mesh.edge_faces[~mesh.boundary_edge]
+    pairs = _interior_pairs(mesh)
     lengths = mesh.edge_lengths[~mesh.boundary_edge]
     d = [np.sum((normals[i] - normals[j]) ** 2) for i, j in pairs]
     dbar = np.mean(d)

@@ -67,9 +67,10 @@ def test_square_diagonal_pair_incidence():
     interior = np.nonzero(~mesh.boundary_edge)[0]
     assert interior.size == 1
     e = interior[0]
-    f0, f1 = mesh.edge_faces[e]
-    s0 = mesh.face_edge_signs[f0][mesh.face_edges[f0] == e][0]
-    s1 = mesh.face_edge_signs[f1][mesh.face_edges[f1] == e][0]
+    # the interior row of the gradient holds the edge's sign in each face
+    row = mesh.grad[e]
+    assert sorted(row.indices.tolist()) == [0, 1]
+    s0, s1 = row.data
     assert s0 == -s1
 
 
@@ -158,7 +159,8 @@ def test_inconsistent_winding_warns():
         mesh = TriMesh(verts, faces)
     twin = load_off(SQUARE_DIAGONAL_OFF)
     assert np.array_equal(mesh.faces, twin.faces)
-    assert np.array_equal(mesh.face_edge_signs, twin.face_edge_signs)
+    assert np.array_equal(mesh.edges, twin.edges)
+    assert (mesh.grad != twin.grad).nnz == 0
     # a constant has no jump across the repaired interior edge
     assert not (mesh.grad @ np.ones(2)).any()
 
@@ -359,8 +361,7 @@ def test_loading_is_deterministic():
     a = load_off(TETRA_OFF)
     b = load_off(TETRA_OFF)
     assert np.array_equal(a.edges, b.edges)
-    assert np.array_equal(a.face_edges, b.face_edges)
-    assert np.array_equal(a.face_edge_signs, b.face_edge_signs)
+    assert (a.grad != b.grad).nnz == 0
 
 
 # -- incidence invariants ----------------------------------------------------
@@ -379,33 +380,31 @@ def test_edge_lengths_and_areas():
 
 
 def test_incidence_signs_reproduce_face_loops():
-    # un-flipping each edge by its sign recovers the counterclockwise
-    # boundary traversal of every face
+    # un-flipping each edge of a face's gradient column by its sign
+    # recovers the counterclockwise boundary traversal of the face; on a
+    # closed mesh every edge is interior, so each column holds all three
     for mesh in (load_off(TETRA_OFF), random_closed(25, seed=3)):
-        for t, face in enumerate(mesh.faces):
-            for s in range(3):
-                e = mesh.face_edges[t, s]
-                lo, hi = mesh.edges[e]
-                if mesh.face_edge_signs[t, s] == 1:
-                    directed = (lo, hi)
-                else:
-                    directed = (hi, lo)
-                assert directed == (face[s], face[(s + 1) % 3])
+        columns = mesh.grad.tocsc()
+        for t, (a, b, c) in enumerate(mesh.faces.tolist()):
+            col = slice(columns.indptr[t], columns.indptr[t + 1])
+            directed = set()
+            for e, sign in zip(columns.indices[col], columns.data[col]):
+                lo, hi = mesh.edges[e].tolist()
+                directed.add((lo, hi) if sign == 1 else (hi, lo))
+            assert directed == {(a, b), (b, c), (c, a)}
 
 
 def test_closed_mesh_signed_edge_vectors_cancel():
     for seed in (0, 1, 2):
         mesh = random_closed(40, seed=seed)
         v = mesh.vertices
-        total = np.zeros(3)
-        for t in range(mesh.n_faces):
-            for s in range(3):
-                e = mesh.face_edges[t, s]
-                vec = v[mesh.edges[e, 1]] - v[mesh.edges[e, 0]]
-                unit = vec / np.linalg.norm(vec)
-                total += mesh.face_edge_signs[t, s] * unit \
-                    * mesh.edge_lengths[e]
-        assert np.linalg.norm(total) < 1e-10
+        vec = v[mesh.edges[:, 1]] - v[mesh.edges[:, 0]]
+        unit = vec / np.linalg.norm(vec, axis=1)[:, None]
+        # every edge of a closed mesh is interior, so the gradient's
+        # column of a face signs all three of its edges
+        per_face = mesh.grad.T @ (unit * mesh.edge_lengths[:, None])
+        assert np.linalg.norm(per_face, axis=1).max() < 1e-10
+        assert np.linalg.norm(per_face.sum(axis=0)) < 1e-10
 
 
 def test_neighborhood_symmetry():
