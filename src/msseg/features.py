@@ -103,8 +103,7 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
             # ARPACK needs k < T; the request covers the whole spectrum
             w, V = np.linalg.eigh(L.toarray())
         else:
-            # relative: build_laplacian needs an interior edge, so max_diag > 0
-            sigma = -1e-6 * max_diag
+            sigma = -1e-6 * max(max_diag, 1.0)
             shifted = _DirectSolve(L - sigma * sp.identity(T),
                                    lambda x: L @ x - sigma * x)
             try:

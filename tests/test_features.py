@@ -205,24 +205,6 @@ def test_eigen_residual_gate_is_relative_to_the_laplacian(scale):
         base.eigenvalues[0] * scale, rel=1e-6)
 
 
-def test_eigensolve_shift_is_relative_to_the_laplacian(monkeypatch):
-    # a shift that scales with L keeps ARPACK's shift-invert iteration,
-    # and so its number of solves, the same at every scale
-    calls = []
-    solve = features._DirectSolve.__call__
-    monkeypatch.setattr(features._DirectSolve, "__call__",
-                        lambda self, rhs: calls.append(1) or solve(self, rhs))
-    mesh = dumbbell()
-    base = feature_field(mesh, 2)
-    base_calls = len(calls)
-    assert base_calls > 0
-    for scale in (1e-6, 1e-3, 1e3, 1e6):
-        calls.clear()
-        field = feature_field(TriMesh(mesh.vertices * scale, mesh.faces), 2)
-        assert len(calls) <= 2 * base_calls, scale
-        assert np.abs(field.values - base.values).max() <= 1e-8, scale
-
-
 def test_channels_mutually_orthogonal():
     field = feature_field(random_closed(80, seed=11), 5)
     v = field.values / np.linalg.norm(field.values, axis=0)
