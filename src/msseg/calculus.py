@@ -210,40 +210,13 @@ def vectorial_rtgv(mesh, u, v, alpha0):
 def row_norms(x):
     """Euclidean norm of each row of a ``(rows, n)`` array.
 
-    The squares are summed column by column, each step over all rows at
-    once, where a reduction along the short row axis runs row by row.
-    :func:`_pairwise_sum` adds them in numpy's order, so the result
-    equals ``np.linalg.norm(x, axis=1)`` of a C-ordered ``x`` bitwise.
+    The squares are summed column by column in channel order, each step
+    over all rows at once, where a reduction along the short row axis runs
+    row by row.  Below 8 columns that is numpy's own order, so the result
+    equals ``np.linalg.norm(x, axis=1)`` bitwise; from 8 on numpy sums
+    pairwise and the two differ by rounding.
     """
     squares = np.square(x.T, out=np.empty(x.shape[::-1]))  # a row each
-    return np.sqrt(_pairwise_sum(squares))
-
-
-def _pairwise_sum(terms):
-    """Sum of the rows of the ``(n, m)`` array ``terms``, added in the
-    order of numpy's pairwise summation of ``n`` contiguous numbers.
-
-    Below 8 rows they add in sequence.  Up to 128, 8 running sums take
-    every 8th row of the whole blocks of 8, combine as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, and the rest
-    adds in sequence; above that the two halves split at a multiple of 8.
-    So ``_pairwise_sum(x.T.copy())`` equals ``x.sum(axis=1)`` bitwise for
-    a C-ordered ``x``, while each addition runs over all ``m`` columns at
-    once.  The sums accumulate in place: ``terms`` is overwritten.
-    """
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    if n < 8:
-        for j in range(1, n):
-            terms[0] += terms[j]
-        return terms[0]
-    whole = n - n % 8
-    for j in range(8, whole):
-        terms[j % 8] += terms[j]
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        terms[a] += terms[b]
-    for j in range(whole, n):
-        terms[0] += terms[j]
-    return terms[0]
+    for row in squares[1:]:
+        squares[0] += row
+    return np.sqrt(squares[0])

@@ -12,6 +12,7 @@ instances are safe to share between threads.
 import re
 import warnings
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -439,7 +440,8 @@ def load_mesh(source, fmt):
 
 def load_mesh_file(path):
     """Load a mesh file, inferring the format from the extension."""
-    path = str(path)
-    fmt = path.rsplit(".", 1)[-1].lower()
+    fmt = Path(path).suffix[1:]
+    if not fmt:
+        raise MeshFormatError(f"no file extension in {Path(path).name!r}")
     with open(path, "rb") as fh:
         return load_mesh(fh.read(), fmt)

@@ -184,16 +184,18 @@ def s_field(f, b, mu):
     """Per-face, per-class squared misfit ||f - b - mu_k||^2; ``b`` may be 0.
 
     One class at a time and channel by channel, each step over all faces
-    at once: no (T, K, n) temporary, and the channel sums add in numpy's
-    pairwise order (:func:`msseg.calculus._pairwise_sum`), so the result
-    is bitwise that of summing ``(f - b - mu_k) ** 2`` along the rows.
+    at once: no (T, K, n) temporary.  The squares add in channel order,
+    numpy's own order below 8 channels, so there the result is bitwise
+    that of summing ``(f - b - mu_k) ** 2`` along the rows.
     """
     g = np.ascontiguousarray((f - b).T)  # one contiguous row per channel
     out = np.empty((g.shape[1], mu.shape[0]))
     for k, m in enumerate(mu):
         d = g - m[:, None]
         d *= d
-        out[:, k] = calc._pairwise_sum(d)
+        for row in d[1:]:
+            d[0] += row
+        out[:, k] = d[0]
     return out
 
 
@@ -427,23 +429,18 @@ def admm_inner(mesh, f, state, systems, lane):
     handed to ``lane``.  Every coefficient, the data weight included,
     comes from ``systems.params``, which carries a resolved alpha.
     """
-    # without b_solve, b stays 0 and mu is fixed here: one misfit serves
-    # every sweep
-    fixed = s_field(f, state.b, state.mu) if systems.b_solve is None \
-        else None
     for _ in range(systems.params.inner_iters):
-        _sweep(mesh, f, state, systems, lane, fixed)
+        _sweep(mesh, f, state, systems, lane)
     return state
 
 
-def _sweep(mesh, f, state, systems, lane, fixed):
-    """One sweep of :func:`admm_inner`; ``fixed`` is the misfit when it
-    does not change, else ``None``.  The sweep's temporaries (``grad u``,
-    ``div v``, the misfit) end with it, so none is held through the next
-    sweep's solves."""
+def _sweep(mesh, f, state, systems, lane):
+    """One sweep of :func:`admm_inner`.  The sweep's temporaries (``grad
+    u``, ``div v``, the misfit) end with it, so none is held through the
+    next sweep's solves."""
     params = systems.params
     r_p, r_q, r_z = params.r_p, params.r_q, params.r_z
-    s = s_field(f, state.b, state.mu) if fixed is None else fixed
+    s = s_field(f, state.b, state.mu)
     state.z = update_z(state.u, state.lam_z, s, params.alpha, r_z)
     if systems.b_solve is not None:
         b_next = solve_b(mesh, f, state.z, state.mu, systems, lane)

@@ -1,10 +1,16 @@
-"""The package's public names: every export resolves, and the README
-lists exactly the exports."""
+"""The package's public names: every export resolves, the README lists
+exactly the exports, and every `module.name` the README cites resolves."""
 
 import re
 from pathlib import Path
 
 import msseg
+from msseg import calculus, cli, evaluation, features, mesh, solver
+from msseg.solver import SolverParams, Systems
+
+from _meshes import TETRA_OFF
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 def test_exports_resolve_and_are_listed():
@@ -14,6 +20,23 @@ def test_exports_resolve_and_are_listed():
 
 
 def test_readme_public_api_names_exactly_the_exports():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = README.read_text()
     paragraph = readme.split("Public API:", 1)[1].split("\n\n", 1)[0]
     assert set(re.findall(r"`(\w+)`", paragraph)) == set(msseg.__all__)
+
+
+def test_readme_code_references_resolve():
+    # a backticked `module.name` in the README names an attribute of that
+    # module or class, or of a built TriMesh or Systems
+    tetra = mesh.load_off(TETRA_OFF)
+    systems = Systems(tetra, SolverParams(k=2, mode="gpsms", alpha=1.0))
+    owners = {"calculus": [calculus], "solver": [solver],
+              "features": [features], "cli": [cli],
+              "evaluation": [evaluation], "Systems": [Systems, systems],
+              "mesh": [mesh, tetra]}
+    refs = set(re.findall(r"`(%s)\.(\w+)" % "|".join(owners),
+                          README.read_text()))
+    assert refs
+    missing = [f"{owner}.{name}" for owner, name in sorted(refs)
+               if not any(hasattr(o, name) for o in owners[owner])]
+    assert not missing

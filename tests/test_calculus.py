@@ -12,7 +12,6 @@ import scipy.sparse as sp
 from msseg.calculus import (
     BiharmonicPrior,
     _DirectSolve,
-    _pairwise_sum,
     divergence,
     gradient,
     inner_U,
@@ -310,25 +309,20 @@ def test_rtgv_parameter_and_shape_errors():
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_row_norms_match_linalg_norm(n):
-    # the column-by-column sum adds the squares in the order of numpy's
-    # pairwise summation, in sequence below 8 terms and in 8 running sums
-    # from 8 on, so the two agree bitwise at every width and layout
+    # the squares add column by column in channel order at every width and
+    # layout; below 8 terms that is numpy's order too, so the norms are
+    # bitwise np.linalg.norm's there, while from 8 on numpy sums pairwise
     rng = np.random.default_rng(60 + n)
     x = rng.normal(size=(2000, n))
     x[0] = 0.0
-    want = np.linalg.norm(x, axis=1)
+    in_order = x[:, 0] ** 2
+    for j in range(1, n):
+        in_order = in_order + x[:, j] ** 2
     for layout in (x, np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]):
-        assert np.array_equal(row_norms(layout), want)
-
-
-@pytest.mark.parametrize("n", list(range(1, 21)) + [128, 129, 300])
-def test_pairwise_sum_matches_row_sum(n):
-    # numpy sums a contiguous row pairwise: in sequence below 8 terms, in 8
-    # running sums up to 128, and in halves above
-    rng = np.random.default_rng(80 + n)
-    x = rng.normal(size=(500, n)) * rng.lognormal(size=n) * 1e3
-    got = _pairwise_sum(x.T.copy())
-    assert np.array_equal(got, x.sum(axis=1))
+        got = row_norms(layout)
+        assert np.array_equal(got, np.sqrt(in_order))
+        if n < 8:
+            assert np.array_equal(got, np.linalg.norm(x, axis=1))
 
 
 def test_edge_lengths_are_not_broadcast_in_solver_or_calculus():

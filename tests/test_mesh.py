@@ -355,6 +355,22 @@ def test_load_mesh_file_infers_format(tmp_path):
     path = tmp_path / "tri.off"
     path.write_text(RIGHT_TRIANGLE_OFF)
     assert load_mesh_file(path).n_faces == 1
+    upper = tmp_path / "MODEL.OFF"
+    upper.write_text(RIGHT_TRIANGLE_OFF)
+    assert load_mesh_file(str(upper)).n_faces == 1
+
+
+@pytest.mark.parametrize("parent", ["scans", "scans.v2"])
+def test_load_mesh_file_without_extension(tmp_path, parent):
+    # the format comes from the file name alone, not from a dot further up
+    # the path
+    path = tmp_path / parent / "bunny"
+    path.parent.mkdir()
+    path.write_text(RIGHT_TRIANGLE_OFF)
+    for name in (path, str(path)):
+        with pytest.raises(MeshFormatError,
+                           match=r"^no file extension in 'bunny'$"):
+            load_mesh_file(name)
 
 
 def test_loading_is_deterministic():

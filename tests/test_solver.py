@@ -230,11 +230,16 @@ def test_s_field_bitwise_equal_to_broadcast_form(T, K, n):
     f = rng.normal(size=(T, n)) * 10.0
     b = rng.normal(size=(T, n))
     mu = rng.normal(size=(K, n)) * 3.0
-    broadcast = ((f[:, None, :] - b[:, None, :] - mu[None]) ** 2).sum(axis=2)
-    assert np.array_equal(s_field(f, b, mu), broadcast)
-    # b = 0: the k-means distance of init_labels and _kmeans_pp
-    broadcast = ((f[:, None, :] - mu[None]) ** 2).sum(axis=2)
-    assert np.array_equal(s_field(f, 0.0, mu), broadcast)
+    # smooth = 0: the k-means distance of init_labels and _kmeans_pp
+    for smooth in (b, 0.0):
+        squares = ((f - smooth)[:, None, :] - mu[None]) ** 2
+        in_order = squares[:, :, 0]
+        for j in range(1, n):
+            in_order = in_order + squares[:, :, j]
+        got = s_field(f, smooth, mu)
+        assert np.array_equal(got, in_order)
+        if n < 8:  # numpy's row sums add in sequence below 8 terms
+            assert np.array_equal(got, squares.sum(axis=2))
 
 
 def test_update_z_fixed_point():
@@ -995,8 +1000,8 @@ def admm_inner_plain(mesh, f, state, systems, lane):
 def test_segment_replays_bitwise_with_the_plain_sweep(make_mesh, mode, k,
                                                       monkeypatch):
     # the sweep as split into _sweep, with one grad u for the v- and
-    # p-steps and the misfit kept through the sweeps of pcms, against the
-    # reference steps with b solved serially and the misfit formed anew
+    # p-steps, against the reference steps with b solved serially; both
+    # form the misfit anew in every sweep, pcms's too
     mesh = make_mesh()
     f = feature_field(mesh, k).values
     params = SolverParams(k=k, mode=mode, max_outer=8, seed=1)
