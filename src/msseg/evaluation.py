@@ -8,18 +8,17 @@ score 0.
 import numpy as np
 
 from .errors import DimensionError
-from .mesh import _table
+from .mesh import _as_text, _table
 
 
 def parse_seg(source):
-    """Parse a .seg byte stream: one integer label per line, line i is
-    the label of face i; blank lines are skipped.  The non-blank lines go
-    whole into one conversion (``int()`` ignores the blanks around a
-    label and rejects a second token), and they are numbered only if it
-    fails: a line that is not one int64 integer raises
-    ``MeshFormatError`` naming it."""
-    if isinstance(source, bytes):
-        source = source.decode("utf-8", errors="replace")
+    """Parse a .seg stream (text, bytes or a file object, decoded as by
+    ``load_off``): one integer label per line, line i is the label of face
+    i; blank lines are skipped.  The non-blank lines go whole into one
+    conversion (``int()`` ignores the blanks around a label and rejects a
+    second token), and they are numbered only if it fails: a line that is
+    not one int64 integer raises ``MeshFormatError`` naming it."""
+    source = _as_text(source)
     lines = [line for line in source.splitlines()
              if line and not line.isspace()]
 

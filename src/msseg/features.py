@@ -43,7 +43,7 @@ class FeatureField:
     """Spectral features: one column per retained eigenvector.
 
     ``values`` has ``n_segments - 1`` columns, each rescaled to unit
-    area-weighted variance (the applied factors are kept in ``scales``).
+    area-weighted variance (``scales`` holds the applied factors).
     Eigenvectors have zero plain mean by construction, so rescaling
     preserves the eigenpair property recorded in ``eigenvalues``.
     """
@@ -66,9 +66,10 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
     increasing positive eigenvalue follow.  Every channel gets a
     deterministic sign (first entry of magnitude above tolerance is
     positive).  The eigenpairs come from a shift-invert ARPACK solve
-    through ``_DirectSolve`` at every size; a dense ``eigh`` serves only a
-    request that covers the whole spectrum.  Every eigenpair passes the
-    solves' gate, ``calculus._gate``, or ``NumericError`` names its channel.
+    through ``_DirectSolve``.  A dense ``eigh`` serves any request of ``T``
+    or more pairs, which ARPACK cannot make (at ``T = 4`` and 2 segments
+    it returns 4 pairs for 1 channel).  Every eigenpair passes the solves'
+    gate, ``calculus._gate``, or ``NumericError`` names its channel.
     """
     check_integer("n_segments", n_segments)
     if n_segments < 2:
@@ -88,19 +89,18 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
     n_comp = len(size)
     # the contrasts of the docstring; rest[k] is N_k
     rest = size[0] + np.cumsum(size[::-1])[::-1]
-    channels = []
+    # (vector, eigenvalue) pairs: the contrasts, then eigenvectors
+    pairs = []
     for k in range(1, min(n_comp - 1, k_needed) + 1):
         x = (comp == k) - size[k] / rest[k] * ((comp == 0) | (comp >= k))
-        channels.append(x / np.linalg.norm(x))
-    eigvals = [0.0] * len(channels)
-    vecs_needed = k_needed - len(channels)
+        pairs.append((x / np.linalg.norm(x), 0.0))
 
-    if vecs_needed > 0:
+    if len(pairs) < k_needed:
         # the indicator span contributes one (uninformative) kernel vector
         # per component on top of the channels we still need
-        k_solve = vecs_needed + n_comp + 2
+        k_solve = k_needed - len(pairs) + n_comp + 2
         if k_solve >= T:
-            # ARPACK needs k < T; the request covers the whole spectrum
+            # ARPACK needs k < T; eigh returns all T pairs
             w, V = np.linalg.eigh(L.toarray())
         else:
             sigma = -1e-6 * max(max_diag, 1.0)
@@ -119,42 +119,30 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
         # keep eigenvectors outside the component-indicator span; the ones
         # inside it are the near-constant kernel directions (one per
         # component) whose informative contrasts are already channels
-        kept = 0
-        for idx in range(V.shape[1]):
-            x = V[:, idx]
-            outside = x - (np.bincount(comp, x) / size)[comp]
-            if np.linalg.norm(outside) < 0.5:
-                continue
-            channels.append(x)
-            eigvals.append(float(w[idx]))
-            kept += 1
-            if kept == vecs_needed:
+        for x, lam in zip(V.T, w):
+            if len(pairs) == k_needed:
                 break
-        if kept < vecs_needed:
-            raise FeatureError(
-                f"only {kept} informative eigenpairs available, "
-                f"need {vecs_needed}"
-            )
+            if np.linalg.norm(x - (np.bincount(comp, x) / size)[comp]) >= 0.5:
+                pairs.append((x, float(lam)))
+        if len(pairs) < k_needed:
+            raise FeatureError(f"only {len(pairs)} informative channels "
+                               f"available, need {k_needed}")
 
-    values = np.column_stack(channels)
-    eigvals = np.array(eigvals)
-
-    # the solves' gate, with |L|_inf = 2 max_diag exact (zero row sums,
-    # off-diagonals <= 0)
+    values = np.column_stack([x for x, _ in pairs])
+    eigvals = np.array([lam for _, lam in pairs])
+    scales = np.empty(k_needed)
+    areas = mesh.face_areas
+    total = areas.sum()
     for j, lam in enumerate(eigvals):
         x = values[:, j]
+        # the solves' gate, with |L|_inf = 2 max_diag exact (zero row sums,
+        # off-diagonals <= 0)
         try:
             _gate(x, L @ x - lam * x, 0.0, 2 * max_diag + abs(lam))
         except NumericError as exc:
             raise NumericError(f"eigenpair of channel {j} (eigenvalue "
                                f"{lam:.6e}): {exc}") from None
-
-    # unit area-weighted variance; sign: first sizable entry positive
-    areas = mesh.face_areas
-    total = areas.sum()
-    scales = np.empty(values.shape[1])
-    for j in range(values.shape[1]):
-        x = values[:, j]
+        # unit area-weighted variance; sign: first sizable entry positive
         mean = float(areas @ x) / total
         var = float(areas @ (x - mean) ** 2) / total
         s = 1.0 / np.sqrt(var) if var > 0 else 1.0

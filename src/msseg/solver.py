@@ -342,7 +342,8 @@ def init_labels(f, areas, k, seed):
     """Seeded, area-weighted k-means on feature rows.
 
     Returns the class means and the one-hot nearest-center label field.
-    Restarts (fresh RNG stream) on an empty cluster, up to 20 times.
+    Restarts, drawing on from the same generator, when a Lloyd step leaves
+    a class with no mass, up to 20 times.
     """
     T = f.shape[0]
     if not 2 <= k <= T:
@@ -357,18 +358,13 @@ def init_labels(f, areas, k, seed):
             if assign is not None and np.array_equal(new_assign, assign):
                 break
             assign = new_assign
-            ok = True
-            for c in range(k):
-                m = assign == c
-                wsum = weights[m].sum()
-                if wsum <= 0:
-                    ok = False
-                    break
-                centers[c] = (weights[m, None] * f[m]).sum(axis=0) / wsum
-            if not ok:
+            masks = [assign == c for c in range(k)]
+            mass = [weights[m].sum() for m in masks]
+            if min(mass) <= 0:
                 break
-        counts = np.bincount(assign, minlength=k)
-        if (counts > 0).all():
+            for c, m in enumerate(masks):
+                centers[c] = (weights[m, None] * f[m]).sum(axis=0) / mass[c]
+        if min(mass) > 0:
             u0 = np.zeros((T, k))
             u0[np.arange(T), assign] = 1.0
             return centers, u0

@@ -1,5 +1,7 @@
 """Ground-truth parsing and Rand-Index dissimilarity scoring."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ def test_parse_seg_repeated_label():
 
 def test_parse_seg_bytes_and_blank_lines():
     assert np.array_equal(parse_seg(b"1\n\n 2 \n"), [1, 2])
+
+
+def test_parse_seg_reads_a_file_object():
+    data = b"1\n\n 2 \n0\r\n"
+    want = parse_seg(data)
+    assert np.array_equal(parse_seg(io.BytesIO(data)), want)
+    assert np.array_equal(parse_seg(io.StringIO(data.decode())), want)
 
 
 def test_parse_seg_bad_line_reports_number():

@@ -841,6 +841,57 @@ def test_init_labels_bad_k():
         init_labels(np.zeros((3, 1)), np.ones(3), 5, seed=0)
 
 
+def test_init_labels_gives_up_after_20_restarts_of_empty_classes():
+    # two distinct rows for three classes: the third center of every
+    # k-means++ draw comes from the zero-score fallback and duplicates one
+    # of the first two, and the duplicate's class is empty
+    f = np.repeat([[0.0], [1.0]], 5, axis=0)
+    with pytest.raises(InitializationError,
+                       match="^empty cluster after 20 restarts$"):
+        init_labels(f, np.ones(10), 3, seed=0)
+
+
+def _recording_kmeans_pp(monkeypatch, first):
+    """Replace ``_kmeans_pp``: its first call returns ``first``, later
+    calls draw as usual; returns the list of calls."""
+    calls, draw = [], msseg.solver._kmeans_pp
+
+    def recording(f, weights, k, rng):
+        calls.append(k)
+        return np.array(first, dtype=float) if len(calls) == 1 \
+            else draw(f, weights, k, rng)
+
+    monkeypatch.setattr(msseg.solver, "_kmeans_pp", recording)
+    return calls
+
+
+def test_init_labels_restarts_on_a_duplicated_center(monkeypatch):
+    rng = np.random.default_rng(15)
+    f = np.concatenate([rng.normal(0.0, 0.01, size=(10, 1)),
+                        rng.normal(5.0, 0.01, size=(8, 1))])
+    # class 1 gets no face: argmin gives the tie to class 0
+    calls = _recording_kmeans_pp(monkeypatch, [f[0], f[0]])
+    centers, u0 = init_labels(f, np.ones(18), 2, seed=0)
+    assert len(calls) == 2
+    assert np.array_equal(u0.sum(axis=1), np.ones(18))
+    assert set(np.unique(u0)) == {0.0, 1.0}
+    assert (u0.sum(axis=0) > 0).all()
+    labels = np.argmax(u0, axis=1)
+    assert len(set(labels[:10])) == 1 and len(set(labels[10:])) == 1
+
+
+def test_init_labels_restarts_on_a_class_with_faces_but_no_mass(
+        monkeypatch):
+    # four clouds of two faces, the last one weightless: centers at 0, 20
+    # and 30 leave class 2 only the weightless faces
+    f = np.repeat([[0.0], [10.0], [20.0], [30.0]], 2, axis=0)
+    weights = np.array([1.0] * 6 + [0.0] * 2)
+    calls = _recording_kmeans_pp(monkeypatch, [[0.0], [20.0], [30.0]])
+    centers, u0 = init_labels(f, weights, 3, seed=0)
+    assert len(calls) == 2
+    assert (weights @ u0 > 0).all()
+
+
 def test_initial_state_shapes():
     mesh = strip10()
     params = SolverParams(k=3)
@@ -1035,16 +1086,23 @@ def test_segment_joins_its_lane_on_return_and_on_error(monkeypatch):
     before = threading.enumerate()
     segment(mesh, f, params)
     assert threading.enumerate() == before
-    # every b factor solves the system of a 1 % larger c, which the gate
-    # of the stored coefficients rejects on the lane; the error reaches
-    # the caller
+    # every b factor solves (P + (c + dc) W) b = r, which the gate of the
+    # stored c rejects on the lane; the error reaches the caller.  With
+    # |B| = self.norm, the gate's bound of |P + c W|, and dc = |B| /
+    # min(W), the backward error |dc W b| / (|B| |b| + |r|) is at least
+    # dc min(W) / (2 |B| + dc max(W)) = 1 / (2 + max(W) / min(W)), for
+    # any beta and c.  The factor is of (A - i s' W) scaled by s / s', so
+    # that the stored division by s = sqrt(c) returns that b.
+    areas = mesh.face_areas
+    assert 1 / (2 + areas.max() / areas.min()) >= 100 * _SOLVE_RTOL
     build = BiharmonicPrior.__init__
 
     def off(self, mesh, beta, c=None):
         build(self, mesh, beta, c)
         if c is not None:
-            matrix = np.sqrt(beta) * mesh.S \
-                - 1j * np.sqrt(1.01 * c) * sp.diags(mesh.face_areas)
+            wrong = c + self.norm / mesh.face_areas.min()
+            matrix = np.sqrt(beta * c / wrong) * mesh.S \
+                - 1j * np.sqrt(c) * sp.diags(mesh.face_areas)
             self._lu = _DirectSolve(matrix, matrix.__matmul__)._lu
 
     monkeypatch.setattr(BiharmonicPrior, "__init__", off)
