@@ -26,12 +26,14 @@ def _factor(matrix):
 
 
 def _gate(x, image, rhs, norm):
-    """``x`` if its normwise backward error in ``B x = rhs``, with ``image
-    = B x`` and ``norm`` a bound of ``|B|``, is within ``_SOLVE_RTOL`` (see
-    :class:`_DirectSolve`); else ``NumericError``."""
+    """``x`` if it is finite and its normwise backward error in ``B x =
+    rhs``, with ``image = B x`` and ``norm`` a bound of ``|B|``, is within
+    ``_SOLVE_RTOL`` (see :class:`_DirectSolve`); else ``NumericError``."""
     res = np.linalg.norm(image - rhs)
     bound = norm * np.linalg.norm(x) + np.linalg.norm(rhs)
-    if res > _SOLVE_RTOL * bound:
+    # a NaN or inf in x makes res and bound NaN or inf, and then no
+    # comparison of the two rejects x
+    if not np.isfinite(x).all() or res > _SOLVE_RTOL * bound:
         raise NumericError(f"residual {res:.3e} above tolerance "
                            f"({_SOLVE_RTOL:.0e} of {bound:.3e})")
     return x

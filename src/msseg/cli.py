@@ -210,7 +210,7 @@ def run(config):
     """Execute one segmentation run; returns the report dict.  Keys
     missing from ``config`` take their defaults."""
     config = _complete(config)
-    params = _solver_params(config).validate()
+    params = _solver_params(config)
     mesh_path, out_dir = Path(config["mesh"]), Path(config["out"])
     stem = mesh_path.stem
 

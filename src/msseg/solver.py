@@ -34,9 +34,10 @@ MODES = ("pcms", "psms", "gpsms")
 _FALLBACK_ALPHA = 1.0  # alpha when the estimate from the init degenerates
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverParams:
-    """Model and algorithmic parameters.
+    """Model and algorithmic parameters, checked when built, and so also
+    when copied by ``dataclasses.replace``, and frozen after.
 
     ``alpha=None`` selects the data-term weight from the initialization,
     which :func:`segment` resolves; ``beta`` is ``beta_ratio * alpha``.
@@ -61,7 +62,7 @@ class SolverParams:
     def beta(self):
         return self.beta_ratio * self.alpha
 
-    def validate(self):
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         # the type before the range, so that no comparison raises TypeError
@@ -80,7 +81,6 @@ class SolverParams:
                     or not 0 < value < np.inf:
                 raise ParameterError(f"{name} must be positive and finite, "
                                      f"got {value!r}")
-        return self
 
 
 @dataclass
@@ -128,10 +128,11 @@ class Systems:
     once (``calculus._factor``; every solve passes ``calculus._gate``),
     and only the systems the mode solves with are built: ``v`` for gpsms,
     ``b`` for psms and gpsms; the others are ``None``.  This is the one
-    reader of ``params.mode``: :func:`admm_inner` runs a block exactly when
-    its system is built.  The systems are the weighted-inner-product normal
-    equations written in plain coordinates, with ``G`` the gradient and
-    ``S = G' D G``, which the mesh holds as ``mesh.S``:
+    place that acts on ``params.mode``: :func:`admm_inner` runs a block
+    exactly when its system is built.  The systems are the
+    weighted-inner-product normal equations written in plain coordinates,
+    with ``G`` the gradient and ``S = G' D G``, which the mesh holds as
+    ``mesh.S``:
 
     * ``u_solve``:  (r_p * S + r_z * W) u = W * rhs,
     * ``v_solve``:  (S + (r_p / r_q) * W) w = G' D y, the face form of the
@@ -200,7 +201,8 @@ def s_field(f, b, mu):
 
 
 def project_simplex(rows):
-    """Euclidean projection of each row onto the probability simplex.
+    """Euclidean projection of each row of a (rows, K) array onto the
+    probability simplex.
 
     Sort-based finite algorithm (Duchi et al. 2008): with entries in
     decreasing order, the support is the longest prefix whose hyperplane
@@ -213,7 +215,7 @@ def project_simplex(rows):
     longest one sets it.  For finite rows the result is bitwise that of
     the row-wise sort, for every K.
     """
-    y = np.atleast_2d(np.asarray(rows, dtype=float))
+    y = np.asarray(rows, dtype=float)
     K = y.shape[1]
     # the projection is invariant under a uniform shift of a row; centering
     # on the row max keeps the hyperplane offset (sum - 1) well conditioned
@@ -233,32 +235,25 @@ def project_simplex(rows):
         total = total + col[j]
         shift = (total - 1.0) / (j + 1)
         np.copyto(tau, shift, where=col[j] > shift)
-    x = np.maximum(x - tau[:, None], 0.0)
-    if np.asarray(rows).ndim == 1:
-        return x[0]
-    return x
+    return np.maximum(x - tau[:, None], 0.0)
 
 
 def prox_p(w, r_p):
-    """Row-wise shrinkage for the edge splitting variable."""
+    """Row-wise shrinkage of the (E, K) edge splitting variable."""
     return _shrink_rows(w, 1.0 / r_p)
 
 
 def prox_q(c, r_q, alpha0):
-    """Row-wise shrinkage for the divergence splitting variable."""
+    """Row-wise shrinkage of the (T, K) divergence splitting variable."""
     return _shrink_rows(c, alpha0 / r_q)
 
 
 def _shrink_rows(w, threshold):
-    w = np.asarray(w, dtype=float)
-    flat = w.ndim == 1
-    w = np.atleast_2d(w.T).T if flat else w
     norms = calc.row_norms(w)
     factor = np.zeros_like(norms)
     big = norms > threshold
     factor[big] = 1.0 - threshold / norms[big]
-    out = w * factor[:, None]
-    return out[:, 0] if flat else out
+    return w * factor[:, None]
 
 
 def update_z(u, lam_z, s, alpha, r_z):
@@ -343,7 +338,8 @@ def init_labels(f, areas, k, seed):
 
     Returns the class means and the one-hot nearest-center label field.
     Restarts, drawing on from the same generator, when a Lloyd step leaves
-    a class with no mass, up to 20 times.
+    a class with no mass, up to 20 times.  Fewer than ``k`` distinct rows
+    of positive weight raise at once: every draw would repeat a center.
     """
     T = f.shape[0]
     if not 2 <= k <= T:
@@ -373,16 +369,14 @@ def init_labels(f, areas, k, seed):
 
 def _kmeans_pp(f, weights, k, rng):
     T = f.shape[0]
-    probs = weights / weights.sum()
-    centers = [f[rng.choice(T, p=probs)]]
+    centers = [f[rng.choice(T, p=weights / weights.sum())]]
     for _ in range(1, k):
         scores = weights * s_field(f, 0.0, np.array(centers)).min(axis=1)
         total = scores.sum()
-        if total <= 0:
-            idx = rng.choice(T, p=probs)
-        else:
-            idx = rng.choice(T, p=scores / total)
-        centers.append(f[idx])
+        if total <= 0:  # every weighted row is a center already drawn
+            raise InitializationError(
+                f"fewer than k = {k} distinct feature rows carry weight")
+        centers.append(f[rng.choice(T, p=scores / total)])
     return np.array(centers, dtype=float)
 
 
@@ -535,7 +529,6 @@ def segment(mesh, f, params):
     solves for ``b``; it starts with the first such solve (never in pcms)
     and is joined before ``segment`` returns or raises.
     """
-    params.validate()
     f2 = np.atleast_2d(np.asarray(f, dtype=float).T).T
     if f2.shape[1] != params.k - 1:
         raise ParameterError(

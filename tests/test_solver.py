@@ -1,6 +1,7 @@
 """Solver unit tests: projections, prox maps, subproblem solves, the
 inner sweep, initialization, the outer loop and diagnostics."""
 
+import dataclasses
 import sys
 import threading
 import types
@@ -15,11 +16,11 @@ from scipy.optimize import minimize_scalar
 import msseg.calculus
 import msseg.solver
 from msseg.calculus import (_SOLVE_RTOL, BiharmonicPrior, _DirectSolve,
-                            divergence, gradient, inner_U, norm_U,
+                            _gate, divergence, gradient, inner_U, norm_U,
                             tv_energy)
 from msseg.errors import (DimensionError, InitializationError, NumericError,
                           ParameterError)
-from msseg.features import feature_field
+from msseg.features import build_laplacian, feature_field
 from msseg.mesh import TriMesh, load_off
 from msseg.solver import (
     MODES,
@@ -48,6 +49,7 @@ from _meshes import (
     TETRA_OFF,
     bumpy_revolution,
     disjoint_triangles,
+    dumbbell,
     equilateral,
     fan5,
     flat_patch,
@@ -69,46 +71,55 @@ from _reference import (biharmonic_b, dense_operators, dense_prior,
 
 
 def test_params_validation():
-    SolverParams(k=2).validate()
-    with pytest.raises(ParameterError):
-        SolverParams(k=1).validate()
-    with pytest.raises(ParameterError):
-        SolverParams(k=2, mode="tv").validate()
-    with pytest.raises(ParameterError):
-        SolverParams(k=2, alpha=-1.0).validate()
-    with pytest.raises(ParameterError):
-        SolverParams(k=2, eta=0.0).validate()
-    with pytest.raises(ParameterError):
-        SolverParams(k=2, r_z=-5.0).validate()
-    with pytest.raises(ParameterError):
-        SolverParams(k=2, inner_iters=0).validate()
-    with pytest.raises(ParameterError):
-        SolverParams(k=2, max_outer=0).validate()
+    SolverParams(k=2)
+    for kw in ({"k": 1}, {"mode": "tv"}, {"alpha": -1.0}, {"eta": 0.0},
+               {"r_z": -5.0}, {"inner_iters": 0}, {"max_outer": 0}):
+        with pytest.raises(ParameterError):
+            SolverParams(**{"k": 2, **kw})
 
     # wrong types fail typed, the integer type before any range check
     for kw in ({"inner_iters": 2.5}, {"max_outer": 2.5}, {"seed": 1.5},
                {"k": 2.0}, {"inner_iters": True}, {"alpha": "3"},
                {"eta": "1"}, {"r_z": None}, {"alpha": True}):
         with pytest.raises(ParameterError, match=next(iter(kw))):
-            SolverParams(**{"k": 2, **kw}).validate()
+            SolverParams(**{"k": 2, **kw})
     SolverParams(k=np.int64(3), inner_iters=np.int32(2), seed=np.uint8(1),
-                 alpha=np.float64(2.5), eta=np.float32(1e-5)).validate()
+                 alpha=np.float64(2.5), eta=np.float32(1e-5))
+
+
+def test_params_are_frozen():
+    params = SolverParams(k=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.r_p = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.alpha = 1.0
+    assert params.r_p == 1.0 and params.alpha is None
+
+
+@pytest.mark.parametrize("name, value", [
+    ("r_p", 0.0), ("alpha", float("inf")), ("alpha", float("nan")),
+    ("mode", "tv"), ("k", 1)])
+def test_params_replace_checks_the_copy(name, value):
+    # segment carries the estimated alpha in such a copy
+    with pytest.raises(ParameterError, match=name):
+        dataclasses.replace(SolverParams(k=2), **{name: value})
+    assert dataclasses.replace(SolverParams(k=2), alpha=2.5).alpha == 2.5
 
 
 # -- simplex projection --------------------------------------------------------
 
 
 def test_simplex_feasible_point_unchanged():
-    assert np.allclose(project_simplex(np.array([0.6, 0.4])), [0.6, 0.4])
+    assert np.allclose(project_simplex(np.array([[0.6, 0.4]])), [[0.6, 0.4]])
 
 
 def test_simplex_symmetric_point():
-    out = project_simplex(np.array([0.5, 0.5, 0.5]))
-    assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    out = project_simplex(np.array([[0.5, 0.5, 0.5]]))
+    assert np.allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
 
 def test_simplex_vertex_case():
-    assert np.allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
+    assert np.allclose(project_simplex(np.array([[2.0, 0.0]])), [[1.0, 0.0]])
 
 
 def test_simplex_idempotent_and_feasible():
@@ -137,10 +148,6 @@ def test_simplex_matches_bisection_oracle():
     assert np.abs(project_simplex(rows) - simplex_bisect(rows)).max() < 1e-9
 
 
-def test_simplex_single_row_shape():
-    assert project_simplex(np.array([0.2, 0.2])).shape == (2,)
-
-
 @pytest.mark.parametrize("K", range(1, 21))
 def test_simplex_is_bitwise_the_row_wise_sort(K):
     # the sorting network and running column sums against np.sort,
@@ -161,7 +168,7 @@ def test_simplex_is_bitwise_the_row_wise_sort(K):
     for name, case in cases.items():
         want = project_simplex_sort(case)
         assert np.array_equal(project_simplex(case), want), name
-        assert np.array_equal(project_simplex(case[7]), want[7]), name
+        assert np.array_equal(project_simplex(case[7:8]), want[7:8]), name
 
 
 # -- shrinkage prox maps -------------------------------------------------------
@@ -184,12 +191,6 @@ def test_prox_q_halving():
     alpha0, r_q = 2.0, 0.5
     c = np.array([[2.0 * alpha0 / r_q, 0.0]])
     assert np.allclose(prox_q(c, r_q, alpha0), c / 2.0, atol=1e-15)
-
-
-def test_prox_one_dimensional_input():
-    out = prox_p(np.array([3.0, -3.0, 0.1]), 1.0)
-    assert out.shape == (3,)
-    assert np.allclose(out, [2.0, -2.0, 0.0])
 
 
 def test_prox_matches_scalar_oracle_spot():
@@ -375,8 +376,8 @@ def test_solve_u_no_tv_limit_is_diagonal():
     z = rng.normal(size=(5, 2))
     lam_z = rng.normal(size=(5, 2))
     zeros = np.zeros((mesh.n_edges, 2))
-    systems = Systems(mesh, SolverParams(k=2, mode="pcms", alpha=1.0, r_p=0.0,
-                                         r_z=50.0))
+    systems = Systems(mesh, SolverParams(k=2, mode="pcms", alpha=1.0,
+                                         r_p=1e-15, r_z=50.0))
     u = solve_u(mesh, z, lam_z, zeros, zeros, zeros, systems)
     assert np.allclose(u, z + lam_z / 50.0, atol=1e-13)
 
@@ -612,6 +613,43 @@ def test_b_gate_checks_the_real_system():
         b_solve(rhs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gate_rejects_one_non_finite_entry(bad):
+    # a NaN or inf in x makes the residual and its bound NaN or inf, and
+    # neither compares above the other
+    areas = np.array([1.0, 2.0, 3.0])
+    solve = _DirectSolve(sp.diags(areas), lambda x: areas[:, None] * x)
+    rhs = np.ones((3, 2))
+    solve(rhs)
+    rhs[1, 0] = bad  # the diagonal system keeps it to one entry of x
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericError, match="residual"):
+        solve(rhs)
+    # an eigenpair, checked as feature_field checks it
+    L = build_laplacian(random_closed(80, 10))
+    w, V = np.linalg.eigh(L.toarray())
+    lam, x = w[1], V[:, 1]
+    norm = 2 * L.diagonal().max() + abs(lam)
+    _gate(x, L @ x - lam * x, 0.0, norm)
+    x[5] = bad
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericError, match="residual"):
+        _gate(x, L @ x - lam * x, 0.0, norm)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("mode", MODES)
+def test_gate_passes_finite_solutions_whose_norms_overflow(mode):
+    # at alpha = 1e300 the norms of the b system's right side overflow to
+    # inf, and the gate passes the finite solutions as it always did
+    mesh = dumbbell()
+    f = feature_field(mesh, 2).values
+    result = segment(mesh, f, SolverParams(k=2, mode=mode, alpha=1e300,
+                                           max_outer=5))
+    assert len(result.error_trace) == 5
+    assert np.isfinite(result.u).all() and np.isfinite(result.b).all()
+
+
 def test_solves_return_c_ordered_float_arrays(lane):
     # SuperLU returns Fortran order; the solves hand back C order
     mesh = random_patch(200, 5)
@@ -841,25 +879,42 @@ def test_init_labels_bad_k():
         init_labels(np.zeros((3, 1)), np.ones(3), 5, seed=0)
 
 
-def test_init_labels_gives_up_after_20_restarts_of_empty_classes():
-    # two distinct rows for three classes: the third center of every
-    # k-means++ draw comes from the zero-score fallback and duplicates one
-    # of the first two, and the duplicate's class is empty
+def test_init_labels_fails_on_fewer_distinct_rows_than_classes(
+        monkeypatch):
+    # two distinct rows for three classes: the third k-means++ center
+    # would duplicate one of the first two, so the first draw gives up
+    calls = _recording_kmeans_pp(monkeypatch, None)
     f = np.repeat([[0.0], [1.0]], 5, axis=0)
     with pytest.raises(InitializationError,
-                       match="^empty cluster after 20 restarts$"):
+                       match="^fewer than k = 3 distinct feature rows "
+                             "carry weight$"):
         init_labels(f, np.ones(10), 3, seed=0)
+    assert len(calls) == 1
 
 
-def _recording_kmeans_pp(monkeypatch, first):
-    """Replace ``_kmeans_pp``: its first call returns ``first``, later
-    calls draw as usual; returns the list of calls."""
+def test_init_labels_gives_up_after_20_restarts_of_empty_classes(
+        monkeypatch):
+    # every draw duplicates a center, and the duplicate's class is empty
+    f = np.repeat([[0.0], [1.0], [2.0]], 5, axis=0)
+    calls = _recording_kmeans_pp(monkeypatch, [[0.0], [0.0], [2.0]],
+                                 every=True)
+    with pytest.raises(InitializationError,
+                       match="^empty cluster after 20 restarts$"):
+        init_labels(f, np.ones(15), 3, seed=0)
+    assert len(calls) == 20
+
+
+def _recording_kmeans_pp(monkeypatch, first, every=False):
+    """Replace ``_kmeans_pp``: its first call (each call if ``every``)
+    returns ``first``, the others draw as usual (so do all if ``first`` is
+    None); returns the list of calls."""
     calls, draw = [], msseg.solver._kmeans_pp
 
     def recording(f, weights, k, rng):
         calls.append(k)
-        return np.array(first, dtype=float) if len(calls) == 1 \
-            else draw(f, weights, k, rng)
+        if first is not None and (every or len(calls) == 1):
+            return np.array(first, dtype=float)
+        return draw(f, weights, k, rng)
 
     monkeypatch.setattr(msseg.solver, "_kmeans_pp", recording)
     return calls
