@@ -65,11 +65,11 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
     component order; only the contrasts used are built.  Eigenvectors of
     increasing positive eigenvalue follow.  Every channel gets a
     deterministic sign (first entry of magnitude above tolerance is
-    positive).  The eigenpairs come from a shift-invert ARPACK solve
-    through ``_DirectSolve``.  A dense ``eigh`` serves any request of ``T``
-    or more pairs, which ARPACK cannot make (at ``T = 4`` and 2 segments
-    it returns 4 pairs for 1 channel).  Every eigenpair passes the solves'
-    gate, ``calculus._gate``, or ``NumericError`` names its channel.
+    positive).  Every eigenpair comes from one shift-invert ARPACK solve
+    through ``_DirectSolve``.  ARPACK returns at most ``T - 1`` pairs, so
+    ``n_segments = T``, which needs all ``T``, raises ``FeatureError``.
+    Every eigenpair passes the solves' gate, ``calculus._gate``, or
+    ``NumericError`` names its channel.
     """
     check_integer("n_segments", n_segments)
     if n_segments < 2:
@@ -97,25 +97,22 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
 
     if len(pairs) < k_needed:
         # the indicator span contributes one (uninformative) kernel vector
-        # per component on top of the channels we still need
-        k_solve = k_needed - len(pairs) + n_comp + 2
-        if k_solve >= T:
-            # ARPACK needs k < T; eigh returns all T pairs
-            w, V = np.linalg.eigh(L.toarray())
-        else:
-            sigma = -1e-6 * max(max_diag, 1.0)
-            shifted = _DirectSolve(L - sigma * sp.identity(T),
-                                   lambda x: L @ x - sigma * x)
-            try:
-                w, V = spla.eigsh(
-                    L, k=k_solve, sigma=sigma, which="LM",
-                    v0=np.full(T, 1.0 / np.sqrt(T)),
-                    OPinv=spla.LinearOperator((T, T), matvec=shifted),
-                )
-            except (spla.ArpackNoConvergence, RuntimeError) as exc:
-                raise NumericError(f"eigensolver failed to converge: {exc}")
-            order = np.argsort(w)
-            w, V = w[order], V[:, order]
+        # per component on top of the channels we still need; ARPACK
+        # returns at most T - 1 pairs
+        k_solve = min(k_needed - len(pairs) + n_comp + 2, T - 1)
+        sigma = -1e-6 * max(max_diag, 1.0)
+        shifted = _DirectSolve(L - sigma * sp.identity(T),
+                               lambda x: L @ x - sigma * x)
+        try:
+            w, V = spla.eigsh(
+                L, k=k_solve, sigma=sigma, which="LM",
+                v0=np.full(T, 1.0 / np.sqrt(T)),
+                OPinv=spla.LinearOperator((T, T), matvec=shifted),
+            )
+        except (spla.ArpackNoConvergence, RuntimeError) as exc:
+            raise NumericError(f"eigensolver failed to converge: {exc}")
+        order = np.argsort(w)
+        w, V = w[order], V[:, order]
         # keep eigenvectors outside the component-indicator span; the ones
         # inside it are the near-constant kernel directions (one per
         # component) whose informative contrasts are already channels

@@ -385,19 +385,21 @@ def estimate_alpha(mesh, f, u0, mu0, params):
 
     ``alpha = 2 K * Per(u0) / <u0, s(f, 0, mu0)>_U`` where ``Per`` is the
     label-boundary perimeter, i.e. half the total variation of the one-hot
-    initial labeling (each interface shows up in two channels).  Degenerate
-    numerator or denominator falls back to ``_FALLBACK_ALPHA``.
+    initial labeling (each interface shows up in two channels).  A
+    quotient that is not positive and finite (a degenerate numerator or
+    denominator, or an overflow) falls back to ``_FALLBACK_ALPHA``.
     """
     numerator = 2.0 * params.k * (calc.tv_energy(mesh, u0) / 2.0)
     denominator = inner_U(mesh, u0, s_field(f, 0.0, mu0))
-    if numerator <= 0 or denominator <= 0:
+    alpha = numerator / denominator if denominator > 0 else 0.0
+    if not 0 < alpha < np.inf:
         warnings.warn(
             f"degenerate alpha estimate (num={numerator}, den={denominator}); "
             f"using fallback alpha={_FALLBACK_ALPHA}",
             RuntimeWarning,
         )
         return _FALLBACK_ALPHA
-    return numerator / denominator
+    return alpha
 
 
 # -- ADMM inner loop and AMM outer loop ---------------------------------------

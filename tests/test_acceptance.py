@@ -203,32 +203,34 @@ def test_criterion_04_subproblem_stationarity(lane):
 
 def test_criterion_05_transliteration_oracle(lane):
     mesh = square_axis_pair()
-    rng = np.random.default_rng(23)
     T, E, K = mesh.n_faces, mesh.n_edges, 2
-    f = rng.normal(size=(T, K - 1))
-    arrays = {
-        "u": project_simplex(rng.normal(size=(T, K))),
-        "z": project_simplex(rng.normal(size=(T, K))),
-        "b": 0.1 * rng.normal(size=(T, K - 1)),
-        "v": rng.normal(size=(E, K)),
-        "p": rng.normal(size=(E, K)),
-        "q": rng.normal(size=(T, K)),
-        "lam_p": rng.normal(size=(E, K)),
-        "lam_q": rng.normal(size=(T, K)),
-        "lam_z": rng.normal(size=(T, K)),
-        "mu": rng.normal(size=(K, K - 1)),
-    }
     alpha, beta = 1.5, 2.0
-    expected = one_admm_sweep(mesh, f, arrays, alpha, beta)
-    state = SolverState(**{k: v.copy() for k, v in arrays.items()})
-    params = SolverParams(k=K, mode="gpsms", alpha=alpha,
-                          beta_ratio=beta / alpha, inner_iters=1)
-    admm_inner(mesh, f, state, Systems(mesh, params), lane)
+    systems = Systems(mesh, SolverParams(k=K, mode="gpsms", alpha=alpha,
+                                         beta_ratio=beta / alpha,
+                                         inner_iters=1))
     worst = 0.0
-    for name, want in expected.items():
-        err = np.abs(getattr(state, name) - want).max()
-        worst = max(worst, err)
-        assert err <= 1e-12, name
+    for seed in (23, 13):
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(T, K - 1))
+        arrays = {
+            "u": project_simplex(rng.normal(size=(T, K))),
+            "z": project_simplex(rng.normal(size=(T, K))),
+            "b": 0.1 * rng.normal(size=(T, K - 1)),
+            "v": rng.normal(size=(E, K)),
+            "p": rng.normal(size=(E, K)),
+            "q": rng.normal(size=(T, K)),
+            "lam_p": rng.normal(size=(E, K)),
+            "lam_q": rng.normal(size=(T, K)),
+            "lam_z": rng.normal(size=(T, K)),
+            "mu": rng.normal(size=(K, K - 1)),
+        }
+        expected = one_admm_sweep(mesh, f, arrays, alpha, beta)
+        state = SolverState(**{k: v.copy() for k, v in arrays.items()})
+        admm_inner(mesh, f, state, systems, lane)
+        for name, want in expected.items():
+            err = np.abs(getattr(state, name) - want).max()
+            worst = max(worst, err)
+            assert err <= 1e-12, (seed, name)
     ok(5, f"one-sweep transliteration, worst component error {worst:.2e}")
 
 
@@ -236,8 +238,8 @@ def test_criterion_06_mu_least_squares_oracle():
     mesh = fan5()
     A = mesh.face_areas
     worst = 0.0
-    for seed in range(5):
-        rng = np.random.default_rng(200 + seed)
+    for seed in (200, 201, 202, 203, 204, 8):
+        rng = np.random.default_rng(seed)
         f = rng.normal(size=(5, 2))
         b = rng.normal(size=(5, 2))
         u = project_simplex(rng.random(size=(5, 3)))

@@ -1,6 +1,10 @@
 """The package's public names: every export resolves, the README lists
-exactly the exports, and every `module.name` the README cites resolves."""
+exactly the exports, every `module.name` the README cites resolves, and
+so does every span the benchmark's tracer books to a metric."""
 
+import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -11,6 +15,7 @@ from msseg.solver import SolverParams, Systems
 from _meshes import TETRA_OFF
 
 README = Path(__file__).parents[1] / "README.md"
+TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
 
 def test_exports_resolve_and_are_listed():
@@ -40,3 +45,27 @@ def test_readme_code_references_resolve():
     missing = [f"{owner}.{name}" for owner, name in sorted(refs)
                if not any(hasattr(o, name) for o in owners[owner])]
     assert not missing
+
+
+def test_benchmark_span_names_are_public_callables():
+    # perfbench/tracing.py wraps the public functions and classes of each
+    # module and books a span to a per-layer metric by name; a name that
+    # no longer resolves would read 0 s there.  The tables are read from
+    # the source, so the benchmark's file is neither run nor changed.
+    tables = {}
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if getattr(target, "id", None) in ("SPAN_METRIC",
+                                                   "STAGE_METRIC"):
+                    tables[target.id] = ast.literal_eval(node.value)
+    assert set(tables) == {"SPAN_METRIC", "STAGE_METRIC"}
+    names = set(tables["SPAN_METRIC"]) | set(tables["STAGE_METRIC"])
+    assert names
+    for name in sorted(names):
+        mod_name, attr = name.split(".")
+        module = importlib.import_module(f"msseg.{mod_name}")
+        obj = getattr(module, attr, None)
+        assert not attr.startswith("_"), name
+        assert inspect.isfunction(obj) or inspect.isclass(obj), name
+        assert obj.__module__ == module.__name__, name

@@ -184,9 +184,10 @@ def test_channel_count_and_normalization():
 
 
 def test_eigen_residual_contract():
-    for mesh in (path_strip(), random_closed(80, 10), two_components()):
+    for mesh, k in ((path_strip(), 2), (random_closed(80, 10), 4),
+                    (two_components(), 3)):
         L = build_laplacian(mesh)
-        field = feature_field(mesh, min(4, mesh.n_faces))
+        field = feature_field(mesh, k)
         for j in range(field.values.shape[1]):
             x = field.values[:, j]
             res = np.linalg.norm(L @ x - field.eigenvalues[j] * x)
@@ -287,7 +288,7 @@ def test_many_components_build_only_the_contrasts_used():
     assert not field.eigenvalues.any()
 
 
-# -- eigensolver paths: shift-invert ARPACK, dense eigh only when k >= T ------
+# -- the eigensolve: one shift-invert ARPACK solve of at most T - 1 pairs -----
 
 
 def _record_arpack_calls(monkeypatch):
@@ -333,8 +334,8 @@ def _assert_matches_dense_oracle(mesh, field):
 
 
 def test_arpack_matches_dense_eigh_on_small_mesh(monkeypatch):
-    # a small mesh (690 faces) takes the ARPACK path too, and its
-    # shift-invert operator is the one SPD factor of L - sigma I
+    # a small mesh (690 faces) goes through ARPACK like any other, and
+    # its shift-invert operator is the one SPD factor of L - sigma I
     calls = _record_arpack_calls(monkeypatch)
     factored = []
     direct_solve = features._DirectSolve
@@ -355,21 +356,33 @@ def test_arpack_matches_dense_eigh_on_small_mesh(monkeypatch):
     _assert_matches_dense_oracle(mesh, field)
 
 
-@pytest.mark.parametrize("n_faces, n_segments, arpack", [
-    (4, 2, False),   # the smallest connected request: k = 4 >= T
-    (5, 2, True),    # k = 4 < T
-    (10, 7, True),   # k = T - 1
-    (10, 8, False),  # k = T
+@pytest.mark.parametrize("n_faces, n_segments, fits", [
+    (4, 2, False),   # the smallest connected request: K + 2 = 4 >= T
+    (5, 2, True),    # K + 2 = 4 < T
+    (10, 7, True),   # K + 2 = T - 1
+    (10, 8, False),  # K + 2 = T
 ])
 def test_both_sides_of_the_arpack_condition_agree(
-        monkeypatch, n_faces, n_segments, arpack):
+        monkeypatch, n_faces, n_segments, fits):
+    # a connected mesh asks ARPACK for K + 2 pairs where that is below T,
+    # and for T - 1, the most it returns, where it is not
     calls = _record_arpack_calls(monkeypatch)
     mesh = triangle_strip(n_faces)
     field = feature_field(mesh, n_segments)
-    assert bool(calls) == arpack
+    assert [c["k"] for c in calls] == [
+        n_segments + 2 if fits else n_faces - 1]
     path = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n_segments) / n_faces)
     assert np.abs(field.eigenvalues - path).max() <= 1e-10
     _assert_matches_dense_oracle(mesh, field)
+
+
+def test_a_request_for_every_eigenpair_is_refused():
+    # K = T channels need all T eigenpairs, one more than ARPACK returns
+    for mesh in (path_strip(), two_components(), triangle_strip(10)):
+        T = mesh.n_faces
+        with pytest.raises(FeatureError, match=f"informative channels "
+                                               f"available, need {T - 1}"):
+            feature_field(mesh, T)
 
 
 def test_feature_field_argument_errors():
