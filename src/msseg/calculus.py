@@ -19,10 +19,14 @@ _SOLVE_RTOL = 1e-8  # backward error bound of every solve and eigenpair
 
 
 def _factor(matrix):
-    """The package's one sparse factorization (see :class:`_DirectSolve`)."""
-    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, relax=1, panel_size=1,
-                     options={"SymmetricMode": True})
+    """The package's one sparse factorization (see :class:`_DirectSolve`);
+    ``NumericError`` when SuperLU finds it singular."""
+    try:
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise NumericError(f"sparse factorization failed: {exc}") from exc
 
 
 def _gate(x, image, rhs, norm):
@@ -195,7 +199,7 @@ def vectorial_rtgv(mesh, u, v, alpha0):
     The vectorial (channel-isotropic) form that the solver's row-wise
     shrinkages ``prox_p`` and ``prox_q`` minimize.
     """
-    if alpha0 <= 0:
+    if not alpha0 > 0:  # NaN included
         raise ParameterError(f"alpha0 must be positive, got {alpha0}")
     u = _field(u, mesh.n_faces, "face", "u")
     v = _field(v, mesh.n_edges, "edge", "v")

@@ -198,8 +198,13 @@ class TriMesh:
         p0, p1, p2 = (v[self.faces[:, i]] for i in range(3))
         cross = np.cross(p1 - p0, p2 - p0)
         cnorm = np.linalg.norm(cross, axis=1)
-        scale = np.linalg.norm(p1 - p0, axis=1) * np.linalg.norm(p2 - p0, axis=1)
-        bad = np.nonzero(cnorm <= 1e-14 * np.maximum(scale, 1e-300))[0]
+        sides = np.linalg.norm([p1 - p0, p2 - p0, p2 - p1], axis=2)
+        overflow = np.flatnonzero(~np.isfinite(cnorm)
+                                  | ~np.isfinite(sides).all(axis=0))
+        if overflow.size:  # each edge is a side of a face
+            raise DegenerateGeometryError(
+                f"face {overflow[0]} has a non-finite area or edge length")
+        bad = np.flatnonzero(cnorm <= 1e-14 * sides[0] * sides[1])
         if bad.size:
             raise DegenerateGeometryError(f"face {bad[0]} has zero area")
         self.face_areas = 0.5 * cnorm

@@ -336,35 +336,29 @@ def _solve_b(areas, f, z, mu, systems):
 def init_labels(f, areas, k, seed):
     """Seeded, area-weighted k-means on feature rows.
 
-    Returns the class means and the one-hot nearest-center label field.
-    Restarts, drawing on from the same generator, when a Lloyd step leaves
-    a class with no mass, up to 20 times.  Fewer than ``k`` distinct rows
-    of positive weight raise at once: every draw would repeat a center.
+    Returns the class means and the one-hot nearest-center label field of
+    one k-means++ draw (``seed`` picks it) and its Lloyd steps, with no
+    restart.  ``InitializationError`` when fewer than ``k`` distinct rows
+    carry weight, the draw's scores overflow or a step empties a class.
     """
     T = f.shape[0]
     if not 2 <= k <= T:
         raise InitializationError(f"need 2 <= k <= {T}, got {k}")
     weights = np.asarray(areas, dtype=float)
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        centers = _kmeans_pp(f, weights, k, rng)
-        assign = None
-        for _ in range(100):
-            new_assign = np.argmin(s_field(f, 0.0, centers), axis=1)
-            if assign is not None and np.array_equal(new_assign, assign):
-                break
-            assign = new_assign
-            masks = [assign == c for c in range(k)]
-            mass = [weights[m].sum() for m in masks]
-            if min(mass) <= 0:
-                break
-            for c, m in enumerate(masks):
-                centers[c] = (weights[m, None] * f[m]).sum(axis=0) / mass[c]
-        if min(mass) > 0:
-            u0 = np.zeros((T, k))
-            u0[np.arange(T), assign] = 1.0
-            return centers, u0
-    raise InitializationError("empty cluster after 20 restarts")
+    centers = _kmeans_pp(f, weights, k, np.random.default_rng(seed))
+    assign = None
+    for _ in range(100):
+        new_assign = np.argmin(s_field(f, 0.0, centers), axis=1)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        masks = [assign == c for c in range(k)]
+        mass = [weights[m].sum() for m in masks]
+        if min(mass) <= 0:
+            raise InitializationError("a Lloyd step left a class with no mass")
+        for c, m in enumerate(masks):
+            centers[c] = (weights[m, None] * f[m]).sum(axis=0) / mass[c]
+    return centers, np.eye(k)[assign]
 
 
 def _kmeans_pp(f, weights, k, rng):
@@ -373,6 +367,8 @@ def _kmeans_pp(f, weights, k, rng):
     for _ in range(1, k):
         scores = weights * s_field(f, 0.0, np.array(centers)).min(axis=1)
         total = scores.sum()
+        if not np.isfinite(total):
+            raise InitializationError(f"k-means++ scores sum to {total}")
         if total <= 0:  # every weighted row is a center already drawn
             raise InitializationError(
                 f"fewer than k = {k} distinct feature rows carry weight")
@@ -532,6 +528,8 @@ def segment(mesh, f, params):
     and is joined before ``segment`` returns or raises.
     """
     f2 = np.atleast_2d(np.asarray(f, dtype=float).T).T
+    if f2.ndim != 2:
+        raise DimensionError(f"feature field must be (T, k-1), got {f2.shape}")
     if f2.shape[1] != params.k - 1:
         raise ParameterError(
             f"feature field has {f2.shape[1]} channels, expected k-1 = "

@@ -116,7 +116,7 @@ def test_off_non_triangle_face_rejected():
 
 def test_zero_area_face_names_face():
     text = "OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n"
-    with pytest.raises(DegenerateGeometryError, match="face 0"):
+    with pytest.raises(DegenerateGeometryError, match="^face 0 has zero area$"):
         load_off(text)
 
 

@@ -805,12 +805,14 @@ def test_multiplier_update_identities_exact(lane):
 # -- initialization -------------------------------------------------------------
 
 
-def test_init_labels_separated_clouds():
+def test_init_labels_separated_clouds(monkeypatch):
     rng = np.random.default_rng(15)
     f = np.concatenate([rng.normal(0.0, 0.01, size=(10, 1)),
                         rng.normal(5.0, 0.01, size=(8, 1))])
     areas = np.ones(18)
+    calls = _recording_kmeans_pp(monkeypatch, None)
     centers, u0 = init_labels(f, areas, 2, seed=0)
+    assert len(calls) == 1
     labels = np.argmax(u0, axis=1)
     assert len(set(labels[:10])) == 1
     assert len(set(labels[10:])) == 1
@@ -851,59 +853,44 @@ def test_init_labels_fails_on_fewer_distinct_rows_than_classes(
     assert len(calls) == 1
 
 
-def test_init_labels_gives_up_after_20_restarts_of_empty_classes(
+def test_init_labels_raises_on_an_empty_class_after_its_one_draw(
         monkeypatch):
-    # every draw duplicates a center, and the duplicate's class is empty
-    f = np.repeat([[0.0], [1.0], [2.0]], 5, axis=0)
-    calls = _recording_kmeans_pp(monkeypatch, [[0.0], [0.0], [2.0]],
-                                 every=True)
+    # centers 0, 9 and 16 give every class a row: {3, 4}, {6, 12}, {14};
+    # the means 3.5, 9 and 14 then take 6 and 12 from class 1
+    f = np.array([[3.0], [4.0], [6.0], [12.0], [14.0]])
+    calls = _recording_kmeans_pp(monkeypatch, [[0.0], [9.0], [16.0]])
     with pytest.raises(InitializationError,
-                       match="^empty cluster after 20 restarts$"):
-        init_labels(f, np.ones(15), 3, seed=0)
-    assert len(calls) == 20
+                       match="^a Lloyd step left a class with no mass$"):
+        init_labels(f, np.ones(5), 3, seed=0)
+    assert len(calls) == 1
 
 
-def _recording_kmeans_pp(monkeypatch, first, every=False):
-    """Replace ``_kmeans_pp``: its first call (each call if ``every``)
-    returns ``first``, the others draw as usual (so do all if ``first`` is
-    None); returns the list of calls."""
+def _recording_kmeans_pp(monkeypatch, first):
+    """Replace ``_kmeans_pp`` by a recorder of its calls that returns
+    ``first``, or draws as usual if ``first`` is None; returns the list of
+    calls."""
     calls, draw = [], msseg.solver._kmeans_pp
 
     def recording(f, weights, k, rng):
         calls.append(k)
-        if first is not None and (every or len(calls) == 1):
-            return np.array(first, dtype=float)
-        return draw(f, weights, k, rng)
+        if first is None:
+            return draw(f, weights, k, rng)
+        return np.array(first, dtype=float)
 
     monkeypatch.setattr(msseg.solver, "_kmeans_pp", recording)
     return calls
 
 
-def test_init_labels_restarts_on_a_duplicated_center(monkeypatch):
-    rng = np.random.default_rng(15)
-    f = np.concatenate([rng.normal(0.0, 0.01, size=(10, 1)),
-                        rng.normal(5.0, 0.01, size=(8, 1))])
-    # class 1 gets no face: argmin gives the tie to class 0
-    calls = _recording_kmeans_pp(monkeypatch, [f[0], f[0]])
-    centers, u0 = init_labels(f, np.ones(18), 2, seed=0)
-    assert len(calls) == 2
-    assert np.array_equal(u0.sum(axis=1), np.ones(18))
-    assert set(np.unique(u0)) == {0.0, 1.0}
-    assert (u0.sum(axis=0) > 0).all()
-    labels = np.argmax(u0, axis=1)
-    assert len(set(labels[:10])) == 1 and len(set(labels[10:])) == 1
-
-
-def test_init_labels_restarts_on_a_class_with_faces_but_no_mass(
-        monkeypatch):
+def test_init_labels_raises_on_a_class_with_faces_but_no_mass(monkeypatch):
     # four clouds of two faces, the last one weightless: centers at 0, 20
     # and 30 leave class 2 only the weightless faces
     f = np.repeat([[0.0], [10.0], [20.0], [30.0]], 2, axis=0)
     weights = np.array([1.0] * 6 + [0.0] * 2)
     calls = _recording_kmeans_pp(monkeypatch, [[0.0], [20.0], [30.0]])
-    centers, u0 = init_labels(f, weights, 3, seed=0)
-    assert len(calls) == 2
-    assert (weights @ u0 > 0).all()
+    with pytest.raises(InitializationError,
+                       match="^a Lloyd step left a class with no mass$"):
+        init_labels(f, weights, 3, seed=0)
+    assert len(calls) == 1
 
 
 def test_initial_state_shapes():
