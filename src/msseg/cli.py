@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionError, MeshSegError, ParameterError
 from .evaluation import mean_dissimilarity, parse_seg
 from .features import feature_field
-from .mesh import DEFAULT_RING, RINGS, load_mesh_file
+from .mesh import DEFAULT_RING, RINGS, _as_text, _records, load_mesh_file
 from .solver import MODES, SolverParams, segment
 
 # 19 visually distinct base colors; further labels step the hue by the
@@ -130,9 +130,9 @@ def _cast(key, val):
 
 
 def read_config(path):
-    """Read a flat key=value config file, or the params block of a
-    previously written JSON report."""
-    text = Path(path).read_text()
+    """Read a key=value config file, or the params block of a prior JSON
+    report, decoded and walked as a mesh file is (``mesh._as_text``)."""
+    text = _as_text(Path(path).read_bytes())
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
@@ -143,10 +143,7 @@ def read_config(path):
             raise ParameterError(f"{path}: params is not an object")
     else:
         config = {}
-        for n, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for n, line in zip(*_records(text)):
             if "=" not in line:
                 raise ParameterError(f"{path}:{n}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))

@@ -196,9 +196,10 @@ class TriMesh:
     def _build_geometry(self):
         v = self.vertices
         p0, p1, p2 = (v[self.faces[:, i]] for i in range(3))
-        cross = np.cross(p1 - p0, p2 - p0)
-        cnorm = np.linalg.norm(cross, axis=1)
-        sides = np.linalg.norm([p1 - p0, p2 - p0, p2 - p1], axis=2)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            cross = np.cross(p1 - p0, p2 - p0)
+            cnorm = np.linalg.norm(cross, axis=1)
+            sides = np.linalg.norm([p1 - p0, p2 - p0, p2 - p1], axis=2)
         overflow = np.flatnonzero(~np.isfinite(cnorm)
                                   | ~np.isfinite(sides).all(axis=0))
         if overflow.size:  # each edge is a side of a face
@@ -294,20 +295,19 @@ def smoothed_normals(mesh, ring=DEFAULT_RING):
 
 
 def _as_text(source):
+    """The one decoder of text input: bytes as UTF-8, a bad byte as U+FFFD
+    for the input's checks to reject; one leading byte-order mark dropped."""
+    if not isinstance(source, (bytes, str)):
+        source = source.read()
     if isinstance(source, bytes):
-        return source.decode("utf-8", errors="replace")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
-    return data
+        source = source.decode("utf-8", errors="replace")
+    return source.removeprefix("\ufeff")
 
 
 def _records(text):
-    """Line numbers and text of the lines left with a token once their
-    ``#`` comment is cut, as two lists; nothing is split here.  A line is
-    blank by the whitespace test ``str.split`` uses."""
+    """Line numbers and text of the lines of an OFF, OBJ or config text left
+    with a token once their ``#`` comment is cut, as two lists; nothing is
+    split.  A line is blank by the whitespace test of ``str.strip``."""
     numbers, lines = [], []
     for n, line in enumerate(text.splitlines(), start=1):
         line = line.partition("#")[0]
@@ -448,5 +448,4 @@ def load_mesh_file(path):
     fmt = Path(path).suffix[1:]
     if not fmt:
         raise MeshFormatError(f"no file extension in {Path(path).name!r}")
-    with open(path, "rb") as fh:
-        return load_mesh(fh.read(), fmt)
+    return load_mesh(Path(path).read_bytes(), fmt)

@@ -40,7 +40,9 @@ class SolverParams:
     when copied by ``dataclasses.replace``, and frozen after.
 
     ``alpha=None`` selects the data-term weight from the initialization,
-    which :func:`segment` resolves; ``beta`` is ``beta_ratio * alpha``.
+    which :func:`segment` resolves.  A numeric alpha, ``beta = beta_ratio
+    * alpha`` and ``c = eta + alpha`` (the b system's) are checked as the
+    weights are.
     """
 
     k: int = field(metadata={"help": "number of segments"})
@@ -58,9 +60,9 @@ class SolverParams:
     max_outer: int = 100
     seed: int = 0
 
-    @property
-    def beta(self):
-        return self.beta_ratio * self.alpha
+    # in Python floats, which overflow to inf with no numpy warning
+    beta = property(lambda self: float(self.beta_ratio) * float(self.alpha))
+    c = property(lambda self: float(self.eta) + float(self.alpha))
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -74,7 +76,8 @@ class SolverParams:
                 raise ParameterError(f"{name} must be at least {least}, got {value}")
         weights = ("beta_ratio", "alpha0", "eta", "r_p", "r_q", "r_z",
                    "outer_tol")
-        for name in weights + (() if self.alpha is None else ("alpha",)):
+        resolved = () if self.alpha is None else ("alpha", "beta", "c")
+        for name in weights + resolved:
             value = getattr(self, name)
             # written so that NaN fails too
             if isinstance(value, bool) or not isinstance(value, numbers.Real) \
@@ -163,8 +166,7 @@ class Systems:
         if params.mode == "gpsms":
             self.v_solve = _face_solve(mesh, 1.0, params.r_p / params.r_q)
         if params.mode != "pcms":
-            self.b_solve = calc.BiharmonicPrior(
-                mesh, params.beta, params.eta + params.alpha)
+            self.b_solve = calc.BiharmonicPrior(mesh, params.beta, params.c)
 
 
 def _face_solve(mesh, a, c):
@@ -365,8 +367,9 @@ def _kmeans_pp(f, weights, k, rng):
     T = f.shape[0]
     centers = [f[rng.choice(T, p=weights / weights.sum())]]
     for _ in range(1, k):
-        scores = weights * s_field(f, 0.0, np.array(centers)).min(axis=1)
-        total = scores.sum()
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            scores = weights * s_field(f, 0.0, np.array(centers)).min(axis=1)
+            total = scores.sum()
         if not np.isfinite(total):
             raise InitializationError(f"k-means++ scores sum to {total}")
         if total <= 0:  # every weighted row is a center already drawn
@@ -505,7 +508,7 @@ def kkt_residuals(mesh, f, state, params):
     }
     A = mesh.face_areas
     prior = calc.BiharmonicPrior(mesh, params.beta)
-    b_res = prior.apply(b) / A[:, None] + (params.eta + params.alpha) * b \
+    b_res = prior.apply(b) / A[:, None] + params.c * b \
         - params.alpha * (f - z @ mu)
     res["b_stationarity"] = norm_U(mesh, b_res)
     mass = (u * A[:, None]).sum(axis=0)

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from msseg.calculus import (
     BiharmonicPrior,
     _DirectSolve,
+    _factor,
     divergence,
     gradient,
     inner_U,
@@ -22,7 +23,7 @@ from msseg.calculus import (
     tv_energy,
     vectorial_rtgv,
 )
-from msseg.errors import DimensionError, ParameterError
+from msseg.errors import DimensionError, NumericError, ParameterError
 from msseg.mesh import load_off
 
 from _meshes import (
@@ -353,6 +354,14 @@ def _modules():
                          if fn.lineno <= lineno <= fn.end_lineno), None)
 
         yield path.name, text, scope
+
+
+def test_singular_factor_is_a_numeric_error():
+    # no run reaches this branch through an infinite beta or c, which
+    # SolverParams rejects; it guards a factor singular for other reasons
+    with pytest.raises(NumericError, match="^sparse factorization failed: "
+                       "Factor is exactly singular$"):
+        _factor(sp.csc_matrix([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_splu_is_called_only_in_factor():

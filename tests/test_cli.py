@@ -31,6 +31,7 @@ from _meshes import (
     dumbbell,
     dumbbell_ground_truth,
     random_closed,
+    random_patch,
     write_off,
 )
 from _reference import colored_ply_loop, seg_text_loop
@@ -184,6 +185,27 @@ def test_read_config_rejects_bad_line(tmp_path):
     cfg.write_text("just words\n")
     with pytest.raises(ParameterError):
         read_config(cfg)
+
+
+@pytest.mark.parametrize("text", [
+    "mesh = m.off\nk = 3\n",
+    json.dumps({"params": {"mesh": "m.off", "k": "3"}}),
+], ids=["key-value", "json-report"])
+def test_read_config_drops_a_byte_order_mark(tmp_path, text):
+    # decoded by the one decoder of the mesh readers
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert read_config(cfg) == {"mesh": "m.off", "k": "3"}
+
+
+def test_undecodable_config_byte_is_one_parameter_error_line(tmp_path,
+                                                            capsys):
+    # the byte decodes to U+FFFD, which the cast of its value rejects
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"mesh = m.off\nk = 3\xff\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error\tParameterError\tbad value '3\ufffd' for k"]
 
 
 def test_command_line_overrides_config(tmp_path):
@@ -472,6 +494,38 @@ def test_missing_mesh_file_error(tmp_path, capsys):
     assert code == 1
     line = capsys.readouterr().err.strip()
     assert line.startswith("error\t")
+
+
+# As a user runs it: a subprocess with Python's default warning filters,
+# where a numpy or scipy warning would print above the error line.  In
+# process, this suite's "error" filter would raise the warning instead.
+@pytest.mark.parametrize("flags, kind", [
+    (["--mesh", "big.off", "--k", "3"], "DegenerateGeometryError"),
+    (["--mesh", "p.off", "--k", "3", "--alpha", "1e308", "--eta", "1e308"],
+     "ParameterError"),
+    (["--mesh", "p.off", "--k", "3", "--alpha", "1e308",
+      "--beta-ratio", "10"], "ParameterError"),
+    (["--config", "bad.cfg"], "ParameterError"),
+], ids=["mesh-x1e150", "c-inf", "beta-inf", "config-0xff"])
+def test_failing_command_prints_one_stderr_line(tmp_path, flags, kind):
+    mesh = random_patch(200, 5)
+    write_off(mesh, tmp_path / "p.off")
+    (tmp_path / "big.off").write_text(
+        f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n"
+        + "".join("%r %r %r\n" % tuple(v)
+                  for v in (1e150 * mesh.vertices).tolist())
+        + "".join("3 %d %d %d\n" % tuple(f) for f in mesh.faces.tolist()))
+    (tmp_path / "bad.cfg").write_bytes(b"mesh = p.off\nk = 3\xff\n")
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(msseg.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "msseg.cli", *flags,
+                           "--out", "out"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error\t{kind}\t")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("counts", ["-1 1 0", "3 -1 0"])

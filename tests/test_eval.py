@@ -49,6 +49,10 @@ def test_parse_seg_reads_a_file_object():
     assert np.array_equal(parse_seg(io.StringIO(data.decode())), want)
 
 
+def test_parse_seg_drops_a_byte_order_mark():
+    assert parse_seg(b"\xef\xbb\xbf0\n1\n").tolist() == [0, 1]
+
+
 def test_parse_seg_bad_line_reports_number():
     with pytest.raises(MeshFormatError, match="line 2"):
         parse_seg("0\nseven\n1\n")

@@ -81,6 +81,17 @@ def test_off_bytes_and_stream_inputs():
     assert np.array_equal(a.vertices, b.vertices)
 
 
+def test_obj_with_a_byte_order_mark_keeps_its_first_vertex():
+    # were the mark left on the first "v" keyword, that record would be
+    # skipped and every index would name the next vertex: a quietly
+    # different triangle
+    mesh = load_obj(b"\xef\xbb\xbfv 0 0 0\nv 1 0 0\nv 0 1 0\nv 5 5 5\n"
+                    b"f 1 2 3\n")
+    assert mesh.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                                      [5, 5, 5]]
+    assert mesh.faces.tolist() == [[0, 1, 2]]
+
+
 def test_off_counts_on_header_line():
     text = "OFF 3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
     mesh = load_off(text)
@@ -279,10 +290,14 @@ def test_loader_error_contract(load, text, error, line, match):
     (load_off, "OFF\n3 1 0\n0 0 0 255 0 0\n1 0 0 0 255 0\n0 1 0 0 0 255\n"
                "3 0 1 2\n"),
     (load_off, "OFF\n3 1 0\n" + _TRI + "3 0 1 2 10 20 30\n"),
+    # a UTF-8 byte-order mark, in bytes or decoded, is dropped
+    (load_off, b"\xef\xbb\xbfOFF\n3 1 0\n" + _TRI.encode() + b"3 0 1 2\n"),
+    (load_off, "\ufeffOFF\n3 1 0\n" + _TRI + "3 0 1 2\n"),
     (load_obj, "v 0 0 0 1\nv 1 0 0 1\nv 0 1 0 1\nf 1 2 3\n"),
     (load_obj, _OBJ_TRI + "vt 0 0\nvn 0 0 1\nf 1/1/1 2/1/1 3/1/1\n"),
 ], ids=["off-counts-on-header", "off-OFF3", "off-inline-comments",
-        "off-vertex-colours", "off-face-colours", "obj-v-with-w",
+        "off-vertex-colours", "off-face-colours", "off-bom-bytes",
+        "off-bom-str", "obj-v-with-w",
         "obj-f-slashes"])
 def test_loader_accepted_forms(load, text):
     mesh = load(text)
