@@ -10,6 +10,7 @@ a run exactly.
 import argparse
 import colorsys
 import json
+import os
 import sys
 import time
 from dataclasses import MISSING, fields
@@ -96,11 +97,12 @@ _CHOICES = {"mode": MODES, "ring": RINGS}
 
 # config key -> (SolverParams field, default, type, help): the one schema of
 # the flags, the config file and the report's params block.  The run
-# settings come first; ``gt``, a list of paths, is handled on its own.
+# settings, which fill no field, come first; ``gt`` is a list of paths.
 _SCHEMA = {
     "mesh": (None, MISSING, str, "input mesh (.off or .obj)"),
     "ring": (None, DEFAULT_RING, str, None),
     "out": (None, ".", str, "output directory (default: .)"),
+    "gt": (None, (), list, "ground-truth .seg file (repeatable)"),
 } | {
     _KEYS.get(f.name, f.name):
         (f.name, f.default, f.type, f.metadata.get("help"))
@@ -109,7 +111,10 @@ _SCHEMA = {
 
 
 def _cast(key, val):
-    """The one conversion of a flag, config-file or report value."""
+    """The one conversion of a flag, config, report or library value; a
+    text setting takes text or a path object, gt a list or a config line."""
+    if val is MISSING:
+        raise ParameterError(f"no {key} given")
     kind = _SCHEMA[key][2]
     try:
         # JSON true, false and null: no field takes a bool, only alpha None
@@ -118,9 +123,17 @@ def _cast(key, val):
         if kind == float | None:  # None or 'auto': estimated by the solver
             return None if val is None or str(val).lower() == "auto" \
                 else float(val)
+        if kind is list and isinstance(val, str):  # a config line
+            val = [p.strip() for p in val.split(",") if p.strip()]
+        paths = val if kind is list else [val] if kind is str else []
+        if not isinstance(paths, list | tuple) or not all(
+                isinstance(p, str | os.PathLike) for p in paths):
+            raise TypeError  # text or path objects only
+        if kind is list:
+            return [os.fspath(p) for p in paths]
         if kind is int and isinstance(val, float) and not val.is_integer():
             raise ValueError
-        val = kind(val)
+        val = os.fspath(val) if kind is str else kind(val)
     except (TypeError, ValueError):
         raise ParameterError(f"bad value {val!r} for {key}") from None
     if key in _CHOICES and val not in _CHOICES[key]:
@@ -130,8 +143,8 @@ def _cast(key, val):
 
 
 def read_config(path):
-    """Read a key=value config file, or the params block of a prior JSON
-    report, decoded and walked as a mesh file is (``mesh._as_text``)."""
+    """Read a key=value config file, each key once, or the params block of
+    a JSON report, decoded as a mesh file is; checks the key names only."""
     text = _as_text(Path(path).read_bytes())
     if text.lstrip().startswith("{"):
         try:
@@ -142,20 +155,18 @@ def read_config(path):
         if not isinstance(config, dict):
             raise ParameterError(f"{path}: params is not an object")
     else:
-        config = {}
+        config, lines = {}, {}
         for n, line in zip(*_records(text)):
             if "=" not in line:
                 raise ParameterError(f"{path}:{n}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
-            config[key] = val
-    unknown = config.keys() - _SCHEMA.keys() - {"gt"}
+            if key in lines:
+                raise ParameterError(f"{path}:{n}: {key} already given "
+                                     f"on line {lines[key]}")
+            config[key], lines[key] = val, n
+    unknown = config.keys() - _SCHEMA.keys()
     if unknown:
         raise ParameterError(f"unknown config key {min(unknown)!r}")
-    gt = config.get("gt", [])
-    if isinstance(gt, str):
-        config["gt"] = gt.split(",")
-    elif not isinstance(gt, list):
-        raise ParameterError(f"gt must be a list of paths, got {gt!r}")
     return config
 
 
@@ -166,29 +177,19 @@ def build_parser():
         argument_default=argparse.SUPPRESS,  # only given flags override
     )
     ap.add_argument("--config", help="key=value file or a prior run report")
-    for key, (_, _, _, help_text) in _SCHEMA.items():
+    for key, (_, _, kind, help_text) in _SCHEMA.items():
         flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+        how = ({"action": "append"} if kind is list  # cast by _complete
+               else {"type": lambda val, key=key: _cast(key, val)})
         ap.add_argument(flag, dest=key, choices=_CHOICES.get(key),
-                        type=lambda val, key=key: _cast(key, val),
-                        help=help_text)
-    ap.add_argument("--gt", action="append",
-                    help="ground-truth .seg file (repeatable)")
+                        help=help_text, **how)
     return ap
 
 
 def _complete(config):
-    """Cast every value and fill in the defaults; mesh and k have none."""
-    done = {}
-    for key, (_, default, _, _) in _SCHEMA.items():
-        if key in config:
-            done[key] = _cast(key, config[key])
-        elif default is MISSING:
-            raise ParameterError(f"no {key} given")
-        else:
-            done[key] = default
-    if config.get("gt"):
-        done["gt"] = [str(p) for p in config["gt"]]
-    return done
+    """Cast every key's value or default; mesh and k have none."""
+    return {key: _cast(key, config.get(key, default))
+            for key, (_, default, _, _) in _SCHEMA.items()}
 
 
 def _solver_params(config):
@@ -204,8 +205,8 @@ def resolve_config(args):
 
 
 def run(config):
-    """Execute one segmentation run; returns the report dict.  Keys
-    missing from ``config`` take their defaults."""
+    """Execute one segmentation run; returns the report dict.  ``config``
+    is cast and completed with the defaults as a config file is."""
     config = _complete(config)
     params = _solver_params(config)
     mesh_path, out_dir = Path(config["mesh"]), Path(config["out"])
@@ -215,10 +216,9 @@ def run(config):
     # read and check the ground truth and the mesh before the output
     # directory exists: a truth file may sit where an output goes, and a
     # run that fails on its input leaves nothing behind
-    gt_files = config.get("gt", [])
-    truths = [parse_seg(Path(p).read_bytes()) for p in gt_files]
+    truths = [parse_seg(Path(p).read_bytes()) for p in config["gt"]]
     mesh = load_mesh_file(mesh_path)
-    for path, truth in zip(gt_files, truths):
+    for path, truth in zip(config["gt"], truths):
         if len(truth) != mesh.n_faces:
             raise DimensionError(f"{path}: {len(truth)} labels for "
                                  f"{mesh.n_faces} faces")
@@ -235,7 +235,7 @@ def run(config):
     rand_index = None
     if truths:
         mean, scores = mean_dissimilarity(result.labels, truths)
-        rand_index = {"mean": mean, "scores": scores, "files": gt_files}
+        rand_index = {"mean": mean, "scores": scores, "files": config["gt"]}
 
     report = {
         # the resolved alpha, so that a replay reuses it

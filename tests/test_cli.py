@@ -170,7 +170,22 @@ def test_read_config_key_value_file(tmp_path):
     config = read_config(cfg)
     assert config["mesh"] == "m.off"
     assert config["k"] == "3"
-    assert config["gt"] == ["a.seg", "b.seg"]
+    assert config["gt"] == "a.seg,b.seg"  # the cast makes it a list
+    args = build_parser().parse_args(["--config", str(cfg)])
+    assert resolve_config(args)["gt"] == ["a.seg", "b.seg"]
+
+
+@pytest.mark.parametrize("text, key, first", [
+    ("gt = a.seg\nk = 3\n\ngt = b.seg\n", "gt", 1),
+    ("gt = a.seg\nk = 3\n\nk = 3\n", "k", 2),
+], ids=["gt", "k"])
+def test_read_config_rejects_a_repeated_key(tmp_path, text, key, first):
+    # a second line would otherwise silently replace the first
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ParameterError, match=rf"run.cfg:4: {key} already "
+                                             rf"given on line {first}$"):
+        read_config(cfg)
 
 
 def test_read_config_rejects_unknown_key(tmp_path):
@@ -231,10 +246,13 @@ def test_resolve_config_requires_mesh_and_k():
     '{"params": {"k": 3,', '{"params": 3}', '{"k": 3, "gt": 5}',
 ])
 def test_read_config_rejects_malformed_json(tmp_path, text):
+    # a gt that is no list fails in the cast, the mesh given so that the
+    # missing mesh does not fail first
     cfg = tmp_path / "report.json"
     cfg.write_text(text)
+    args = build_parser().parse_args(["--config", str(cfg), "--mesh", "m"])
     with pytest.raises(ParameterError):
-        read_config(cfg)
+        resolve_config(args)
 
 
 # a report's params block exactly as the release before the derived schema
@@ -636,5 +654,80 @@ def test_run_fills_in_defaults_for_a_partial_config(dumbbell_setup):
         "mesh": str(mesh_path), "mode": "gpsms", "k": 2, "beta_ratio": 1.0,
         "alpha0": 2.0, "eta": 1e-05, "r_p": 1.0, "r_q": 1.0, "r_z": 100.0,
         "inner_iters": 5, "tol": 1e-05, "max_outer": 100, "seed": 0,
-        "ring": "n2", "out": str(out),
+        "ring": "n2", "out": str(out), "gt": [],
     }
+
+
+@pytest.fixture(scope="module")
+def patch_setup(tmp_path_factory):
+    # a 60-point open patch and two all-zero truths: quick full runs
+    base = tmp_path_factory.mktemp("patch")
+    mesh = random_patch(60, 1)
+    write_off(mesh, base / "p.off")
+    for name in ("a.seg", "b.seg"):
+        (base / name).write_text("0\n" * mesh.n_faces)
+    return base
+
+
+@pytest.mark.parametrize("line, n_truths", [
+    ("gt = {a}, {b}", 2), ("gt = {a},,{b}", 2), ("gt =", 0),
+], ids=["spaced", "empty-entry", "empty"])
+def test_config_gt_is_a_comma_separated_list(patch_setup, tmp_path, line,
+                                             n_truths):
+    a, b = patch_setup / "a.seg", patch_setup / "b.seg"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh = {patch_setup / 'p.off'}\nk = 2\n"
+                   + line.format(a=a, b=b) + "\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    scored = json.loads((out / "p_report.json").read_text())["rand_index"]
+    if n_truths:
+        assert scored["files"] == [str(a), str(b)]
+        assert len(scored["scores"]) == 2
+    else:
+        assert scored is None
+
+
+def test_run_takes_one_ground_truth_as_text(patch_setup, tmp_path):
+    a = str(patch_setup / "a.seg")
+    report = run({"mesh": str(patch_setup / "p.off"), "k": 2,
+                  "out": str(tmp_path), "gt": a})
+    assert report["rand_index"]["files"] == [a]
+    assert len(report["rand_index"]["scores"]) == 1
+
+
+def test_run_casts_path_objects_to_text(patch_setup, tmp_path):
+    report = run({"mesh": patch_setup / "p.off", "k": 2, "out": tmp_path,
+                  "gt": (patch_setup / "a.seg", patch_setup / "b.seg")})
+    assert report["params"]["gt"] == [str(patch_setup / "a.seg"),
+                                      str(patch_setup / "b.seg")]
+    assert report["params"]["mesh"] == str(patch_setup / "p.off")
+
+
+@pytest.mark.parametrize("key, val", [
+    ("out", b"o"), ("gt", [b"a.seg"]), ("gt", {"a.seg": 1}),
+], ids=["out-bytes", "gt-bytes", "gt-mapping"])
+def test_run_rejects_values_that_are_not_paths(patch_setup, tmp_path,
+                                               monkeypatch, key, val):
+    monkeypatch.chdir(tmp_path)
+    config = {"mesh": str(patch_setup / "p.off"), "k": 2, key: val}
+    with pytest.raises(ParameterError, match=f"^bad value .* for {key}$"):
+        run(config)
+    assert list(tmp_path.iterdir()) == []  # no output written
+
+
+@pytest.mark.parametrize("key, val", [
+    ("out", ["x", "y"]), ("out", 5), ("mesh", 5), ("gt", [7]),
+], ids=["out-list", "out-number", "mesh-number", "gt-number"])
+def test_json_value_of_another_type_is_one_parameter_error_line(
+        patch_setup, tmp_path, monkeypatch, capsys, key, val):
+    # str() of a list or number would otherwise name an output directory
+    # or a file
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.json"
+    config = {"mesh": str(patch_setup / "p.off"), "k": 2, key: val}
+    cfg.write_text(json.dumps({"params": config}))
+    assert main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error\tParameterError\tbad value {val!r} for {key}"]
+    assert list(tmp_path.iterdir()) == [cfg]  # no output written
