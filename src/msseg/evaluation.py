@@ -8,26 +8,18 @@ score 0.
 import numpy as np
 
 from .errors import DimensionError
-from .mesh import _as_text, _table
+from .mesh import _as_text, _records, _table
 
 
 def parse_seg(source):
     """Parse a .seg stream (text, bytes or a file object, decoded as by
     ``load_off``): one integer label per line, line i is the label of face
-    i; blank lines are skipped.  The non-blank lines go whole into one
-    conversion (``int()`` ignores the blanks around a label and rejects a
-    second token), and they are numbered only if it fails: a line that is
-    not one int64 integer raises ``MeshFormatError`` naming it."""
-    source = _as_text(source)
-    lines = [line for line in source.splitlines()
-             if line and not line.isspace()]
-
-    def numbers():
-        for n, line in enumerate(source.splitlines(), start=1):
-            if line and not line.isspace():
-                yield n
-
-    return _table(lines, numbers(), None, np.int64, "label")[:, 0]
+    i, walked by ``mesh._records`` with blanks skipped and no ``#`` cut.
+    The kept lines go whole into one conversion (``int()`` ignores the
+    blanks around a label, rejects a second token or a ``#``): a line that
+    is not one int64 integer raises ``MeshFormatError`` naming it."""
+    numbers, lines = _records(_as_text(source), comments=False)
+    return _table(lines, numbers, None, np.int64, "label")[:, 0]
 
 
 def rand_index_dissimilarity(a, b):

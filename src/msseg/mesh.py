@@ -11,6 +11,7 @@ instances are safe to share between threads.
 
 import re
 import warnings
+from array import array
 from itertools import chain
 from pathlib import Path
 
@@ -304,13 +305,16 @@ def _as_text(source):
     return source.removeprefix("\ufeff")
 
 
-def _records(text):
-    """Line numbers and text of the lines of an OFF, OBJ or config text left
-    with a token once their ``#`` comment is cut, as two lists; nothing is
-    split.  A line is blank by the whitespace test of ``str.strip``."""
-    numbers, lines = [], []
+def _records(text, comments=True):
+    """The one line walk of text input: the 1-based numbers of the lines
+    of an OFF, OBJ, config or ``.seg`` text left with a token, as an int64
+    ``array``, and their text, as a list; nothing is split.  ``comments``
+    cuts each ``#`` comment first (``.seg`` lines have none).  A line is
+    blank by the whitespace test of ``str.strip``."""
+    numbers, lines = array("q"), []
     for n, line in enumerate(text.splitlines(), start=1):
-        line = line.partition("#")[0]
+        if comments:
+            line = line.partition("#")[0]
         if line and not line.isspace():
             numbers.append(n)
             lines.append(line)
@@ -402,12 +406,13 @@ def load_obj(source):
 
     Comments and vertices are read as by :func:`load_off`; an ``f`` record
     takes the head of each ``a/b/c`` reference.  Each record is split for
-    its keyword, and again only as its block is converted.  The first bad
+    its keyword, and again only as its block is converted; the ``v`` and
+    ``f`` line numbers are kept as ``_records`` keeps them.  The first bad
     vertex, then the first face of other than three references
     (``TopologyError``), then the first unconvertible face and the first
     index below 1 are reported, each naming its line.
     """
-    vert_numbers, verts, face_numbers, faces = [], [], [], []
+    vert_numbers, verts, face_numbers, faces = array("q"), [], array("q"), []
     for n, line in zip(*_records(_as_text(source))):
         key, *rest = line.split(None, 1)
         rest = rest[0] if rest else ""

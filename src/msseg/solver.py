@@ -372,9 +372,11 @@ def _kmeans_pp(f, weights, k, rng):
             total = scores.sum()
         if not np.isfinite(total):
             raise InitializationError(f"k-means++ scores sum to {total}")
-        if total <= 0:  # every weighted row is a center already drawn
+        if total <= 0:  # the weighted rows are drawn centers, or underflow
+            few = len(np.unique(f[weights > 0], axis=0)) < k
             raise InitializationError(
-                f"fewer than k = {k} distinct feature rows carry weight")
+                f"fewer than k = {k} distinct feature rows carry weight"
+                if few else "k-means++ scores underflow to 0")
         centers.append(f[rng.choice(T, p=scores / total)])
     return np.array(centers, dtype=float)
 

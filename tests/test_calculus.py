@@ -373,6 +373,16 @@ def test_splu_is_called_only_in_factor():
     assert sites == [("calculus.py", "_factor")]
 
 
+def test_text_input_is_walked_only_in_records():
+    # OFF, OBJ, config and .seg text share one line walk and one blank-line
+    # rule
+    for needle in ("splitlines(", "line and not line.isspace()"):
+        sites = [(name, scope(lineno)) for name, text, scope in _modules()
+                 for lineno, line in enumerate(text.splitlines(), 1)
+                 if needle in line]
+        assert sites == [("mesh.py", "_records")], needle
+
+
 def test_one_gate_and_a_prior_that_keeps_no_complex_matrix():
     # the backward-error bound is read (or imported) only by the gate,
     # which the solves and the eigenpair check call; the factored prior

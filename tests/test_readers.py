@@ -75,13 +75,18 @@ def _outcome(read, text):
 
 def _dumbbell_texts():
     mesh = dumbbell()
-    return write_off(mesh, None), seg_text_loop(dumbbell_ground_truth(mesh))
+    obj = "".join([f"v {x:.17g} {y:.17g} {z:.17g}\n"
+                   for x, y, z in mesh.vertices]
+                  + [f"f {a} {b} {c}\n" for a, b, c in mesh.faces + 1])
+    return (write_off(mesh, None), seg_text_loop(dumbbell_ground_truth(mesh)),
+            obj)
 
 
 # The record walk kept a token list per line: 15x the OFF text and 63x the
 # .seg text at its peak on this mesh.
 @pytest.mark.parametrize("read, which, bound", [
-    (load_off, 0, 8), (parse_seg, 1, 16)], ids=["load_off", "parse_seg"])
+    (load_off, 0, 8), (parse_seg, 1, 16), (load_obj, 2, 8)],
+    ids=["load_off", "parse_seg", "load_obj"])
 def test_reader_transient_memory_is_bounded(arrays_only, read, which, bound):
     text = _dumbbell_texts()[which]
     read(text)

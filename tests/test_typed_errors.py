@@ -73,6 +73,10 @@ BETA_INF = "^beta must be positive and finite, got inf$"
     # the squared distances of k-means++ overflow
     pytest.param(_segment(factor=1e200), errors.InitializationError,
                  "^k-means\\+\\+ scores sum to inf$", id="features-x1e200"),
+    # the squared distances of k-means++ underflow; the rows stay distinct
+    pytest.param(_segment(factor=1e-200), errors.InitializationError,
+                 "^k-means\\+\\+ scores underflow to 0$",
+                 id="features-x1e-200"),
     pytest.param(_segment(shape=lambda f: f.shape + (1,)),
                  errors.DimensionError,
                  "^feature field must be \\(T, k-1\\), got \\(386, 2, 1\\)$",
