@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionError, MeshSegError, ParameterError
 from .evaluation import mean_dissimilarity, parse_seg
 from .features import feature_field
-from .mesh import DEFAULT_RING, RINGS, _as_text, _records, load_mesh_file
+from .mesh import _as_text, _records, load_mesh_file
 from .solver import MODES, SolverParams, segment
 
 # 19 visually distinct base colors; further labels step the hue by the
@@ -93,14 +93,13 @@ def export_colored_mesh(mesh, labels, path):
 # the only config keys and flags not spelled like their field or key
 _KEYS = {"outer_tol": "tol"}
 _FLAGS = {"r_p": "--rp", "r_q": "--rq", "r_z": "--rz"}
-_CHOICES = {"mode": MODES, "ring": RINGS}
+_CHOICES = {"mode": MODES}
 
 # config key -> (SolverParams field, default, type, help): the one schema of
 # the flags, the config file and the report's params block.  The run
 # settings, which fill no field, come first; ``gt`` is a list of paths.
 _SCHEMA = {
     "mesh": (None, MISSING, str, "input mesh (.off or .obj)"),
-    "ring": (None, DEFAULT_RING, str, None),
     "out": (None, ".", str, "output directory (default: .)"),
     "gt": (None, (), list, "ground-truth .seg file (repeatable)"),
 } | {
@@ -144,7 +143,7 @@ def _cast(key, val):
 
 def read_config(path):
     """Read a key=value config file, each key once, or the params block of
-    a JSON report, decoded as a mesh file is; checks the key names only."""
+    a JSON report, decoded as a mesh file is; ``_complete`` checks the keys."""
     text = _as_text(Path(path).read_bytes())
     if text.lstrip().startswith("{"):
         try:
@@ -164,9 +163,6 @@ def read_config(path):
                 raise ParameterError(f"{path}:{n}: {key} already given "
                                      f"on line {lines[key]}")
             config[key], lines[key] = val, n
-    unknown = config.keys() - _SCHEMA.keys()
-    if unknown:
-        raise ParameterError(f"unknown config key {min(unknown)!r}")
     return config
 
 
@@ -187,7 +183,17 @@ def build_parser():
 
 
 def _complete(config):
-    """Cast every key's value or default; mesh and k have none."""
+    """Cast every key's value or default; mesh and k have none.  A key
+    outside the schema fails, except ``ring = n2``, which older reports
+    record and which names the one normal ring, so it is dropped."""
+    config = dict(config)
+    ring = config.pop("ring", "n2")
+    if ring != "n2":
+        raise ParameterError(f"ring {ring!r} cannot be replayed: n2 is the "
+                             "only normal ring")
+    unknown = config.keys() - _SCHEMA.keys()
+    if unknown:
+        raise ParameterError(f"unknown config key {min(unknown, key=str)!r}")
     return {key: _cast(key, config.get(key, default))
             for key, (_, default, _, _) in _SCHEMA.items()}
 
@@ -223,7 +229,7 @@ def run(config):
             raise DimensionError(f"{path}: {len(truth)} labels for "
                                  f"{mesh.n_faces} faces")
     out_dir.mkdir(parents=True, exist_ok=True)
-    features = feature_field(mesh, params.k, ring=config["ring"])
+    features = feature_field(mesh, params.k)
     result = segment(mesh, features.values, params)
 
     seg_path = out_dir / f"{stem}.seg"

@@ -2,7 +2,8 @@
 
 The Laplacian ``grad.T @ diag(w) @ grad`` couples edge-adjacent faces
 with weights ``w_e = l_e * exp(-d_e / dbar)`` where ``d_e`` is the squared
-distance between the (smoothed) unit normals of the faces of edge ``e``
+distance between the smoothed unit normals of the faces of edge ``e``
+(the normals averaged over the faces that share a vertex with the face)
 and ``dbar`` its mean over interior edges.  The segmentation input signal
 is built from the low end of its spectrum.  Its kernel is spanned by the
 indicators of the mesh's components (``mesh.components``); their
@@ -17,10 +18,10 @@ import scipy.sparse.linalg as spla
 
 from .calculus import _DirectSolve, _gate
 from .errors import FeatureError, NumericError, check_integer
-from .mesh import DEFAULT_RING, smoothed_normals
+from .mesh import smoothed_normals
 
 
-def build_laplacian(mesh, ring=DEFAULT_RING):
+def build_laplacian(mesh):
     """The symmetric PSD face Laplacian ``grad.T @ diag(w) @ grad``, with
     ``grad = mesh.grad``: zero row sums, ``-w_e`` off the diagonal.
 
@@ -30,7 +31,7 @@ def build_laplacian(mesh, ring=DEFAULT_RING):
     interior = ~mesh.boundary_edge
     if not interior.any():
         raise FeatureError("mesh has no interior edges; cannot build Laplacian")
-    normals = smoothed_normals(mesh, ring)
+    normals = smoothed_normals(mesh)
     # the normal jump across each edge; boundary rows of grad are empty
     d = np.sum((mesh.grad @ normals) ** 2, axis=1)
     dbar = float(d[interior].mean())
@@ -53,7 +54,7 @@ class FeatureField:
     scales: np.ndarray
 
 
-def feature_field(mesh, n_segments, ring=DEFAULT_RING):
+def feature_field(mesh, n_segments):
     """Low-spectrum feature signal: ``n_segments - 1`` channels.
 
     The uninformative global-constant direction is skipped.  Remaining
@@ -81,7 +82,7 @@ def feature_field(mesh, n_segments, ring=DEFAULT_RING):
             f"{n_segments} segments need {k_needed} channels but mesh has "
             f"only {T} faces"
         )
-    L = build_laplacian(mesh, ring)
+    L = build_laplacian(mesh)
     max_diag = float(L.diagonal().max())
 
     comp = mesh.components

@@ -6,7 +6,8 @@ signed face/edge incidence sgn(face, edge) on interior edges), face areas,
 edge lengths, unit face normals and boundary flags.  Its faces are wound
 consistently on each connected component.  Every attribute is a frozen
 array or sparse matrix set at construction and nothing is cached, so
-instances are safe to share between threads.
+instances are safe to share between threads.  :func:`smoothed_normals`
+averages the face normals over the faces that share a vertex.
 """
 
 import re
@@ -19,15 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (
-    DegenerateGeometryError,
-    MeshFormatError,
-    ParameterError,
-    TopologyError,
-)
-
-RINGS = ("raw", "n1", "n2")
-DEFAULT_RING = "n2"
+from .errors import DegenerateGeometryError, MeshFormatError, TopologyError
 
 
 class TriMesh:
@@ -117,7 +110,8 @@ class TriMesh:
                     self.components):
             arr.setflags(write=False)
         for matrix in (self.grad, self.grad_tl, self.S):
-            _freeze(matrix)
+            for arr in (matrix.data, matrix.indices, matrix.indptr):
+                arr.setflags(write=False)
 
     # -- construction ------------------------------------------------------
 
@@ -228,49 +222,10 @@ class TriMesh:
     def n_edges(self):
         return len(self.edges)
 
-    # -- neighborhoods -----------------------------------------------------
 
-    def neighborhoods(self, ring):
-        """(T, T) sparse matrix of ones whose row tau holds the neighborhood of
-        face tau in ascending column order; built and frozen on every call,
-        and not kept with the mesh.
-
-        ``"raw"`` is just ``{tau}``, ``"n1"`` adds the edge-adjacent faces
-        and ``"n2"`` the vertex-adjacent ones.  The face itself is always
-        included.
-        """
-        if ring not in RINGS:
-            raise ParameterError(f"ring must be one of {RINGS}, got {ring!r}")
-        T = self.n_faces
-        if ring == "raw":
-            pattern = sp.identity(T, format="csr")
-        elif ring == "n1":
-            # adjacent faces meet with opposite signs on each shared edge
-            # (consistent winding), and I keeps a face with no interior edge
-            pattern = self.grad.T @ self.grad + sp.identity(T)
-        else:
-            # faces sharing a vertex: the pattern of F F^T, with F the
-            # face-vertex incidence
-            incidence = sp.csr_matrix(
-                (np.ones(3 * T), self.faces.ravel(),
-                 np.arange(0, 3 * T + 1, 3)),
-                shape=(T, self.n_vertices))
-            pattern = incidence @ incidence.T
-        pattern.sum_duplicates()
-        pattern.sort_indices()
-        pattern.data[:] = 1.0
-        return _freeze(pattern)
-
-
-def _freeze(matrix):
-    for arr in (matrix.data, matrix.indices, matrix.indptr):
-        arr.setflags(write=False)
-    return matrix
-
-
-def smoothed_normals(mesh, ring=DEFAULT_RING):
-    """Area-weighted average normal over each face's neighborhood (see
-    :meth:`TriMesh.neighborhoods`), unit length, one row per face.
+def smoothed_normals(mesh):
+    """Area-weighted average normal over the faces that share a vertex with
+    each face, the face itself included; unit length, one row per face.
 
     Raises
     ------
@@ -278,7 +233,15 @@ def smoothed_normals(mesh, ring=DEFAULT_RING):
         Naming the first face whose averaged vector has norm below 1e-12
         of its neighborhood's area, a test that does not depend on units.
     """
-    pattern = mesh.neighborhoods(ring)
+    T = mesh.n_faces
+    # faces sharing a vertex: the pattern of F F^T, with F the face-vertex
+    # incidence, sorted so that each row sums in ascending face order
+    incidence = sp.csr_matrix(
+        (np.ones(3 * T), mesh.faces.ravel(), np.arange(0, 3 * T + 1, 3)),
+        shape=(T, mesh.n_vertices))
+    pattern = incidence @ incidence.T
+    pattern.sort_indices()
+    pattern.data[:] = 1.0
     avg = pattern @ (mesh.face_areas[:, None] * mesh.face_normals)
     # one dot product per row, so a row rounds as ``np.linalg.norm`` of
     # that row alone does
@@ -286,9 +249,7 @@ def smoothed_normals(mesh, ring=DEFAULT_RING):
     degenerate = np.flatnonzero(norm < 1e-12 * (pattern @ mesh.face_areas))
     if degenerate.size:
         raise DegenerateGeometryError(
-            f"averaged normal of face {degenerate[0]} (ring {ring}) "
-            "is degenerate"
-        )
+            f"averaged normal of face {degenerate[0]} is degenerate")
     return avg / norm[:, None]
 
 

@@ -365,32 +365,24 @@ def orient_loop(faces):
     return np.array(out, dtype=np.int64).reshape(-1, 3), sum(reverse)
 
 
-def neighbor_lists(mesh, ring):
-    """Per-face sorted ``n1`` (edge-adjacent) or ``n2`` (vertex-adjacent)
-    neighborhoods, the face itself included, built from Python sets; the
-    ``n1`` adjacency comes from :func:`incidence_loops`."""
+def neighbor_lists(mesh):
+    """Per-face sorted neighborhoods, the faces that share a vertex with the
+    face, itself included, built from Python sets."""
     lists = [{t} for t in range(mesh.n_faces)]
-    if ring == "n1":
-        for f0, f1 in incidence_loops(mesh.faces)["edge_faces"].tolist():
-            if f1 >= 0:
-                lists[f0].add(f1)
-                lists[f1].add(f0)
-    else:
-        vert_faces = [[] for _ in range(mesh.n_vertices)]
-        for t, f in enumerate(mesh.faces.tolist()):
-            for vid in f:
-                vert_faces[vid].append(t)
-        for t, f in enumerate(mesh.faces.tolist()):
-            for vid in f:
-                lists[t].update(vert_faces[vid])
+    vert_faces = [[] for _ in range(mesh.n_vertices)]
+    for t, f in enumerate(mesh.faces.tolist()):
+        for vid in f:
+            vert_faces[vid].append(t)
+    for t, f in enumerate(mesh.faces.tolist()):
+        for vid in f:
+            lists[t].update(vert_faces[vid])
     return [np.array(sorted(s), dtype=np.int64) for s in lists]
 
 
-def smoothed_normals_loop(mesh, ring):
+def smoothed_normals_loop(mesh):
     """Area-weighted neighborhood normals, one face at a time."""
     out = np.empty((mesh.n_faces, 3))
-    tables = neighbor_lists(mesh, ring)
-    for tau, nb in enumerate(tables):
+    for tau, nb in enumerate(neighbor_lists(mesh)):
         avg = (mesh.face_areas[nb, None] * mesh.face_normals[nb]).sum(axis=0)
         out[tau] = avg / np.linalg.norm(avg)
     return out

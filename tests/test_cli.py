@@ -157,11 +157,9 @@ def test_parser_flags_and_choices():
     assert set(actions) == {
         "-h", "--config", "--mesh", "--mode", "--k", "--alpha",
         "--beta-ratio", "--alpha0", "--eta", "--rp", "--rq", "--rz",
-        "--inner-iters", "--tol", "--max-outer", "--seed", "--ring", "--gt",
-        "--out",
+        "--inner-iters", "--tol", "--max-outer", "--seed", "--gt", "--out",
     }
     assert list(actions["--mode"].choices) == ["pcms", "psms", "gpsms"]
-    assert list(actions["--ring"].choices) == ["raw", "n1", "n2"]
 
 
 def test_read_config_key_value_file(tmp_path):
@@ -191,8 +189,31 @@ def test_read_config_rejects_a_repeated_key(tmp_path, text, key, first):
 def test_read_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus = 1\n")
-    with pytest.raises(ParameterError, match="bogus"):
-        read_config(cfg)
+    args = build_parser().parse_args(["--config", str(cfg)])
+    with pytest.raises(ParameterError, match="^unknown config key 'bogus'$"):
+        resolve_config(args)
+
+
+@pytest.mark.parametrize("route", ["run", "cfg", "json"])
+def test_unknown_key_is_rejected_before_any_output(dumbbell_setup, tmp_path,
+                                                   capsys, route):
+    # a library dict passes no parser: a typo would otherwise run the
+    # default mode and write its outputs
+    _, mesh_path, _ = dumbbell_setup
+    out = tmp_path / "out"
+    config = {"mesh": str(mesh_path), "k": 2, "out": str(out), "mdoe": "pcms"}
+    if route == "run":
+        with pytest.raises(ParameterError,
+                           match="^unknown config key 'mdoe'$"):
+            run(config)
+    else:
+        cfg = tmp_path / f"run.{route}"
+        cfg.write_text(json.dumps({"params": config}) if route == "json"
+                       else "".join(f"{k} = {v}\n" for k, v in config.items()))
+        assert main(["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error\tParameterError\tunknown config key 'mdoe'"]
+    assert not out.exists()
 
 
 def test_read_config_rejects_bad_line(tmp_path):
@@ -273,7 +294,7 @@ OLD_REPORT = """{
     "tol": 1e-06,
     "max_outer": 20,
     "seed": 7,
-    "ring": "n1",
+    "ring": "n2",
     "out": "results",
     "gt": [
       "gt/m_a.seg",
@@ -287,17 +308,27 @@ OLD_REPORT = """{
 """
 
 
-def test_old_report_still_replays(tmp_path):
+@pytest.mark.parametrize("ring", ["n2", "n1"])
+def test_old_report_still_replays(tmp_path, ring):
+    # older reports record the normal ring; n2 is the one ring left, and a
+    # run made with another cannot be replayed
     path = tmp_path / "m_report.json"
-    path.write_text(OLD_REPORT)
-    config = resolve_config(build_parser().parse_args(["--config", str(path)]))
+    path.write_text(OLD_REPORT.replace('"ring": "n2"', f'"ring": "{ring}"'))
+    args = build_parser().parse_args(["--config", str(path)])
+    if ring != "n2":
+        with pytest.raises(ParameterError, match=f"^ring '{ring}' cannot be "
+                                                 "replayed: n2 is the only "
+                                                 "normal ring$"):
+            resolve_config(args)
+        return
+    config = resolve_config(args)
     assert _solver_params(config) == SolverParams(
         k=3, mode="psms", alpha=12.5, beta_ratio=0.5, alpha0=3.0, eta=2e-5,
         r_p=2.0, r_q=3.0, r_z=50.0, inner_iters=4, outer_tol=1e-6,
         max_outer=20, seed=7,
     )
     assert config["mesh"] == "models/m.off"
-    assert config["ring"] == "n1"
+    assert "ring" not in config
     assert config["out"] == "results"
     assert config["gt"] == ["gt/m_a.seg", "gt/m_b.seg"]
 
@@ -313,7 +344,6 @@ def test_defaults_are_solver_params_defaults():
     config = resolve_config(
         build_parser().parse_args(["--mesh", "m.off", "--k", "3"]))
     assert _solver_params(config) == SolverParams(k=3)
-    assert config["ring"] == "n2"
     assert config["out"] == "."
 
 
@@ -633,13 +663,12 @@ def test_schema_round_trip_through_report(dumbbell_setup):
         "--alpha", "3.5", "--beta-ratio", "0.5", "--alpha0", "3",
         "--eta", "2e-5", "--rp", "2", "--rq", "3", "--rz", "50",
         "--inner-iters", "2", "--tol", "1e-4", "--max-outer", "2",
-        "--seed", "7", "--ring", "n1", "--out", str(out),
+        "--seed", "7", "--out", str(out),
     ]) == 0
     args = build_parser().parse_args(
         ["--config", str(out / "dumbbell_report.json")])
     config = resolve_config(args)
     assert _solver_params(config) == params
-    assert config["ring"] == "n1"
     assert config["out"] == str(out)
 
 
@@ -654,7 +683,7 @@ def test_run_fills_in_defaults_for_a_partial_config(dumbbell_setup):
         "mesh": str(mesh_path), "mode": "gpsms", "k": 2, "beta_ratio": 1.0,
         "alpha0": 2.0, "eta": 1e-05, "r_p": 1.0, "r_q": 1.0, "r_z": 100.0,
         "inner_iters": 5, "tol": 1e-05, "max_outer": 100, "seed": 0,
-        "ring": "n2", "out": str(out), "gt": [],
+        "out": str(out), "gt": [],
     }
 
 
@@ -686,6 +715,26 @@ def test_config_gt_is_a_comma_separated_list(patch_setup, tmp_path, line,
         assert len(scored["scores"]) == 2
     else:
         assert scored is None
+
+
+@pytest.mark.parametrize("ring", ["n2", "n1"])
+def test_run_drops_ring_n2_and_rejects_another(patch_setup, tmp_path, ring):
+    # the key older reports carry: n2 is the one normal ring, so it runs
+    # as a config without it does; a library caller gets the same rule
+    config = {"mesh": str(patch_setup / "p.off"), "k": 2}
+    out = tmp_path / "out"
+    if ring != "n2":
+        with pytest.raises(ParameterError, match=f"^ring '{ring}' cannot"):
+            run({**config, "ring": ring, "out": str(out)})
+        assert not out.exists()
+        return
+    run({**config, "ring": ring, "out": str(out)})
+    run({**config, "out": str(tmp_path / "plain")})
+    for name in ("p.seg", "p_colored.ply"):
+        assert (out / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
+    assert "ring" not in json.loads(
+        (out / "p_report.json").read_text())["params"]
 
 
 def test_run_takes_one_ground_truth_as_text(patch_setup, tmp_path):

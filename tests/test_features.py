@@ -51,50 +51,15 @@ def _interior_pairs(mesh):
 # -- normal distance, read off the Laplacian weights --------------------------
 
 
-def _known_distance_mesh():
-    """A coplanar pair (faces 0, 1), a right-angle fold (faces 1, 2) and,
-    apart from them, two coincident triangles with opposite winding
-    (faces 3, 4, sharing all three edges): raw normal distances 0, 2 and
-    4, so ``dbar`` over the five interior edges is 14 / 5."""
-    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0.5, 1),
-             (5, 0, 0), (6, 0, 0), (5, 1, 0)]
-    faces = [(0, 1, 2), (2, 1, 3), (3, 1, 4), (5, 6, 7), (6, 5, 7)]
-    return TriMesh(verts, faces)
-
-
-def _laplacian_distance_check(i, j, d):
-    # w_ij = l_ij exp(-d / dbar), with l_ij the summed length of the edges
-    # faces i and j share
-    mesh = _known_distance_mesh()
-    L = build_laplacian(mesh, "raw")
-    face_edges = incidence_loops(mesh.faces)["face_edges"]
-    shared = np.intersect1d(face_edges[i], face_edges[j])
-    length = mesh.edge_lengths[shared].sum()
-    assert -L[i, j] == pytest.approx(length * np.exp(-d / 2.8), rel=1e-12)
-    assert L[i, j] == L[j, i]
-
-
-def test_normal_distance_coplanar_is_zero():
-    _laplacian_distance_check(0, 1, 0.0)
-
-
-def test_normal_distance_right_angle_raw():
-    _laplacian_distance_check(1, 2, 2.0)
-
-
-def test_normal_distance_antipodal_is_four():
-    _laplacian_distance_check(3, 4, 4.0)
-
-
 def test_normal_distance_range():
     mesh = random_closed(40, seed=2)
-    normals = smoothed_normals(mesh, "n2")
+    normals = smoothed_normals(mesh)
     fi, fj = _interior_pairs(mesh).T
     d = np.array([np.sum((normals[a] - normals[b]) ** 2)
                   for a, b in zip(fi, fj)])
     assert ((0.0 <= d) & (d <= 4.0)).all()
     lengths = mesh.edge_lengths[~mesh.boundary_edge]
-    L = build_laplacian(mesh, "n2")
+    L = build_laplacian(mesh)
     off = -np.asarray(L[fi, fj]).ravel()
     assert np.allclose(off, lengths * np.exp(-d / d.mean()),
                        rtol=1e-12, atol=0)
@@ -257,8 +222,11 @@ def test_contrasts_and_eigenvectors_match_gram_schmidt_oracle(case):
     n_comp = len(pieces)
     with pytest.warns(RuntimeWarning, match="reversed the winding"):
         mesh = TriMesh(*scattered_components(pieces, seed=case))
-    labels = connected_components(mesh.neighborhoods("n1"),
-                                  directed=False)[1]
+    # components from the loop oracle's edge adjacency
+    f0, f1 = _interior_pairs(mesh).T
+    adjacency = sp.coo_matrix((np.ones(len(f0)), (f0, f1)),
+                              shape=(mesh.n_faces, mesh.n_faces))
+    labels = connected_components(adjacency, directed=False)[1]
     assert np.array_equal(mesh.components, labels)
     assert len(set(np.bincount(labels))) == n_comp  # all sizes differ
     indicators, contrasts = indicator_bases(mesh)
@@ -423,11 +391,6 @@ def test_feature_field_needs_an_integer_segment_count(n_segments):
                        match=f"n_segments must be an integer, got "
                              f"{re.escape(repr(n_segments))}"):
         feature_field(random_closed(40, seed=0), n_segments)
-
-
-def test_feature_field_rejects_an_unknown_ring():
-    with pytest.raises(ParameterError, match="ring must be one of"):
-        feature_field(random_closed(40, seed=0), 2, ring="n3")
 
 
 def test_laplacian_matches_edge_loop():

@@ -13,7 +13,6 @@ from msseg.errors import (
     DegenerateGeometryError,
     MeshFormatError,
     MeshSegError,
-    ParameterError,
     TopologyError,
 )
 from msseg.mesh import (
@@ -438,27 +437,6 @@ def test_closed_mesh_signed_edge_vectors_cancel():
         assert np.linalg.norm(per_face.sum(axis=0)) < 1e-10
 
 
-def test_neighborhood_symmetry():
-    mesh = random_closed(30, seed=7)
-    for ring in ("n1", "n2"):
-        pattern = mesh.neighborhoods(ring)
-        assert (pattern != pattern.T).nnz == 0
-        assert (pattern.diagonal() == 1).all()
-
-
-def test_neighborhood_raw_and_errors():
-    mesh = load_off(TETRA_OFF)
-    assert np.array_equal(mesh.neighborhoods("raw").toarray(), np.eye(4))
-    with pytest.raises(ParameterError, match="ring must be one of"):
-        mesh.neighborhoods("n3")
-
-
-def test_n1_is_edge_adjacent_faces():
-    mesh = load_off(TETRA_OFF)
-    # every tetra face touches the other three along edges
-    assert np.array_equal(mesh.neighborhoods("n1").toarray(), np.ones((4, 4)))
-
-
 def test_caller_arrays_stay_writable_and_apart():
     v = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0)], dtype=float)
     f = np.array([(0, 1, 2)], dtype=np.int64)
@@ -477,8 +455,6 @@ def test_arrays_are_immutable():
         mesh.vertices[0, 0] = 9.0
     with pytest.raises(ValueError):
         mesh.face_areas[0] = 9.0
-    with pytest.raises(ValueError):
-        mesh.neighborhoods("n1").data[0] = 9.0
     for arr in (mesh.grad.data, mesh.grad.indices, mesh.grad.indptr):
         with pytest.raises(ValueError):
             arr[0] = 9
@@ -486,9 +462,9 @@ def test_arrays_are_immutable():
 
 def test_mesh_holds_only_frozen_arrays_and_matrices():
     mesh = random_patch(90, 8)
-    for ring in ("raw", "n1", "n2"):
-        smoothed_normals(mesh, ring)
-    assert mesh.neighborhoods("n2") is not mesh.neighborhoods("n2")
+    before = set(vars(mesh))
+    smoothed_normals(mesh)  # builds its neighborhoods and keeps nothing
+    assert set(vars(mesh)) == before
     assert {"vertices", "faces", "S", "components"} <= set(vars(mesh))
     for name, value in vars(mesh).items():
         if isinstance(value, np.ndarray):
@@ -528,25 +504,21 @@ def test_grad_tl_is_the_frozen_weighted_transpose(make_mesh):
 
 
 def test_flat_patch_normal_is_plane_normal():
-    mesh = flat_patch(3)
-    for ring in ("raw", "n1", "n2"):
-        n = smoothed_normals(mesh, ring)
-        assert np.allclose(n, [0, 0, 1], atol=1e-12)
+    assert np.allclose(smoothed_normals(flat_patch(3)), [0, 0, 1], atol=1e-12)
 
 
 def test_single_triangle_normal_is_its_own():
     mesh = equilateral()
-    for ring in ("raw", "n1", "n2"):
-        assert np.allclose(smoothed_normals(mesh, ring), mesh.face_normals)
+    assert np.allclose(smoothed_normals(mesh), mesh.face_normals)
 
 
-def test_folded_pair_n1_normal_is_bisector():
+def test_folded_pair_normal_is_bisector():
     mesh = folded_pair()
     n0, n1 = mesh.face_normals
     assert np.isclose(np.dot(n0, n1), 0.0, atol=1e-12)  # 90 degree fold
     expected = (mesh.face_areas[0] * n0 + mesh.face_areas[1] * n1)
     expected /= np.linalg.norm(expected)
-    assert np.allclose(smoothed_normals(mesh, "n1"), [expected, expected])
+    assert np.allclose(smoothed_normals(mesh), [expected, expected])
 
 
 def test_degenerate_average_normal_raises():
@@ -555,7 +527,7 @@ def test_degenerate_average_normal_raises():
     faces = [(0, 1, 2), (1, 0, 2)]
     mesh = TriMesh(verts, faces)
     with pytest.raises(DegenerateGeometryError, match="face 0"):
-        smoothed_normals(mesh, "n1")
+        smoothed_normals(mesh)
 
 
 def test_write_off_round_trip(tmp_path):

@@ -1,21 +1,20 @@
-"""Array-built incidence, neighborhoods and smoothed normals against the
-per-face loop oracles in ``_reference``, and the exact errors and warnings
-of mesh construction."""
+"""Array-built incidence and smoothed normals against the per-face loop
+oracles in ``_reference``, and the exact errors and warnings of mesh
+construction."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from msseg.errors import DegenerateGeometryError, ParameterError, TopologyError
-from msseg.mesh import RINGS, TriMesh, smoothed_normals
+from msseg.errors import DegenerateGeometryError, TopologyError
+from msseg.mesh import TriMesh, smoothed_normals
 
 from _meshes import (dumbbell, equilateral, flat_patch, random_closed,
                      random_patch)
 from _reference import (
     dense_operators,
     incidence_loops,
-    neighbor_lists,
     orient_loop,
     smoothed_normals_loop,
 )
@@ -43,28 +42,18 @@ def test_construction_matches_loop_oracle(mesh):
     assert np.array_equal(mesh.grad.toarray(), Gb)
     # boundary rows of the gradient store nothing
     assert not np.diff(mesh.grad.indptr)[mesh.boundary_edge].any()
-    for ring in ("n1", "n2"):
-        pattern = mesh.neighborhoods(ring)
-        for tau, want in enumerate(neighbor_lists(mesh, ring)):
-            got = pattern.indices[pattern.indptr[tau]:pattern.indptr[tau + 1]]
-            assert np.array_equal(got, want)
-        assert np.array_equal(smoothed_normals(mesh, ring),
-                              smoothed_normals_loop(mesh, ring))
+    assert np.array_equal(smoothed_normals(mesh), smoothed_normals_loop(mesh))
 
 
 def test_batch_and_loop_normals_agree_bitwise_on_1k_faces():
     mesh = random_closed(2000, seed=9)
     assert mesh.n_faces >= 1000
-    for ring in ("n1", "n2"):
-        assert np.array_equal(smoothed_normals(mesh, ring),
-                              smoothed_normals_loop(mesh, ring)), ring
-    assert np.allclose(smoothed_normals(mesh, "raw"), mesh.face_normals,
-                       rtol=0, atol=1e-15)
+    assert np.array_equal(smoothed_normals(mesh), smoothed_normals_loop(mesh))
 
 
 def test_smoothed_normals_names_first_degenerate_face():
     # a flat patch plus, apart from it, two coincident triangles with
-    # opposite winding whose n1 average cancels
+    # opposite winding whose average over their shared vertices cancels
     patch = flat_patch(2)
     base = patch.n_vertices
     verts = np.vstack([patch.vertices, [(5, 0, 0), (6, 0, 0), (5, 1, 0)]])
@@ -73,24 +62,18 @@ def test_smoothed_normals_names_first_degenerate_face():
     mesh = TriMesh(verts, faces)
     first = patch.n_faces
     with pytest.raises(DegenerateGeometryError,
-                       match=f"face {first} \\(ring n1\\)"):
-        smoothed_normals(mesh, "n1")
-
-
-def test_smoothed_normals_rejects_unknown_ring():
-    with pytest.raises(ParameterError, match="ring must be one of"):
-        smoothed_normals(equilateral(), "n3")
+                       match=f"^averaged normal of face {first} is degenerate$"):
+        smoothed_normals(mesh)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
-@pytest.mark.parametrize("ring", RINGS)
-def test_smoothed_normals_do_not_depend_on_units(ring, scale):
+def test_smoothed_normals_do_not_depend_on_units(scale):
     # the degenerate test is relative to the neighborhood's area, so a
     # uniformly rescaled mesh gives the same normals to rounding
     mesh = dumbbell()
     scaled = TriMesh(scale * mesh.vertices, mesh.faces)
-    assert np.allclose(smoothed_normals(scaled, ring),
-                       smoothed_normals(mesh, ring), rtol=0, atol=1e-14)
+    assert np.allclose(smoothed_normals(scaled), smoothed_normals(mesh),
+                       rtol=0, atol=1e-14)
 
 
 # -- errors and warnings name the same edge or face as the loop -------------
