@@ -44,8 +44,9 @@ def _gate(x, image, rhs, norm):
 
 
 class _DirectSolve:
-    """Gated direct solve of a sparse real system ``B x = r``: the u and v
-    systems and the features' shifted Laplacian.
+    """Gated direct solve of the sparse real system ``(a M + diag(d)) x =
+    r``: the u and v systems, ``M = mesh.S`` and ``d`` a multiple of the
+    areas, and the features' shifted Laplacian, ``M = L`` and ``d = -sigma``.
 
     Every factor, these and :class:`BiharmonicPrior`'s, comes from
     :func:`_factor`: SuperLU in symmetric mode (minimum degree ordering on
@@ -61,26 +62,28 @@ class _DirectSolve:
     Every solution and eigenpair passes :func:`_gate`, a normwise backward
     error within ``_SOLVE_RTOL`` (Rigal & Gaches): ``|B x - r| <=
     _SOLVE_RTOL * (|B| |x| + |r|)``, with ``|B|`` the infinity norm of the
-    checked system (here of ``matrix``), a bound of its 2-norm for the
-    symmetric matrices factored here, and Frobenius norms of ``x`` and
+    checked system (here of ``a M + diag(d)``), a bound of its 2-norm for
+    the symmetric matrices factored here, and Frobenius norms of ``x`` and
     ``r``.  A backward-stable solve meets it however ill-conditioned ``B``
     is; a wrong factor does not.
 
-    Only the factor, the norm and ``image`` are kept, not ``matrix``:
-    ``image(x)`` is the gate's ``B x``, formed from matrices the caller
-    keeps anyway (``mesh.S`` and the areas, or the features' Laplacian), so
-    it equals ``matrix @ x`` up to rounding.
+    The assembled matrix is factored and dropped: the solve keeps its
+    factor, its norm and ``M``, ``a`` and ``d``, from which the gate forms
+    ``B x = a (M x) + d x``, row by row for a ``(T, k)`` right side (the
+    sweep's) as for a ``(T,)`` one (ARPACK's).  ``M`` is a matrix the
+    caller keeps anyway (``mesh.S``, or the features' Laplacian).
     """
 
-    def __init__(self, matrix, image):
-        matrix = matrix.tocsc()
+    def __init__(self, M, a, d):
+        matrix = (a * M + sp.diags(d)).tocsc()
         self._lu = _factor(matrix)
         self.norm = spla.norm(matrix, np.inf)
-        self.image = image
+        self.M, self.a, self.d = M, a, d
 
     def __call__(self, rhs):
         x = np.ascontiguousarray(self._lu.solve(rhs))
-        return _gate(x, self.image(x), rhs, self.norm)
+        d = self.d if x.ndim == 1 else self.d[:, None]
+        return _gate(x, self.a * (self.M @ x) + d * x, rhs, self.norm)
 
 
 class BiharmonicPrior:

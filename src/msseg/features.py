@@ -102,8 +102,7 @@ def feature_field(mesh, n_segments):
         # returns at most T - 1 pairs
         k_solve = min(k_needed - len(pairs) + n_comp + 2, T - 1)
         sigma = -1e-6 * max(max_diag, 1.0)
-        shifted = _DirectSolve(L - sigma * sp.identity(T),
-                               lambda x: L @ x - sigma * x)
+        shifted = _DirectSolve(L, 1, np.full(T, -sigma))
         try:
             w, V = spla.eigsh(
                 L, k=k_solve, sigma=sigma, which="LM",

@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import calculus as calc
 from .calculus import divergence, gradient, inner_U, norm_U, norm_V
@@ -146,8 +145,10 @@ class Systems:
 
     All three factors share the face pattern of ``S``, and no solve keeps
     an assembled matrix: each holds its factor, and its gate forms ``B x``
-    from ``mesh.S`` and the face areas (``a (S x) + c (W x)`` for u and v;
-    the prior's ``P b + c W b`` for b).  ``params`` carries a resolved
+    from ``mesh.S`` and the face areas.  The u and v solves are
+    ``calculus._DirectSolve(S, a, c * areas)``, which assembles ``a S + c
+    W`` itself and checks ``a (S x) + (c W) x``; the b solve checks the
+    prior's ``P b + c W b``.  ``params`` carries a resolved
     alpha; the right-hand sides read their coefficients from it.
     Every factor is built on the thread that builds the ``Systems``,
     which also drops the last reference to it: the b system is solved on
@@ -161,23 +162,14 @@ class Systems:
         if params.alpha is None:
             raise ParameterError("Systems needs a resolved alpha, got None")
         self.params = params
-        self.u_solve = _face_solve(mesh, params.r_p, params.r_z)
+        S, areas = mesh.S, mesh.face_areas
+        self.u_solve = calc._DirectSolve(S, params.r_p, params.r_z * areas)
         self.v_solve = self.b_solve = None
         if params.mode == "gpsms":
-            self.v_solve = _face_solve(mesh, 1.0, params.r_p / params.r_q)
+            self.v_solve = calc._DirectSolve(
+                S, 1, (params.r_p / params.r_q) * areas)
         if params.mode != "pcms":
             self.b_solve = calc.BiharmonicPrior(mesh, params.beta, params.c)
-
-
-def _face_solve(mesh, a, c):
-    """Gated solve of ``(a S + c W) x = r`` that keeps only its factor: the
-    gate forms ``a (S x) + c (W x)`` from ``mesh.S`` and the areas."""
-    S, areas = mesh.S, mesh.face_areas[:, None]
-
-    def image(x):
-        return a * (S @ x) + c * (areas * x)
-
-    return calc._DirectSolve(a * S + c * sp.diags(mesh.face_areas), image)
 
 
 # -- closed-form pieces ------------------------------------------------------

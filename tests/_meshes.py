@@ -309,6 +309,63 @@ def bumpy_revolution(n_axial=150, n_around=40):
     return surface_of_revolution(radius, -3.0, 3.0, n_axial, n_around)
 
 
+def elbow(theta, L1, L2, n_around=40, caps=False):
+    """A mitered elbow and its ground truth: two unit-radius tubes of axial
+    lengths ``L1`` and ``L2`` that meet at a bend of ``theta`` degrees.
+
+    The first arm runs along +z from ``z = -L1`` to the joint ring, which
+    lies in the bisector plane through the origin, of normal ``m``
+    halfway between the two axes; the second arm is the first one's
+    mirror image in that plane, of length ``L2``.  Each arm has
+    ``round(L n_around / 2 pi)`` bands of ``2 n_around`` faces, so that
+    rings are about ``2 pi / n_around`` apart, with ring ``i`` of ``n``
+    at the fraction ``i / n`` from the end ring to the joint.  With
+    ``caps`` a fan on each end ring closes the tube.  Returns the mesh,
+    wound outward, and the labels: 0 on the first arm, 1 on the second,
+    each with its cap.
+    """
+    half = np.radians(theta) / 2
+    m = np.array([np.sin(half), 0.0, np.cos(half)])
+    mirror = np.eye(3) - 2 * np.outer(m, m)
+    angles = 2 * np.pi * np.arange(n_around) / n_around
+    circle = np.column_stack([np.cos(angles), np.sin(angles)])
+    joint = np.column_stack([circle, -circle[:, 0] * np.tan(half)])
+
+    def arm(L):
+        """The rings of an arm of length L along +z, from its end ring to
+        the one before the joint, as an (n, n_around, 3) array."""
+        n = max(1, round(L * n_around / (2 * np.pi)))
+        end = np.column_stack([circle, np.full(n_around, -L)])
+        t = np.arange(n)[:, None, None] / n
+        return end + t * (joint - end)
+
+    first, second = arm(L1), arm(L2) @ mirror
+    # one tube of rings: the first arm, the joint, the second arm walked
+    # from the joint out, vertex j of each ring beside vertex j of the next
+    rings = np.vstack([first, joint[None], second[::-1]])
+    n_rings = len(rings)
+    j = np.arange(n_around)
+    j1 = (j + 1) % n_around
+    r = n_around * np.arange(n_rings - 1)[:, None]
+    quads = np.stack([r + j, r + j1, r + n_around + j1, r + n_around + j],
+                     axis=-1).reshape(-1, 4)
+    faces = quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    truth = np.repeat([0, 1], 2 * n_around * np.array([len(first),
+                                                       len(second)]))
+    verts = rings.reshape(-1, 3)
+    if caps:
+        last = n_around * (n_rings - 1)
+        c0, c1 = len(verts), len(verts) + 1
+        ends = np.array([[0.0, 0.0, -L1], mirror @ [0.0, 0.0, -L2]])
+        faces = np.vstack([np.column_stack([np.full(n_around, c0), j1, j]),
+                           faces,
+                           np.column_stack([np.full(n_around, c1),
+                                            last + j, last + j1])])
+        truth = np.concatenate([[0] * n_around, truth, [1] * n_around])
+        verts = np.vstack([verts, ends])
+    return TriMesh(verts, faces), truth
+
+
 def write_off(mesh, path):
     lines = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} 0"]
     for v in mesh.vertices:

@@ -259,6 +259,22 @@ def test_many_components_build_only_the_contrasts_used():
     assert not field.eigenvalues.any()
 
 
+def test_the_eigensolve_builds_no_face_by_face_array():
+    # on 3,200 faces the eigensolve path peaks at about 1.5 MB of numpy
+    # allocations; one (T, T) temporary, as a gate image broadcast from
+    # ARPACK's 1-D vectors would be, takes 82 MB
+    mesh = dumbbell()
+    assert mesh.n_faces == 3200
+    tracemalloc.start()
+    try:
+        field = feature_field(mesh, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+    assert field.eigenvalues[0] > 0
+
+
 @cache
 def _dumbbell_score(n_loose):
     """Rand index on the dumbbell faces of a default K = 2 run on the
@@ -332,9 +348,9 @@ def test_arpack_matches_dense_eigh_on_small_mesh(monkeypatch):
     factored = []
     direct_solve = features._DirectSolve
 
-    def recording(matrix, image):
-        factored.append(matrix)
-        return direct_solve(matrix, image)
+    def recording(M, a, d):
+        factored.append(a * M + sp.diags(d))
+        return direct_solve(M, a, d)
 
     monkeypatch.setattr(features, "_DirectSolve", recording)
     mesh = random_closed(800, seed=3)

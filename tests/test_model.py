@@ -5,16 +5,22 @@ piecewise-constant baseline splits it along the ramp.
 The signal lives on a regular grid of the unit square (7,200 faces) and
 is fed to ``segment`` directly as a K=2 feature field, with auto alpha and
 seed 0; the score is the Rand-index dissimilarity (%) against the step.
+
+The claim end to end, on a shape with parts: a mitered elbow, whose every
+cut around the tube is equally short and only the crease marks the two
+arms, run from its spectral features with K=2, default parameters and
+seed 0, and scored against the arms.
 """
 
 import numpy as np
 import pytest
 
 from msseg.evaluation import rand_index_dissimilarity
+from msseg.features import feature_field
 from msseg.mesh import TriMesh
 from msseg.solver import MODES, SolverParams, segment
 
-from _meshes import flat_patch
+from _meshes import elbow, flat_patch
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +90,53 @@ def test_smooth_modes_are_no_worse_than_pcms_on_a_noisy_step(grid):
     wavy = _wavy(x, y)
     scores = _scores(mesh, wavy, wavy, 0.6)
     assert max(scores["psms"], scores["gpsms"]) <= scores["pcms"], scores
+
+
+# -- the mitered elbow ------------------------------------------------------
+
+
+@pytest.mark.parametrize("theta, L1, L2", [(90, 3, 3), (60, 2, 5)])
+def test_a_capped_elbow_is_one_closed_outward_piece_split_at_the_miter(
+        theta, L1, L2):
+    mesh, truth = elbow(theta, L1, L2, caps=True)
+    assert not mesh.boundary_edge.any()
+    assert not mesh.components.any()
+    corners = mesh.vertices[mesh.faces]
+    volume = np.einsum("ij,ij->", corners[:, 0],
+                       np.cross(corners[:, 1], corners[:, 2])) / 6
+    # two tubes of radius 1, a little less as polygons
+    assert 0.99 * np.pi * (L1 + L2) < volume < np.pi * (L1 + L2)
+    half = np.radians(theta) / 2
+    miter = np.array([np.sin(half), 0.0, np.cos(half)])
+    assert np.array_equal(truth, corners.mean(axis=1) @ miter > 0)
+    open_mesh, open_truth = elbow(theta, L1, L2)
+    assert mesh.n_faces == open_mesh.n_faces + 80
+    assert np.array_equal(truth[40:-40], open_truth)
+
+
+def _elbow_score(mode, theta, L1, L2, caps):
+    mesh, truth = elbow(theta, L1, L2, caps=caps)
+    f = feature_field(mesh, 2).values
+    labels = segment(mesh, f, SolverParams(k=2, mode=mode)).labels
+    return rand_index_dissimilarity(labels, truth)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item "
+                   "3: the normal weights underflow across the crease (the "
+                   "caps too), so the K=2 channel parts a few faces or one "
+                   "end from the rest; pcms scores about 50")
+@pytest.mark.parametrize("caps", [False, True])
+def test_pcms_splits_a_symmetric_elbow_at_its_crease(caps):
+    assert _elbow_score("pcms", 90, 3, 3, caps) <= 1.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP items "
+                   "6 and 7: on an asymmetric elbow the feature ramps along "
+                   "the tube and jumps at the crease, and gpsms, which "
+                   "should put the ramp into b and cut at the jump, does no "
+                   "better than pcms; every mode scores 41")
+def test_gpsms_splits_an_asymmetric_elbow_at_its_crease():
+    scores = {mode: _elbow_score(mode, 90, 2, 5, False)
+              for mode in ("pcms", "gpsms")}
+    assert scores["gpsms"] <= 5.0, scores
+    assert scores["gpsms"] <= scores["pcms"] - 5.0, scores

@@ -14,10 +14,11 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import minimize_scalar
 
 import msseg.calculus
+import msseg.features
 import msseg.solver
 from msseg.calculus import (_SOLVE_RTOL, BiharmonicPrior, _DirectSolve,
-                            _gate, divergence, gradient, inner_U, norm_U,
-                            tv_energy)
+                            _factor, _gate, divergence, gradient, inner_U,
+                            norm_U, tv_energy)
 from msseg.errors import (DimensionError, InitializationError, NumericError,
                           ParameterError)
 from msseg.features import build_laplacian, feature_field
@@ -592,11 +593,51 @@ def test_b_gate_checks_the_real_system():
     c = 1.01 * (params.eta + params.alpha)
     matrix = np.sqrt(params.beta) * b_solve.S \
         - 1j * np.sqrt(c) * sp.diags(mesh.face_areas)
-    off = _DirectSolve(matrix, matrix.__matmul__)
-    off(rhs)
-    b_solve._lu = off._lu
+    off = _factor(matrix)
+    x = off.solve(rhs)
+    _gate(x, matrix @ x, rhs, spla.norm(matrix, np.inf))
+    b_solve._lu = off
     with pytest.raises(NumericError, match="residual"):
         b_solve(rhs)
+
+
+def _shift_invert_solve(monkeypatch, mesh):
+    """The shift-invert solve that ``feature_field`` builds on ``mesh``."""
+    built = []
+    direct_solve = msseg.features._DirectSolve
+
+    def recording(*args):
+        built.append(direct_solve(*args))
+        return built[-1]
+
+    monkeypatch.setattr(msseg.features, "_DirectSolve", recording)
+    feature_field(mesh, 3)
+    return built[0]
+
+
+@pytest.mark.parametrize("system, scale", [
+    ("u", 1.01), ("v", 1.01),
+    ("shift", 2.0),  # -sigma is a millionth of |L|: a 1 % change hides
+])
+def test_direct_gates_check_the_system_they_factored(
+        monkeypatch, system, scale):
+    # a factor of a M + diag(scale d) solves its own system, but not the
+    # one the solve was built for, and the gate checks the latter, for an
+    # ARPACK vector (T,) and for the sweep's columns (T, k) alike
+    mesh = random_patch(200, 5)
+    if system == "shift":
+        solve = _shift_invert_solve(monkeypatch, mesh)
+    else:
+        systems = Systems(mesh, SolverParams(k=3, mode="gpsms", alpha=2.0))
+        solve = getattr(systems, f"{system}_solve")
+    rng = np.random.default_rng(19)
+    sides = [rng.normal(size=mesh.n_faces), rng.normal(size=(mesh.n_faces, 2))]
+    for rhs in sides:
+        assert solve(rhs).shape == rhs.shape
+    solve._lu = _factor(solve.a * solve.M + sp.diags(scale * solve.d))
+    for rhs in sides:
+        with pytest.raises(NumericError, match="residual"):
+            solve(rhs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -604,7 +645,7 @@ def test_gate_rejects_one_non_finite_entry(bad):
     # a NaN or inf in x makes the residual and its bound NaN or inf, and
     # neither compares above the other
     areas = np.array([1.0, 2.0, 3.0])
-    solve = _DirectSolve(sp.diags(areas), lambda x: areas[:, None] * x)
+    solve = _DirectSolve(sp.csr_matrix((3, 3)), 1, areas)
     rhs = np.ones((3, 2))
     solve(rhs)
     rhs[1, 0] = bad  # the diagonal system keeps it to one entry of x
@@ -1104,7 +1145,7 @@ def test_segment_joins_its_lane_on_return_and_on_error(monkeypatch):
             wrong = c + self.norm / mesh.face_areas.min()
             matrix = np.sqrt(beta * c / wrong) * mesh.S \
                 - 1j * np.sqrt(c) * sp.diags(mesh.face_areas)
-            self._lu = _DirectSolve(matrix, matrix.__matmul__)._lu
+            self._lu = _factor(matrix)
 
     monkeypatch.setattr(BiharmonicPrior, "__init__", off)
     with pytest.raises(NumericError, match="residual"):
