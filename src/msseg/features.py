@@ -44,14 +44,13 @@ class FeatureField:
     """Spectral features: one column per retained eigenvector.
 
     ``values`` has ``n_segments - 1`` columns, each rescaled to unit
-    area-weighted variance (``scales`` holds the applied factors).
+    area-weighted variance, with the sign rule of :func:`feature_field`.
     Eigenvectors have zero plain mean by construction, so rescaling
     preserves the eigenpair property recorded in ``eigenvalues``.
     """
 
     values: np.ndarray
     eigenvalues: np.ndarray
-    scales: np.ndarray
 
 
 def feature_field(mesh, n_segments):
@@ -127,7 +126,6 @@ def feature_field(mesh, n_segments):
 
     values = np.column_stack([x for x, _ in pairs])
     eigvals = np.array([lam for _, lam in pairs])
-    scales = np.empty(k_needed)
     areas = mesh.face_areas
     total = areas.sum()
     for j, lam in enumerate(eigvals):
@@ -147,7 +145,5 @@ def feature_field(mesh, n_segments):
         nz = np.nonzero(np.abs(x) > 1e-8 * np.abs(x).max())[0]
         if nz.size and x[nz[0]] < 0:
             x = -x
-            s = -s
         values[:, j] = x
-        scales[j] = s
-    return FeatureField(values=values, eigenvalues=eigvals, scales=scales)
+    return FeatureField(values=values, eigenvalues=eigvals)

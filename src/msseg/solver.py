@@ -106,17 +106,18 @@ class SolverState:
 
 @dataclass
 class SegmentationResult:
+    """The labels, the run record and the final ``state``, which holds the
+    label field ``state.u``, the smooth part ``state.b`` and the class
+    means ``state.mu``."""
+
     labels: np.ndarray
-    mu: np.ndarray
-    b: np.ndarray
-    u: np.ndarray
     error_trace: list
     energy_trace: list
     kkt: dict
     seconds: float
     converged: bool
     alpha: float
-    state: SolverState = field(repr=False, default=None)
+    state: SolverState = field(repr=False)
 
 
 # -- linear systems ----------------------------------------------------------
@@ -565,9 +566,6 @@ def segment(mesh, f, params):
     labels = np.argmax(state.u, axis=1)
     return SegmentationResult(
         labels=labels,
-        mu=state.mu,
-        b=state.b,
-        u=state.u,
         error_trace=error_trace,
         energy_trace=energy_trace,
         kkt=kkt_residuals(mesh, f2, state, params),

@@ -292,9 +292,9 @@ def test_criterion_09_mode_degeneracy_bitwise(dumbbell_case, monkeypatch):
                         lambda mesh, u, p, *rest: np.zeros_like(p))
     frozen = segment(mesh, f, SolverParams(mode="gpsms", **kw))
     assert len(frozen.error_trace) == 10
-    assert np.array_equal(frozen.u, psms.u)
-    assert np.array_equal(frozen.b, psms.b)
-    assert np.array_equal(frozen.mu, psms.mu)
+    assert np.array_equal(frozen.state.u, psms.state.u)
+    assert np.array_equal(frozen.state.b, psms.state.b)
+    assert np.array_equal(frozen.state.mu, psms.state.mu)
     assert np.array_equal(frozen.labels, psms.labels)
     assert frozen.error_trace == psms.error_trace
     ok(9, "GPSMS with frozen v/q reproduces PSMS bitwise over 10 iterations")

@@ -1,18 +1,22 @@
 """The package's public names: every export resolves, the README lists
 exactly the exports, every `module.name` the README cites resolves, and
-so does every span the benchmark's tracer books to a metric."""
+so does every span the benchmark's tracer books to a metric.  A run's
+records hold each value once, under one name."""
 
 import ast
 import importlib
 import inspect
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
+
+import numpy as np
 
 import msseg
 from msseg import calculus, cli, evaluation, features, mesh, solver
-from msseg.solver import SolverParams, Systems
+from msseg.solver import SegmentationResult, SolverParams, Systems
 
-from _meshes import TETRA_OFF
+from _meshes import TETRA_OFF, random_closed
 
 README = Path(__file__).parents[1] / "README.md"
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
@@ -69,3 +73,23 @@ def test_benchmark_span_names_are_public_callables():
         assert not attr.startswith("_"), name
         assert inspect.isfunction(obj) or inspect.isclass(obj), name
         assert obj.__module__ == module.__name__, name
+
+
+def test_records_have_exactly_the_kept_fields():
+    assert {f.name for f in fields(features.FeatureField)} == {
+        "values", "eigenvalues"}
+    assert {f.name for f in fields(SegmentationResult)} == {
+        "labels", "error_trace", "energy_trace", "kkt", "seconds",
+        "converged", "alpha", "state"}
+    assert fields(SegmentationResult)[-1].default is MISSING
+
+
+def test_no_array_of_a_result_is_also_held_by_its_state():
+    surface = random_closed(60, seed=12)
+    f = features.feature_field(surface, 3).values
+    result = solver.segment(surface, f, SolverParams(k=3, max_outer=2))
+    # u, mu and b are reached through the state alone
+    held = list(vars(result.state).values())
+    for name, value in vars(result).items():
+        if isinstance(value, np.ndarray):
+            assert not any(value is x for x in held), name

@@ -181,15 +181,6 @@ def test_channels_mutually_orthogonal():
     assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-8
 
 
-def test_scales_record_applied_factor():
-    mesh = random_closed(60, seed=12)
-    field = feature_field(mesh, 3)
-    # undoing the recorded scale recovers a unit eigenvector
-    for j in range(field.values.shape[1]):
-        x = field.values[:, j] / field.scales[j]
-        assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-8)
-
-
 def test_face_reorder_invariance_up_to_sign():
     mesh = path_strip()
     base = feature_field(mesh, 2).values[:, 0]

@@ -51,8 +51,9 @@ def moves():
 
 CASES = [pytest.param(
     "closed", mode, marks=pytest.mark.xfail(
-        strict=True, reason="_kmeans_pp draws over face indices: the "
-        "closed mesh's labels move by a Rand index of 21-27"))
+        strict=True, raises=AssertionError, reason="_kmeans_pp draws over "
+        "face indices: the closed mesh's labels move by a Rand index of "
+        "21-27"))
     for mode in MODES] + [("patch", mode) for mode in MODES]
 
 

@@ -674,7 +674,8 @@ def test_gate_passes_finite_solutions_whose_norms_overflow(mode):
     result = segment(mesh, f, SolverParams(k=2, mode=mode, alpha=1e300,
                                            max_outer=5))
     assert len(result.error_trace) == 5
-    assert np.isfinite(result.u).all() and np.isfinite(result.b).all()
+    state = result.state
+    assert np.isfinite(state.u).all() and np.isfinite(state.b).all()
 
 
 def test_solves_return_c_ordered_float_arrays(lane):
@@ -976,10 +977,11 @@ def test_segment_label_rows_on_simplex():
     z = result.state.z
     assert (z >= 0.0).all()
     assert np.abs(z.sum(axis=1) - 1.0).max() < 1e-9
-    assert np.abs(result.u.sum(axis=1) - 1.0).max() < 1e-9
+    u = result.state.u
+    assert np.abs(u.sum(axis=1) - 1.0).max() < 1e-9
     gap = result.kkt["primal_z"]
-    assert result.u.min() >= -max(10.0 * gap, 1e-9)
-    assert result.u.max() <= 1.0 + max(10.0 * gap, 1e-9)
+    assert u.min() >= -max(10.0 * gap, 1e-9)
+    assert u.max() <= 1.0 + max(10.0 * gap, 1e-9)
 
 
 def test_segment_deterministic_across_runs():
@@ -991,7 +993,7 @@ def test_segment_deterministic_across_runs():
     b = segment(mesh, f, SolverParams(k=2, mode="gpsms", alpha=10.0,
                                       max_outer=5, seed=3))
     assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(a.u, b.u)
+    assert np.array_equal(a.state.u, b.state.u)
     assert a.error_trace == b.error_trace
     assert a.energy_trace == b.energy_trace
 
@@ -1036,7 +1038,10 @@ def test_segment_replays_bitwise_with_row_wise_pieces(make_mesh, mode, k,
 
 def assert_same_run(got, want):
     assert got.alpha == want.alpha
-    for name in ("u", "b", "mu", "labels", "error_trace", "energy_trace"):
+    for name in ("u", "b", "mu"):
+        assert np.array_equal(getattr(got.state, name),
+                              getattr(want.state, name)), name
+    for name in ("labels", "error_trace", "energy_trace"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.kkt == want.kkt
 
@@ -1218,15 +1223,17 @@ def test_gpsms_with_frozen_v_matches_psms_bitwise_small(monkeypatch):
     monkeypatch.setattr(msseg.solver, "solve_v",
                         lambda mesh, u, p, *rest: np.zeros_like(p))
     res_g = segment(mesh, f, SolverParams(mode="gpsms", **kw))
-    assert np.array_equal(res_g.u, res_p.u)
-    assert np.array_equal(res_g.b, res_p.b)
+    assert np.array_equal(res_g.state.u, res_p.state.u)
+    assert np.array_equal(res_g.state.b, res_p.state.b)
     assert np.array_equal(res_g.labels, res_p.labels)
     assert res_g.error_trace == res_p.error_trace
 
 
 def _same_run(a, b):
-    for name in ("labels", "u", "b", "mu"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(a.labels, b.labels)
+    for name in ("u", "b", "mu"):
+        assert np.array_equal(getattr(a.state, name),
+                              getattr(b.state, name)), name
     assert a.error_trace == b.error_trace
     assert a.energy_trace == b.energy_trace
     assert a.kkt == b.kkt
@@ -1266,7 +1273,7 @@ def test_segment_keeps_boundary_edge_rows_zero(mode):
 def test_pcms_mode_keeps_b_zero():
     mesh, f, _ = piecewise_constant_instance()
     result = segment(mesh, f, SolverParams(k=2, mode="pcms", alpha=100.0))
-    assert np.all(result.b == 0.0)
+    assert np.all(result.state.b == 0.0)
 
 
 # -- prefactorized systems -------------------------------------------------------
@@ -1387,7 +1394,7 @@ def test_kkt_residuals_positive_at_fresh_init():
 def test_classification_is_argmax_of_u():
     mesh, f, _ = piecewise_constant_instance()
     result = segment(mesh, f, SolverParams(k=2, alpha=100.0))
-    assert np.array_equal(result.labels, np.argmax(result.u, axis=1))
+    assert np.array_equal(result.labels, np.argmax(result.state.u, axis=1))
 
 
 def test_mu_stationarity_matches_update_mu():
